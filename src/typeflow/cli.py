@@ -66,6 +66,7 @@ from .oracle import (
     oracle_idempotents,
     oracle_minimal_subflows,
     oracle_star,
+    sufficient_radius,
 )
 from .typespace import LevelError, Limit, Realized, acting_set, contains, point_from_json, point_to_json
 
@@ -281,7 +282,13 @@ def _task_difference_set(ctx, level, params, opts):
     diff = difference_set(Y)
     out = {"difference_set": set_to_json(diff)}
     if opts["with_oracle"] and isinstance(ctx, IntegerGroup):
-        universe = WindowUniverse(max(200, 8 * diff.period * (1 + abs(diff.lo) + abs(diff.hi))))
+        universe = WindowUniverse(
+            max(
+                200,
+                8 * diff.period * (1 + abs(diff.lo) + abs(diff.hi)),
+                sufficient_radius(Y),
+            )
+        )
         listed = oracle_difference_set(Y, universe)
         half = universe.radius // 2
         out["oracle_agrees"] = listed == [x for x in range(-half, half + 1) if member(diff, x)]
@@ -299,7 +306,14 @@ def _task_is_generic(ctx, level, params, opts):
     if verdict.note:
         out["note"] = verdict.note
     if opts["with_oracle"] and isinstance(ctx, IntegerGroup):
-        found = oracle_generic(Y, max_translates=2 * Y.period + 4, shift_bound=40, universe=WindowUniverse(200))
+        # a generic Y has a cover of 2 * period translates within
+        # +-(period + (hi - lo) / 2): one period of shifts for each side
+        found = oracle_generic(
+            Y,
+            max_translates=2 * Y.period + 4,
+            shift_bound=max(40, Y.period + abs(Y.lo) + abs(Y.hi)),
+            universe=WindowUniverse(max(200, sufficient_radius(Y))),
+        )
         out["oracle_agrees"] = (found is not None) == verdict.generic
     return out
 
@@ -434,7 +448,9 @@ def validate_scenario(scenario) -> None:
         raise SchemaError("scenario must name a group")
     try:
         group_from_json(scenario["group"])
-    except ValueError as exc:
+    except KeyError as exc:
+        raise SchemaError(f"bad group spec: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad group spec: {exc}") from exc
     level = scenario.get("level", 1)
     if not isinstance(level, int) or level < 1:
@@ -466,7 +482,7 @@ def run_scenario(scenario, with_oracle: bool = False, level_guard: int = DEFAULT
         try:
             entry["result"] = handler(ctx, level, params, opts)
             entry["ok"] = True
-        except (ValueError, BackendMismatch, LevelError, LevelGuardExceeded, KeyError) as exc:
+        except (ValueError, BackendMismatch, LevelError, LevelGuardExceeded, KeyError, TypeError) as exc:
             entry["ok"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
             partial = True

@@ -1,22 +1,31 @@
 """Independent brute-force cross-checks for the structured algorithms.
 
-Everything here is deliberately naive and bounded: enumerate, realize with
-concrete big integers, or try all candidates. None of it shares algorithmic
-code with the implementations it certifies; membership evaluation is the
-only common ground truth.
+Everything here is exact and bounded: enumerate, realize with concrete big
+integers, or search all candidates. None of it shares algorithmic code with
+the implementations it certifies; membership evaluation is the only common
+ground truth. Sets over a window are Python ints used as bitsets, built
+from one membership pass, so every kernel reads its input only through
+`member`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .defsets import member
-from .groups import FiniteGroup, Group, IntegerGroup
+from .groups import FiniteGroup, Group
 from .typespace import LevelTypeSpace, Limit, Realized, apply_group, point_key
 
 EXHAUSTION_LEVEL_BOUND = 8
+
+
+def sufficient_radius(*sets) -> int:
+    """The least window radius that dwarfs every modulus and window bound
+    of the sets."""
+    needed = 4
+    for Y in sets:
+        needed = max(needed, 4 * Y.period * max(1, abs(Y.lo), abs(Y.hi)))
+    return needed
 
 
 @dataclass(frozen=True)
@@ -30,23 +39,47 @@ class WindowUniverse:
 
     def assert_sufficient(self, *sets):
         """The window must dwarf every modulus and window bound in play."""
-        needed = 4
-        for Y in sets:
-            bound = max(1, abs(Y.lo), abs(Y.hi))
-            needed = max(needed, 4 * Y.period * bound)
+        needed = sufficient_radius(*sets)
         if self.radius < needed:
             raise ValueError(
                 f"window radius {self.radius} below sufficiency bound {needed}"
             )
 
 
+def _membership_mask(Y, lo: int, hi: int) -> int:
+    """Bit j is set iff lo + j is in Y."""
+    return int("".join("1" if member(Y, x) else "0" for x in range(hi, lo - 1, -1)), 2)
+
+
+def _reversed(mask: int, width: int) -> int:
+    """Bit j of the result is bit width - 1 - j of mask."""
+    return int(format(mask, f"0{width}b")[::-1], 2)
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    return [i for i, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
+
+
 def oracle_difference_set(Y, universe: WindowUniverse) -> list[int]:
-    """{a - b} by direct enumeration, clipped to the trustworthy half window."""
+    """{a - b} over the window's elements, clipped to the trustworthy half
+    window.
+
+    With E the elements as a bitset (bit x + r for x in the window of
+    radius r), the bit reversal of E is -E at the same offset, so shifting
+    it by a + r places a - E at offset 2r; the union over a in E is the
+    difference set.
+    """
     universe.assert_sufficient(Y)
-    elems = [x for x in universe.points() if member(Y, x)]
-    half = universe.radius // 2
-    out = {a - b for a in elems for b in elems if abs(a - b) <= half}
-    return sorted(out)
+    r = universe.radius
+    elems = _membership_mask(Y, -r, r)
+    negated = _reversed(elems, 2 * r + 1)
+    diffs = 0
+    for shift in _bits(elems):
+        diffs |= negated << shift
+    half = r // 2
+    clipped = diffs >> (2 * r - half) & ((1 << (2 * half + 1)) - 1)
+    return [i - half for i in _bits(clipped)]
 
 
 def oracle_generic(
@@ -56,56 +89,74 @@ def oracle_generic(
     universe: WindowUniverse = WindowUniverse(200),
     exhaustive_limit: int = 300_000,
 ):
-    """Search translate sets that cover the window; None when the budget is
-    exhausted.
+    """A sorted tuple of at most `max_translates` shifts in
+    [-shift_bound, shift_bound] whose translates of Y cover the window, or
+    None when no such cover exists.
 
-    Small sizes are searched exhaustively; beyond the combination budget a
-    deterministic greedy pass takes over. A returned tuple is a verified
-    window cover; None only means nothing was found within bounds.
+    The search is exact. It is a depth-first search for a set cover on the
+    pattern of Knuth's Algorithm X: branch on the uncovered window point
+    with the fewest allowed covering shifts, try each of them, and ban each
+    tried shift in the later sibling branches. A point with no allowed
+    shift fails its branch at once, so a one-sided set fails at the root.
+    None is therefore a proof that no cover of at most `max_translates`
+    shifts within +-`shift_bound` exists on the window. The search visits
+    at most `exhaustive_limit` nodes; past that it raises ValueError rather
+    than return an unproven verdict.
     """
     universe.assert_sufficient(Y)
-    points = list(universe.points())
-    offset = universe.radius
-    full = (1 << len(points)) - 1
-    shifts = list(range(-shift_bound, shift_bound + 1))
-    covers = {}
-    for g in shifts:
-        mask = 0
-        for i, x in enumerate(points):
-            if member(Y, x - g):
-                mask |= 1 << i
-        covers[g] = mask
-    exhausted_all_sizes = True
-    for k in range(1, max_translates + 1):
-        if comb(len(shifts), k) > exhaustive_limit:
-            exhausted_all_sizes = False
-            break
-        for combo in combinations(shifts, k):
-            u = 0
-            for g in combo:
-                u |= covers[g]
-            if u == full:
-                return tuple(combo)
-    if exhausted_all_sizes:
-        return None
+    r, s = universe.radius, shift_bound
+    # bit j is member(Y, j - r - s): every x - g with x in the window, |g| <= s
+    mask = _membership_mask(Y, -r - s, r + s)
+    reflected = _reversed(mask, 2 * (r + s) + 1)
+    window = (1 << (2 * r + 1)) - 1
+    shift_range = (1 << (2 * s + 1)) - 1
+    # shift g is index k = g + s and window point x is index i = x + r;
+    # g + Y covers x iff member(Y, x - g)
+    covers = [mask >> (2 * s - k) & window for k in range(2 * s + 1)]
+    covering = [reflected >> (2 * r - i) & shift_range for i in range(2 * r + 1)]
+
+    def fewest_options(uncovered: int, allowed: int) -> int:
+        """The allowed shifts covering an uncovered point that has fewest;
+        0 when some uncovered point has none."""
+        best, fewest = 0, 2 * s + 2
+        for i in _bits(uncovered):
+            options = covering[i] & allowed
+            count = options.bit_count()
+            if count < fewest:
+                if count == 0:
+                    return 0
+                best, fewest = options, count
+                if count == 1:
+                    break
+        return best
+
+    nodes = 0
     chosen: list[int] = []
-    covered = 0
-    for _ in range(max_translates):
-        best = None
-        best_gain = 0
-        for g in shifts:
-            gain = (covers[g] & ~covered).bit_count()
-            if gain > best_gain or (
-                gain == best_gain and gain > 0 and (abs(g), g) < (abs(best), best)
-            ):
-                best, best_gain = g, gain
-        if best is None or best_gain == 0:
-            return None
-        chosen.append(best)
-        covered |= covers[best]
-        if covered == full:
-            return tuple(sorted(chosen))
-    return None
+    # one entry per chosen shift: the state it was chosen in, and the
+    # sibling shifts still to try there
+    stack: list[tuple[int, int, int]] = []
+    uncovered, allowed = window, shift_range
+    while uncovered:
+        options = 0
+        if len(chosen) < max_translates:
+            nodes += 1
+            if nodes > exhaustive_limit:
+                raise ValueError(
+                    f"genericity oracle exceeded its budget of {exhaustive_limit} search nodes"
+                )
+            options = fewest_options(uncovered, allowed)
+        while not options:
+            if not stack:
+                return None
+            uncovered, allowed, options = stack.pop()
+            # later siblings need not consider the shift just tried
+            allowed &= ~(1 << (chosen.pop() + s))
+        low = options & -options
+        stack.append((uncovered, allowed, options ^ low))
+        k = low.bit_length() - 1
+        chosen.append(k - s)
+        uncovered &= ~covers[k]
+    return tuple(sorted(chosen))
 
 
 def oracle_star(ctx: Group, p, q, level: int, base_magnitude: int = 1000):
@@ -148,16 +199,28 @@ def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     n = len(pts)
     index = {p: i for i, p in enumerate(pts)}
     perm = [index[apply_group(ctx, 1, p)] for p in pts]
+    # images[b][v] is the image under perm of the byte v at bit offset 8b
+    images = []
+    for base in range(0, n, 8):
+        table = [0] * (1 << min(8, n - base))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << perm[base + low.bit_length() - 1]
+        images.append(table)
+    # a mask is invariant iff its image is itself; the image of the low
+    # byte is looked up inside the comprehension, that of the rest once
+    # per 256 masks
+    low_table, high_tables = images[0], images[1:]
     invariant = []
-    for mask in range(1, 1 << n):
+    for high in range(1 << max(0, n - 8)):
         moved = 0
-        m = mask
-        while m:
-            low = m & -m
-            moved |= 1 << perm[low.bit_length() - 1]
-            m ^= low
-        if moved == mask:
-            invariant.append(mask)
+        m = high
+        for table in high_tables:
+            moved |= table[m & 255]
+            m >>= 8
+        base = high << 8
+        invariant.extend(base | v for v, image in enumerate(low_table) if image | moved == base | v)
+    del invariant[0]  # the empty set
     minimal_masks = [
         m
         for m in invariant

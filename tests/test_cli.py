@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -277,3 +278,73 @@ def test_every_cataloged_task_runs():
     assert code == 0, [r for r in report["results"] if not r["ok"]]
     assert all(r["ok"] for r in report["results"])
     assert report["results"][0]["op"] == catalog[0]
+
+
+@pytest.mark.parametrize("group", [{"kind": "cyclic"}, {"kind": "finite", "table": 5}])
+def test_malformed_group_is_a_one_line_schema_error(group, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": group, "tasks": []}))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad group spec") and captured.err.count("\n") == 1
+
+
+def test_type_error_in_a_task_gives_partial_report(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"kind": "integers"},
+                "tasks": [{"op": "translate", "g": [1], "set": "evens"}, {"op": "idempotents"}],
+            }
+        )
+    )
+    assert main(["--scenario", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["partial"]
+    assert report["results"][0]["error"].startswith("TypeError")
+    assert report["results"][1]["ok"]
+
+
+def test_oracle_windows_fit_the_set():
+    # a radius-200 window is below the sufficiency bound of these sets
+    sparse = {"mod": 60, "up": [0], "down": [30], "window": {"lo": -3, "hi": 5, "bits": [1, 0, 0, 1, 0, 0, 0, 1, 1]}}
+    one_sided = {"mod": 25, "up": [0, 7], "down": [], "window": {"lo": 0, "hi": 9, "bits": [1] * 10}}
+    # 0 lies 56 from the nearest element, beyond a shift bound of 40
+    wide_gap = {"mod": 7, "up": [0], "down": [0], "window": {"lo": -50, "hi": 50, "bits": [0] * 101}}
+    # its difference set is all of Z, of period 1
+    dense = {"mod": 60, "up": list(range(59)), "down": list(range(59)), "window": {"lo": -5, "hi": 5, "bits": [1, 0] * 5 + [1]}}
+    scenario = {
+        "group": {"kind": "integers"},
+        "tasks": [
+            {"op": "is-generic", "set": sparse},
+            {"op": "is-generic", "set": one_sided},
+            {"op": "is-generic", "set": wide_gap},
+            {"op": "difference-set", "set": dense},
+        ],
+    }
+    report, code = run_scenario(scenario, with_oracle=True)
+    assert code == 0
+    assert [r["result"].get("generic") for r in report["results"]] == [True, False, True, None]
+    assert report["results"][3]["result"]["difference_set"] == {
+        "mod": 1, "up": [0], "down": [0], "window": {"lo": 0, "hi": -1, "bits": []}
+    }
+    assert all(r["result"]["oracle_agrees"] for r in report["results"])
+
+    # the oracle agrees on any set, whatever its period and window
+    rng = random.Random(3)
+    tasks = []
+    for _ in range(40):
+        period, lo = rng.randint(1, 12), rng.randint(-30, 0)
+        hi = lo + rng.randint(-1, 40)
+        Y = {
+            "mod": period,
+            "up": [r for r in range(period) if rng.random() < 0.3],
+            "down": [r for r in range(period) if rng.random() < 0.3],
+            "window": {"lo": lo, "hi": hi, "bits": [int(rng.random() < 0.2) for _ in range(hi - lo + 1)]},
+        }
+        tasks += [{"op": "is-generic", "set": Y}, {"op": "difference-set", "set": Y}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
+    assert code == 0
+    assert all(r["result"]["oracle_agrees"] for r in report["results"])

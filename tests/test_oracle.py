@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from typeflow.defsets import (
@@ -22,10 +25,46 @@ from typeflow.oracle import (
     oracle_idempotents,
     oracle_minimal_subflows,
     oracle_star,
+    sufficient_radius,
 )
-from typeflow.typespace import LevelTypeSpace, Limit
+from typeflow.typespace import LevelTypeSpace, Limit, apply_group
 
 EVENS = congruence_set(2, [0])
+# needs five translates within +-24 on the radius-160 window
+FIVE_TRANSLATES = IntegerSet(4, up=[3], down=[0, 2, 3], lo=2, hi=3, bits=[0, 0])
+
+
+def random_small_set(rng):
+    period = rng.randint(1, 3)
+    up = [r for r in range(period) if rng.random() < 0.5]
+    down = [r for r in range(period) if rng.random() < 0.5]
+    lo = rng.randint(-3, 0)
+    hi = lo + rng.randint(-1, 3)
+    bits = [rng.random() < 0.5 for _ in range(hi - lo + 1)]
+    return IntegerSet(period, up=up, down=down, lo=lo, hi=hi, bits=bits)
+
+
+def random_universe(rng, Y):
+    """A window at or a little above the least radius the oracles accept."""
+    return WindowUniverse(sufficient_radius(Y) + rng.randint(0, 6))
+
+
+def brute_force_cover_exists(Y, max_translates, shift_bound, universe):
+    """Every combination of at most max_translates shifts, point by point."""
+    points = list(universe.points())
+    full = (1 << len(points)) - 1
+    shifts = range(-shift_bound, shift_bound + 1)
+    covers = {
+        g: sum(1 << i for i, x in enumerate(points) if member(Y, x - g)) for g in shifts
+    }
+    for k in range(1, max_translates + 1):
+        for combo in combinations(shifts, k):
+            u = 0
+            for g in combo:
+                u |= covers[g]
+            if u == full:
+                return True
+    return False
 
 
 def test_window_sufficiency_guard():
@@ -112,3 +151,67 @@ def test_oracle_agreement_with_structured_star():
         for p in pts:
             for q in pts:
                 assert oracle_star(INTEGERS, p, q, n) == star(INTEGERS, p, q)
+
+
+def test_oracle_generic_matches_brute_force():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(400):
+        Y = random_small_set(rng)
+        universe = random_universe(rng, Y)
+        max_translates, shift_bound = rng.randint(1, 4), rng.randint(0, 5)
+        found = oracle_generic(Y, max_translates, shift_bound, universe)
+        assert (found is not None) == brute_force_cover_exists(Y, max_translates, shift_bound, universe)
+        if found is not None:
+            assert len(found) <= max_translates and all(abs(g) <= shift_bound for g in found)
+            assert all(any(member(Y, x - g) for g in found) for x in universe.points())
+        if Y.up and Y.down:
+            outcomes.add(found is not None)
+    # two-sided sets get both verdicts, so refutations are not all at the root
+    assert outcomes == {True, False}
+
+
+def test_oracle_generic_five_translates():
+    universe = WindowUniverse(160)
+    assert oracle_generic(FIVE_TRANSLATES, max_translates=4, shift_bound=24, universe=universe) is None
+    found = oracle_generic(FIVE_TRANSLATES, max_translates=5, shift_bound=24, universe=universe)
+    assert found is not None and len(found) == 5
+    assert all(any(member(FIVE_TRANSLATES, x - g) for g in found) for x in universe.points())
+    assert is_left_generic(INTEGERS, FIVE_TRANSLATES).generic
+
+
+def test_oracle_generic_budget_fails_fast():
+    with pytest.raises(ValueError, match="budget of 50 search nodes"):
+        oracle_generic(
+            FIVE_TRANSLATES,
+            max_translates=4,
+            shift_bound=24,
+            universe=WindowUniverse(160),
+            exhaustive_limit=50,
+        )
+    # a one-sided set leaves far points with no covering shift: refuted at the root
+    ray = integer_ray(1, 0)
+    assert oracle_generic(ray, max_translates=4, shift_bound=50, exhaustive_limit=1) is None
+
+
+def test_oracle_difference_set_matches_pairwise_definition():
+    rng = random.Random(8)
+    for _ in range(100):
+        Y = random_small_set(rng)
+        universe = random_universe(rng, Y)
+        elems = [x for x in universe.points() if member(Y, x)]
+        half = universe.radius // 2
+        pairwise = sorted({a - b for a in elems for b in elems if abs(a - b) <= half})
+        assert oracle_difference_set(Y, universe) == pairwise
+
+
+def test_oracle_minimal_subflows_levels_1_to_8():
+    for n in range(1, 9):
+        assert set(oracle_minimal_subflows(INTEGERS, n)) == set(minimal_subflows(INTEGERS, n))
+    # the definition over sets of points, through one and two image tables
+    for n in range(1, 7):
+        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        subsets = [frozenset(c) for k in range(1, len(pts) + 1) for c in combinations(pts, k)]
+        invariant = [S for S in subsets if {apply_group(INTEGERS, 1, p) for p in S} == S]
+        minimal = {S for S in invariant if not any(T < S for T in invariant)}
+        assert set(oracle_minimal_subflows(INTEGERS, n)) == minimal

@@ -58,7 +58,7 @@ from .flows import (
     universal_ambit_morphism,
     universal_minimal_flow,
 )
-from .groups import BackendMismatch, FiniteGroup, IntegerGroup, bundled_group, group_from_json, group_to_json
+from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, bundled_group, group_from_json, group_to_json
 from .oracle import (
     WindowUniverse,
     oracle_difference_set,
@@ -441,13 +441,14 @@ def list_capabilities() -> dict:
     }
 
 
-def validate_scenario(scenario) -> None:
+def validate_scenario(scenario) -> Group:
+    """Check the scenario's shape; returns the group context it names."""
     if not isinstance(scenario, dict):
         raise SchemaError("scenario must be a JSON object")
     if "group" not in scenario:
         raise SchemaError("scenario must name a group")
     try:
-        group_from_json(scenario["group"])
+        ctx = group_from_json(scenario["group"])
     except KeyError as exc:
         raise SchemaError(f"bad group spec: missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -463,13 +464,13 @@ def validate_scenario(scenario) -> None:
             raise SchemaError("each task must be an object with an 'op' field")
         if task["op"] not in TASKS:
             raise SchemaError(f"unknown task {task['op']!r}")
+    return ctx
 
 
 def run_scenario(scenario, with_oracle: bool = False, level_guard: int = DEFAULT_LEVEL_GUARD):
     """Execute a scenario dict; returns (report, exit_code)."""
-    validate_scenario(scenario)
+    ctx = validate_scenario(scenario)
     started = time.monotonic()
-    ctx = group_from_json(scenario["group"])
     level = scenario.get("level", 1)
     opts = {"with_oracle": with_oracle, "level_guard": level_guard}
     results = []
@@ -482,7 +483,15 @@ def run_scenario(scenario, with_oracle: bool = False, level_guard: int = DEFAULT
         try:
             entry["result"] = handler(ctx, level, params, opts)
             entry["ok"] = True
-        except (ValueError, BackendMismatch, LevelError, LevelGuardExceeded, KeyError, TypeError) as exc:
+        except (
+            ValueError,
+            BackendMismatch,
+            LevelError,
+            LevelGuardExceeded,
+            KeyError,
+            TypeError,
+            AssertionError,
+        ) as exc:
             entry["ok"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
             partial = True

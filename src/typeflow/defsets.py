@@ -349,11 +349,11 @@ def integer_ray(sign: int, bound: int) -> IntegerSet:
 
 def integers_from(elems) -> IntegerSet:
     """Finite set of integers."""
-    elems = sorted(set(int(x) for x in elems))
-    if not elems:
+    present = set(int(x) for x in elems)
+    if not present:
         return IntegerSet(1)
-    lo, hi = elems[0], elems[-1]
-    bits = [x in set(elems) for x in range(lo, hi + 1)]
+    lo, hi = min(present), max(present)
+    bits = [x in present for x in range(lo, hi + 1)]
     return IntegerSet(1, lo=lo, hi=hi, bits=bits)
 
 

@@ -32,11 +32,13 @@ def point_level(p) -> int:
 def lift(p, level: int):
     """Reinterpret a point at a finer level.
 
-    Realized points carry exact values and need no lifting. A limit point
-    is lifted along its integer residue representative, the canonical
-    choice among the finer classes it could stand for.
+    Realized points carry exact values and need no lifting, and a limit
+    point already at the target level is returned as it is (points are
+    immutable), so a same-level `star` allocates only its result. Any
+    other limit point is lifted along its integer residue representative,
+    the canonical choice among the finer classes it could stand for.
     """
-    if isinstance(p, Realized):
+    if isinstance(p, Realized) or p.modulus == level:
         return p
     if level % p.modulus != 0:
         raise LevelError(f"{p.modulus} does not divide target level {level}")

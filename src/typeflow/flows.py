@@ -9,6 +9,7 @@ minimal flow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -189,7 +190,9 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     Limit left factors are checked exhaustively; realized left factors act
     through the group action, so they require the full sign circle of each
     member. A realized member forces unboundedly many realized products
-    and can never sit inside a finite descriptor.
+    and can never sit inside a finite descriptor. The members are distinct
+    points of one level, so a sign circle is full exactly when the set
+    holds `level` members of that sign.
     """
     S = frozenset(points)
     if not S:
@@ -202,12 +205,12 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
             return False
         if p.modulus != level:
             raise LevelError(f"point at level {p.modulus} in a level-{level} check")
-    space = LevelTypeSpace(ctx, level)
+    per_sign = Counter(p.sign for p in S)
+    left_factors = LevelTypeSpace(ctx, level).limit_points()
     for l in S:
-        circle = {Limit(l.sign, r, level) for r in range(level)}
-        if not circle <= S:
+        if per_sign[l.sign] != level:
             return False
-        for s in space.limit_points():
+        for s in left_factors:
             if star(ctx, s, l) not in S:
                 return False
     return True

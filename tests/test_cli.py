@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from typeflow import cli
 from typeflow.cli import SchemaError, list_capabilities, main, render_text, run_scenario
 from typeflow.defsets import congruence_set, set_from_json
-from typeflow.groups import INTEGERS
+from typeflow.groups import INTEGERS, FiniteGroup
 from typeflow.typespace import point_from_json
 
 
@@ -348,3 +349,58 @@ def test_oracle_windows_fit_the_set():
     report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
     assert code == 0
     assert all(r["result"]["oracle_agrees"] for r in report["results"])
+
+
+def test_a_finite_table_is_verified_once_per_scenario(tmp_path, capsys, monkeypatch):
+    built = []
+    original = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+                "tasks": [
+                    {"op": "kernel-intersection", "max_modulus": 3},
+                    {"op": "boolean", "kind": "complement", "a": {"elements": [1]}},
+                ],
+            }
+        )
+    )
+    assert main(["--scenario", str(path)]) == 0
+    assert all(entry["ok"] for entry in json.loads(capsys.readouterr().out)["results"])
+    assert len(built) == 1
+
+
+def test_assertion_error_in_a_task_gives_partial_report(tmp_path, capsys, monkeypatch):
+    def failing_schema(*args, **kwargs):
+        raise AssertionError("schema probes selected 2 residues")
+
+    monkeypatch.setattr(cli, "star_via_schema", failing_schema)
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"kind": "integers"},
+                "level": 4,
+                "tasks": [
+                    {
+                        "op": "star-via-schema",
+                        "p": {"kind": "limit", "sign": "+", "res": 1, "mod": 4},
+                        "q": {"kind": "limit", "sign": "-", "res": 2, "mod": 4},
+                    },
+                    {"op": "idempotents"},
+                ],
+            }
+        )
+    )
+    assert main(["--scenario", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["partial"]
+    assert report["results"][0]["error"] == "AssertionError: schema probes selected 2 residues"
+    assert report["results"][1]["ok"]

@@ -297,3 +297,18 @@ def test_empty_window_boundary_is_canonical():
     b = IntegerSet(2, up=[0], down=[], lo=0, hi=1, bits=[1, 0])
     assert a == b
     assert a.member(0) and not a.member(-2)
+
+
+def test_integers_from_matches_plain_membership():
+    rng = random.Random(11)
+    lists = [
+        [3, -2, 3, 0, -2, 7, -9, 7],
+        [-5, -5, -5],
+        [rng.randrange(-1500, 1500) for _ in range(1000)],
+    ]
+    for elems in lists:
+        Y = integers_from(elems)
+        for x in range(min(elems) - 3, max(elems) + 4):
+            assert member(Y, x) == (x in elems)
+    assert integers_from([]) == integers_from(())
+    assert not any(member(integers_from([]), x) for x in range(-5, 6))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from typeflow import flows
 from typeflow.ellis import find_idempotents, star
 from typeflow.flows import (
     EventuallyPeriodicMap,
@@ -124,6 +125,33 @@ def test_left_ideals_are_closed_invariant_sets_exhaustive(n):
     for mask in range(1, 1 << len(pts)):
         S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
         assert is_left_ideal(INTEGERS, n, S) == space.is_closed_invariant(S)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_left_ideal_matches_the_literal_definition(n):
+    pts = LevelTypeSpace(INTEGERS, n).limit_points()
+    left_factors = pts + [Realized(r) for r in range(n)]
+    for mask in range(1, 1 << len(pts)):
+        S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
+        literal = all(star(INTEGERS, s, l) in S for l in S for s in left_factors)
+        assert is_left_ideal(INTEGERS, n, S) == literal
+
+
+def test_left_ideal_star_calls(monkeypatch):
+    calls = []
+
+    def counting_star(*args):
+        calls.append(args)
+        return star(*args)
+
+    monkeypatch.setattr(flows, "star", counting_star)
+    plus = frozenset(Limit(1, r, 4) for r in range(4))
+    assert is_left_ideal(INTEGERS, 4, plus)
+    assert len(calls) == 4 * 8
+    calls.clear()
+    # no sign circle is full, so the verdict needs no product at all
+    assert not is_left_ideal(INTEGERS, 4, {Limit(1, 0, 4), Limit(1, 1, 4), Limit(1, 2, 4), Limit(-1, 0, 4)})
+    assert calls == []
 
 
 def test_left_ideal_randomized_larger_levels():

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from typeflow.groups import (
@@ -10,6 +13,7 @@ from typeflow.groups import (
     dihedral_group_8,
     group_from_json,
     group_to_json,
+    klein_four_group,
     quaternion_group_8,
     symmetric_group_3,
 )
@@ -102,3 +106,130 @@ def test_product_depth_limited():
 def test_group_json_round_trip():
     for ctx in [INTEGERS, cyclic_group(5), ProductGroup(INTEGERS, symmetric_group_3())]:
         assert group_from_json(group_to_json(ctx)) == ctx
+
+
+def literal_group_verdict(table) -> bool:
+    """The group axioms checked by their definitions, associativity over all triples."""
+    n = len(table)
+    idents = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not idents:
+        return False
+    e = idents[0]
+    if not all(any(table[g][h] == e == table[h][g] for h in range(n)) for g in range(n)):
+        return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def failing_triple(message):
+    match = re.fullmatch(r"table is not associative at \((\d+),(\d+),(\d+)\)", message)
+    assert match, message
+    return tuple(int(x) for x in match.groups())
+
+
+def relabel(table, perm):
+    """The table carried along the bijection i -> perm[i]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[table[i][j]]
+    return out
+
+
+def dihedral_table(m):
+    # r^a s^b at index a + m b; s r = r^-1 s
+    def mul(x, y):
+        a, b = x % m, x // m
+        c, d = y % m, y // m
+        return (a + (c if b == 0 else -c)) % m + m * ((b + d) % 2)
+
+    return [[mul(i, j) for j in range(2 * m)] for i in range(2 * m)]
+
+
+def product_table(left, right):
+    k = len(right)
+    n = len(left) * k
+    return [
+        [left[i // k][j // k] * k + right[i % k][j % k] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_associativity_alone_rejects_the_order_5_loop():
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    # an identity and two-sided inverses, so only associativity can fail
+    assert all(loop[0][x] == x == loop[x][0] for x in range(5))
+    assert all(loop[x][x] == 0 for x in range(5))
+    with pytest.raises(ValueError, match="not associative") as info:
+        FiniteGroup(loop)
+    a, b, c = failing_triple(str(info.value))
+    assert loop[loop[a][b]][c] != loop[a][loop[b][c]]
+
+
+def random_table_with_identity(rng, n):
+    """A table with identity 0 whose other entries are random; most
+    elements get a two-sided inverse, and some tables are relabelled
+    groups with a few entries changed or none."""
+    if n > 1 and rng.random() < 0.4:
+        base = rng.choice([g for g in bundled_small_groups() if g.order <= n] + [cyclic_group(n)])
+        perm = [0] + rng.sample(range(1, base.order), base.order - 1)
+        table = relabel(base.table, perm)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            i, j = rng.randrange(1, len(table)), rng.randrange(1, len(table))
+            table[i][j] = rng.randrange(len(table))
+        return table
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        table[0][x] = table[x][0] = x
+    for i in range(1, n):
+        for j in range(1, n):
+            table[i][j] = rng.randrange(n)
+    others = list(range(1, n))
+    rng.shuffle(others)
+    while others:
+        g = others.pop()
+        h = others.pop() if others and rng.random() < 0.7 else g
+        if rng.random() < 0.9:
+            table[g][h] = table[h][g] = 0
+    return table
+
+
+def test_light_test_agrees_with_the_triple_loop_on_random_tables():
+    rng = random.Random(3)
+    verdicts = []
+    for _ in range(3000):
+        table = random_table_with_identity(rng, rng.randint(1, 7))
+        literal = literal_group_verdict(table)
+        try:
+            FiniteGroup(table)
+            accepted = True
+        except ValueError as exc:
+            accepted = False
+            if "associative" in str(exc):
+                a, b, c = failing_triple(str(exc))
+                assert table[table[a][b]][c] != table[a][table[b][c]]
+        assert accepted == literal, table
+        verdicts.append(accepted)
+    # both verdicts occur often, so agreement is not vacuous
+    assert 500 < sum(verdicts) < 2500
+
+
+def test_relabelled_dihedral_and_product_tables_are_accepted():
+    rng = random.Random(5)
+    tables = [dihedral_table(m) for m in range(2, 13)]
+    tables += [
+        product_table(left.table, right.table)
+        for left in (cyclic_group(2), cyclic_group(3), symmetric_group_3())
+        for right in (cyclic_group(4), klein_four_group(), quaternion_group_8())
+    ]
+    for table in tables:
+        perm = list(range(len(table)))
+        rng.shuffle(perm)
+        g = FiniteGroup(relabel(table, perm))
+        assert g.order == len(table)
+        assert g.identity == perm[0]

@@ -68,7 +68,16 @@ from .oracle import (
     oracle_star,
     sufficient_radius,
 )
-from .typespace import LevelError, Limit, Realized, acting_set, contains, point_from_json, point_to_json
+from .typespace import (
+    LevelError,
+    Limit,
+    Realized,
+    acting_set,
+    contains,
+    point_from_json,
+    point_key,
+    point_to_json,
+)
 
 
 class SchemaError(ValueError):
@@ -80,13 +89,7 @@ def _frac(x: Fraction) -> str:
 
 
 def _points_json(points) -> list:
-    from .typespace import point_key
-
     return [point_to_json(p) for p in sorted(points, key=point_key)]
-
-
-def _subgroup_json(sub):
-    return sub.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +139,6 @@ def _task_universal_minimal_flow(ctx, level, params, opts):
         "idempotent": point_to_json(umf.idempotent),
         "isomorphisms": [],
     }
-    from .typespace import point_key
-
     for other in flows:
         iso = umf.isomorphism_to(other)
         out["isomorphisms"].append(
@@ -202,8 +203,8 @@ def _task_extend_map(ctx, level, params, opts):
 
 def _task_kernel_of_action(ctx, level, params, opts):
     if "flow" in params:
-        return {"kernel": _subgroup_json(kernel_of_flow(flow_from_json(ctx, params["flow"])))}
-    return {"kernel": _subgroup_json(kernel_of_action(ctx, level))}
+        return {"kernel": kernel_of_flow(flow_from_json(ctx, params["flow"])).to_json()}
+    return {"kernel": kernel_of_action(ctx, level).to_json()}
 
 
 def _task_fixed_points(ctx, level, params, opts):
@@ -220,8 +221,6 @@ def _task_invariant_measure(ctx, level, params, opts):
             "weights": [[x, _frac(w)] for x, w in sorted(mu.weights.items())],
         }
     mu = invariant_measure(ctx, level)
-    from .typespace import point_key
-
     return {
         "weights": [
             [point_to_json(p), _frac(w)]
@@ -249,7 +248,7 @@ def _task_kernel_intersection(ctx, level, params, opts):
     descriptor, exact = kernel_intersection(ctx, params.get("max_modulus", 4))
     out = {"intersection": set_to_json(exact)}
     if descriptor is not None:
-        out["subgroup"] = _subgroup_json(descriptor)
+        out["subgroup"] = descriptor.to_json()
     return out
 
 
@@ -358,7 +357,7 @@ def _task_logic_quotient(ctx, level, params, opts):
 
 
 def _task_g00(ctx, level, params, opts):
-    return {"subgroup": _subgroup_json(g00_at_level(ctx, params.get("level", level)))}
+    return {"subgroup": g00_at_level(ctx, params.get("level", level)).to_json()}
 
 
 def _task_universal_compactification(ctx, level, params, opts):
@@ -454,7 +453,7 @@ def validate_scenario(scenario) -> Group:
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad group spec: {exc}") from exc
     level = scenario.get("level", 1)
-    if not isinstance(level, int) or level < 1:
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise SchemaError("level must be a positive integer")
     tasks = scenario.get("tasks", [])
     if not isinstance(tasks, list):

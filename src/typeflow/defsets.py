@@ -3,10 +3,15 @@
 Integer sets are kept in an eventually periodic normal form: a period, the
 residue pattern the set eventually matches toward +infinity (``up``) and
 toward -infinity (``down``), and an explicit finite window of bits in
-between. Finite group subsets are bitmasks. Product sets are stored as a
-column decomposition into disjoint left-hand classes with distinct fibers.
-Every constructor canonicalizes, so structural equality decides set
-equality, and all operations are pure.
+between. Each of the three is also held as a Python int used as a bit
+vector (bit r is residue r, bit i is the point lo + i), and the integer
+kernels (canonicalisation, Boolean combination, translation and quotient
+sets) work on these ints: a period lift or a window extension is a
+rotation followed by doubling shifts, a minimal period is a rotation
+test, and window trimming reads ``bit_length``. Finite group subsets are
+bitmasks. Product sets are stored as a column decomposition into disjoint
+left-hand classes with distinct fibers. Every constructor canonicalizes,
+so structural equality decides set equality, and all operations are pure.
 
 Product backends carry only the rectangle algebra (finite unions of
 rectangles), a proper subalgebra of all definable subsets of the product
@@ -15,7 +20,9 @@ structure; verdicts over products are relative to it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .groups import (
@@ -32,66 +39,135 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n in increasing order, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
-def _canonical_form(period, up, down, lo, hi, bits):
+# ---------------------------------------------------------------------------
+# bit-vector kernels: a mask is a Python int, bit i standing for residue i
+# of a pattern or for the point lo + i of a window
+
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_of_flags(flags) -> int:
+    """The mask whose bit i is flags[i], for a bytes-like of 0s and 1s."""
+    return int(flags[::-1].translate(_TO_ASCII), 2) if flags else 0
+
+
+def _flags_of_mask(mask: int, width: int) -> bytes:
+    """Inverse of ``_mask_of_flags``: byte i is bit i of a width-bit mask."""
+    if width <= 0:
+        return b""
+    return format(mask, f"0{width}b").encode()[::-1].translate(_TO_FLAGS)
+
+
+def _reversed_mask(mask: int, width: int) -> int:
+    """Bit i of the result is bit width - 1 - i of the mask."""
+    return int(format(mask, f"0{width}b")[::-1], 2) if width > 0 else 0
+
+
+def _rotate(mask: int, shift: int, period: int) -> int:
+    """Bit i of the result is bit (i + shift) mod period of a period-bit mask."""
+    return (mask >> shift | mask << (period - shift)) & ((1 << period) - 1)
+
+
+def _extend(mask: int, period: int, start: int, width: int) -> int:
+    """Read a period-bit pattern over [start, start + width).
+
+    Bit i of the result is bit (start + i) mod period of the mask: the
+    mask is rotated once, then doubled with ``x |= x << w``, so the cost is
+    linear in the width.
+    """
+    if width <= 0:
+        return 0
+    x = _rotate(mask, start % period, period)
+    filled = period
+    while filled < width:
+        x |= x << filled
+        filled <<= 1
+    return x & ((1 << width) - 1)
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+class _Mask:
+    """A pattern or a window already packed into a mask.
+
+    The kernels pass their results to ``IntegerSet`` in this form, so that
+    they are canonicalised without being unpacked first. ``len`` is the
+    width, as it is for a tuple of bits.
+    """
+
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int):
+        self.value = value
+        self.width = width
+
+    def __len__(self) -> int:
+        return self.width
+
+
+def _residue_mask(residues, period: int) -> int:
+    if isinstance(residues, _Mask):
+        return residues.value
+    flags = bytearray(period)
+    for r in residues:
+        flags[int(r) % period] = 1
+    return _mask_of_flags(flags)
+
+
+def _canonical_form(period, up, down, lo, hi, window):
     """Reduce to the unique normal form: minimal period, minimal window.
 
+    ``up`` and ``down`` are period-bit masks and ``window`` is the mask of
+    the bits over [lo, hi]. The minimal period is the least divisor d of
+    the period such that rotating both patterns by d leaves them unchanged.
     The window is the least interval outside of which membership agrees
-    with the eventual patterns. When that interval is empty the boundary
-    still matters (above it ``up`` rules, below it ``down`` rules); the
-    canonical boundary is the least valid one. A set that agrees with a
-    single two-sided pattern everywhere gets the fixed empty window (0, -1).
+    with the eventual patterns: its top is the highest point whose bit
+    disagrees with ``up``, its bottom the lowest one that disagrees with
+    ``down``. When that interval is empty the boundary still matters
+    (above it ``up`` rules, below it ``down`` rules); the canonical
+    boundary is the least valid one. A set that agrees with a single
+    two-sided pattern everywhere gets the fixed empty window (0, -1).
     """
-    for d in _divisors(period):
-        if all(((r + d) % period in up) == (r in up) for r in range(period)) and all(
-            ((r + d) % period in down) == (r in down) for r in range(period)
-        ):
-            up = frozenset(r % d for r in up)
-            down = frozenset(r % d for r in down)
+    for d in _divisors(period)[:-1]:
+        if _rotate(up, d, period) == up and _rotate(down, d, period) == down:
+            up &= (1 << d) - 1
+            down &= (1 << d) - 1
             period = d
             break
 
-    def up_at(x):
-        return x % period in up
+    width = hi - lo + 1
+    up_disagree = window ^ _extend(up, period, lo, width)
+    down_disagree = window ^ _extend(down, period, lo, width)
+    if not up_disagree and up == down:
+        return period, up, down, 0, -1, 0
 
-    def down_at(x):
-        return x % period in down
-
-    def mem(x):
-        if x > hi:
-            return up_at(x)
-        if x < lo:
-            return down_at(x)
-        return bits[x - lo]
-
-    window_up_disagree = [x for x in range(lo, hi + 1) if bits[x - lo] != up_at(x)]
-    window_down_disagree = [x for x in range(lo, hi + 1) if bits[x - lo] != down_at(x)]
-    patterns_equal = up == down
-
-    if window_up_disagree:
-        new_hi = max(window_up_disagree)
-    elif patterns_equal:
-        new_hi = None
+    if up_disagree:
+        new_hi = lo + up_disagree.bit_length() - 1
     else:
-        new_hi = max(x for x in range(lo - period, lo) if up_at(x) != down_at(x))
-
-    if window_down_disagree:
-        new_lo = min(window_down_disagree)
-    elif patterns_equal:
-        new_lo = None
+        new_hi = lo - period - 1 + _extend(up ^ down, period, lo - period, period).bit_length()
+    if down_disagree:
+        new_lo = lo + _lowest_bit(down_disagree)
     else:
-        new_lo = min(x for x in range(hi + 1, hi + 1 + period) if up_at(x) != down_at(x))
+        new_lo = hi + 1 + _lowest_bit(_extend(up ^ down, period, hi + 1, period))
 
-    if new_hi is None and new_lo is None:
-        return period, up, down, 0, -1, ()
-    if new_lo <= new_hi:
-        final_lo, final_hi = new_lo, new_hi
-    else:
-        final_lo, final_hi = new_hi + 1, new_hi
-    new_bits = tuple(mem(x) for x in range(final_lo, final_hi + 1))
-    return period, up, down, final_lo, final_hi, new_bits
+    if new_lo > new_hi:
+        return period, up, down, new_hi + 1, new_hi, 0
+    return period, up, down, new_lo, new_hi, window >> (new_lo - lo) & ((1 << (new_hi - new_lo + 1)) - 1)
 
 
 class IntegerSet:
@@ -101,27 +177,37 @@ class IntegerSet:
     below the window it is ``x % period in down``, inside the window the
     stored bits decide. Two IntegerSets are equal as objects exactly when
     they are equal as sets.
+
+    ``up`` and ``down`` are frozensets of residues and ``bits`` is a tuple
+    of bools, one per point of [lo, hi]. The same data is kept as masks:
+    bit r of ``up_mask`` and ``down_mask`` is residue r, bit i of
+    ``window_mask`` is the point lo + i.
     """
 
-    __slots__ = ("period", "up", "down", "lo", "hi", "bits")
+    __slots__ = ("period", "up", "down", "lo", "hi", "bits", "up_mask", "down_mask", "window_mask")
 
     def __init__(self, period, up=(), down=(), lo=0, hi=-1, bits=()):
         period = int(period)
         if period < 1:
             raise ValueError("period must be at least 1")
-        up = frozenset(int(r) % period for r in up)
-        down = frozenset(int(r) % period for r in down)
-        bits = tuple(bool(b) for b in bits)
         lo, hi = int(lo), int(hi)
+        if not isinstance(bits, _Mask):
+            flags = bytes(map(bool, bits))
+            bits = _Mask(_mask_of_flags(flags), len(flags))
         if len(bits) != hi - lo + 1:
             raise ValueError("window bits do not match window bounds")
-        period, up, down, lo, hi, bits = _canonical_form(period, up, down, lo, hi, bits)
+        period, up_mask, down_mask, lo, hi, window_mask = _canonical_form(
+            period, _residue_mask(up, period), _residue_mask(down, period), lo, hi, bits.value
+        )
         self.period = period
-        self.up = up
-        self.down = down
         self.lo = lo
         self.hi = hi
-        self.bits = bits
+        self.up_mask = up_mask
+        self.down_mask = down_mask
+        self.window_mask = window_mask
+        self.up = frozenset(compress(range(period), _flags_of_mask(up_mask, period)))
+        self.down = frozenset(compress(range(period), _flags_of_mask(down_mask, period)))
+        self.bits = tuple(map(bool, _flags_of_mask(window_mask, hi - lo + 1)))
 
     def member(self, x: int) -> bool:
         if x > self.hi:
@@ -136,10 +222,10 @@ class IntegerSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.up and not self.down and not any(self.bits)
+        return not (self.up_mask or self.down_mask or self.window_mask)
 
     def window_elements(self) -> list[int]:
-        return [x for x in range(self.lo, self.hi + 1) if self.bits[x - self.lo]]
+        return list(compress(range(self.lo, self.hi + 1), self.bits))
 
     def up_start(self, r: int) -> int:
         """Least element above the window congruent to r (r must be in up)."""
@@ -154,11 +240,14 @@ class IntegerSet:
     def _key(self):
         return (self.period, tuple(sorted(self.up)), tuple(sorted(self.down)), self.lo, self.hi, self.bits)
 
+    def _masks(self):
+        return (self.period, self.lo, self.hi, self.up_mask, self.down_mask, self.window_mask)
+
     def __eq__(self, other):
-        return isinstance(other, IntegerSet) and self._key() == other._key()
+        return isinstance(other, IntegerSet) and self._masks() == other._masks()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._masks())
 
     def __repr__(self):
         return (
@@ -353,23 +442,39 @@ def integers_from(elems) -> IntegerSet:
     if not present:
         return IntegerSet(1)
     lo, hi = min(present), max(present)
-    bits = [x in present for x in range(lo, hi + 1)]
-    return IntegerSet(1, lo=lo, hi=hi, bits=bits)
+    flags = bytearray(hi - lo + 1)
+    for x in present:
+        flags[x - lo] = 1
+    return IntegerSet(1, lo=lo, hi=hi, bits=flags)
+
+
+def _membership(Y: IntegerSet, lo: int, width: int) -> int:
+    """Bit i is the membership of lo + i in Y; [lo, lo + width) must cover Y's window."""
+    below = Y.lo - lo
+    above = Y.hi + 1 - lo
+    return (
+        _extend(Y.down_mask, Y.period, lo, below)
+        | Y.window_mask << below
+        | _extend(Y.up_mask, Y.period, Y.hi + 1, width - above) << above
+    )
 
 
 def _combine_integer(A: IntegerSet, B: IntegerSet, op) -> IntegerSet:
+    """Apply a bitwise operator to both patterns lifted to the lcm period and
+    to both membership masks over the joint window."""
     period = _lcm(A.period, B.period)
-    up = [r for r in range(period) if op(r % A.period in A.up, r % B.period in B.up)]
-    down = [r for r in range(period) if op(r % A.period in A.down, r % B.period in B.down)]
+    up = op(_extend(A.up_mask, A.period, 0, period), _extend(B.up_mask, B.period, 0, period))
+    down = op(_extend(A.down_mask, A.period, 0, period), _extend(B.down_mask, B.period, 0, period))
     lo = min(A.lo, B.lo)
     hi = max(A.hi, B.hi)
-    bits = [op(A.member(x), B.member(x)) for x in range(lo, hi + 1)]
-    return IntegerSet(period, up=up, down=down, lo=lo, hi=hi, bits=bits)
+    width = hi - lo + 1
+    bits = op(_membership(A, lo, width), _membership(B, lo, width))
+    return IntegerSet(period, _Mask(up, period), _Mask(down, period), lo, hi, _Mask(bits, width))
 
 
 def union(A, B):
     if isinstance(A, IntegerSet) and isinstance(B, IntegerSet):
-        return _combine_integer(A, B, lambda a, b: a or b)
+        return _combine_integer(A, B, operator.or_)
     if isinstance(A, FiniteSubset) and isinstance(B, FiniteSubset) and A.group == B.group:
         return FiniteSubset(A.group, mask=A.mask | B.mask)
     if isinstance(A, RectangleSet) and isinstance(B, RectangleSet) and A.group == B.group:
@@ -379,7 +484,7 @@ def union(A, B):
 
 def intersect(A, B):
     if isinstance(A, IntegerSet) and isinstance(B, IntegerSet):
-        return _combine_integer(A, B, lambda a, b: a and b)
+        return _combine_integer(A, B, operator.and_)
     if isinstance(A, FiniteSubset) and isinstance(B, FiniteSubset) and A.group == B.group:
         return FiniteSubset(A.group, mask=A.mask & B.mask)
     if isinstance(A, RectangleSet) and isinstance(B, RectangleSet) and A.group == B.group:
@@ -393,13 +498,15 @@ def intersect(A, B):
 
 def complement(A):
     if isinstance(A, IntegerSet):
+        full = (1 << A.period) - 1
+        width = A.hi - A.lo + 1
         return IntegerSet(
             A.period,
-            up=[r for r in range(A.period) if r not in A.up],
-            down=[r for r in range(A.period) if r not in A.down],
-            lo=A.lo,
-            hi=A.hi,
-            bits=[not b for b in A.bits],
+            _Mask(A.up_mask ^ full, A.period),
+            _Mask(A.down_mask ^ full, A.period),
+            A.lo,
+            A.hi,
+            _Mask(A.window_mask ^ ((1 << width) - 1), width),
         )
     if isinstance(A, FiniteSubset):
         return FiniteSubset(A.group, mask=((1 << A.group.order) - 1) ^ A.mask)
@@ -430,13 +537,14 @@ def translate(g, Y):
     """Left translate gY = {g . y : y in Y}."""
     if isinstance(Y, IntegerSet):
         g = int(g)
+        shift = -g % Y.period
         return IntegerSet(
             Y.period,
-            up=[(r + g) % Y.period for r in Y.up],
-            down=[(r + g) % Y.period for r in Y.down],
-            lo=Y.lo + g,
-            hi=Y.hi + g,
-            bits=Y.bits,
+            _Mask(_rotate(Y.up_mask, shift, Y.period), Y.period),
+            _Mask(_rotate(Y.down_mask, shift, Y.period), Y.period),
+            Y.lo + g,
+            Y.hi + g,
+            _Mask(Y.window_mask, Y.hi - Y.lo + 1),
         )
     if isinstance(Y, FiniteSubset):
         grp = Y.group
@@ -472,6 +580,15 @@ def right_translate(g, Y):
 # quotient sets A . B^{-1}
 
 
+def _semigroup_mask(pa: int, pb: int, bound: int) -> int:
+    """Bit k is set for each k = i * pa + j * pb < bound with i, j >= 0."""
+    multiples = _extend(1, pa, 0, bound)
+    mask = 0
+    for offset in range(0, bound, pb):
+        mask |= multiples << offset
+    return mask & ((1 << bound) - 1)
+
+
 def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     """Exact {a - b : a in A, b in B} for eventually periodic sets.
 
@@ -480,7 +597,13 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     tails hit every value of a full congruence class; a tail against a
     window element is an exact arithmetic progression ray; opposite tails
     give a class-within-ray whose small end has numerical-semigroup gaps,
-    patched below by direct enumeration up to the Frobenius bound.
+    patched below by the semigroup's points up to the Frobenius bound.
+
+    Membership over the output window is the OR of masks: one class mask
+    per distinct (modulus, residue), cut at its rays; the semigroup mask
+    shifted to the base of each pair of opposite tails (reversed for the
+    pairs that run toward -infinity); and B's reversed window shifted once
+    per element of A's window.
     """
     if A.is_empty or B.is_empty:
         return IntegerSet(1)
@@ -488,78 +611,106 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     g = gcd(pa, pb)
     win_a = A.window_elements()
     win_b = B.window_elements()
-    fulls = []       # (modulus, residue)
+    fulls = set()    # (modulus, residue)
     plus_rays = []   # (modulus, residue, min_value): {t >= min, t = residue mod modulus}
     minus_rays = []  # (modulus, residue, max_value)
-    finite = set()
+    marks = [0]
 
     for r in A.up:
         for r2 in B.up:
-            fulls.append((g, (r - r2) % g))
+            fulls.add((g, (r - r2) % g))
     for s in A.down:
         for s2 in B.down:
-            fulls.append((g, (s - s2) % g))
+            fulls.add((g, (s - s2) % g))
 
-    # opposite tails: gaps below the Frobenius bound are enumerated exactly
+    # opposite tails: gaps below the Frobenius bound come from the semigroup
     frob = g * (pa // g - 1) * (pb // g - 1)
+    semigroup = _semigroup_mask(pa, pb, frob)
+    plus_bases = set()
+    minus_bases = set()
     for r in A.up:
         a0 = A.up_start(r)
         for s2 in B.down:
-            b0 = B.down_start(s2)
-            base = a0 - b0
+            base = a0 - B.down_start(s2)
             plus_rays.append((g, (r - s2) % g, base + frob))
-            for i in range(frob // pa + 1):
-                for j in range(frob // pb + 1):
-                    if i * pa + j * pb < frob:
-                        finite.add(base + i * pa + j * pb)
+            plus_bases.add(base)
     for s in A.down:
         a0 = A.down_start(s)
         for r2 in B.up:
-            b0 = B.up_start(r2)
-            base = a0 - b0
+            base = a0 - B.up_start(r2)
             minus_rays.append((g, (s - r2) % g, base - frob))
-            for i in range(frob // pa + 1):
-                for j in range(frob // pb + 1):
-                    if i * pa + j * pb < frob:
-                        finite.add(base - i * pa - j * pb)
+            minus_bases.add(base)
+    if semigroup:
+        top = semigroup.bit_length() - 1
+        for base in plus_bases:
+            marks += (base, base + top)
+        for base in minus_bases:
+            marks += (base - top, base)
 
     for w in win_a:
         for r2 in B.up:
             minus_rays.append((pb, (w - r2) % pb, w - B.up_start(r2)))
         for s2 in B.down:
             plus_rays.append((pb, (w - s2) % pb, w - B.down_start(s2)))
-        for w2 in win_b:
-            finite.add(w - w2)
     for w2 in win_b:
         for r in A.up:
             plus_rays.append((pa, (r - w2) % pa, A.up_start(r) - w2))
         for s in A.down:
             minus_rays.append((pa, (s - w2) % pa, A.down_start(s) - w2))
+    if win_a and win_b:
+        marks += [win_a[0] - win_b[-1], win_a[-1] - win_b[0]]
 
     period = _lcm(pa, pb)
-    marks = [0]
     marks += [v for _, _, v in plus_rays]
     marks += [v for _, _, v in minus_rays]
-    marks += list(finite)
     lo = min(marks) - period
     hi = max(marks) + period
+    width = hi - lo + 1
 
-    def mem(t):
-        for m, c in fulls:
-            if t % m == c:
-                return True
-        for m, c, v in plus_rays:
-            if t >= v and t % m == c:
-                return True
-        for m, c, v in minus_rays:
-            if t <= v and t % m == c:
-                return True
-        return t in finite
+    bits = 0
+    if semigroup:
+        # base - k for k in the semigroup: bit frob - 1 - k of the reversal
+        semigroup_reversed = _reversed_mask(semigroup, frob)
+        for base in plus_bases:
+            bits |= semigroup << (base - lo)
+        for base in minus_bases:
+            bits |= semigroup_reversed << (base - frob + 1 - lo)
+    if win_a and win_b:
+        # w - b for b in B's window: bit win_b[-1] - b of B's reversed window
+        b_reversed = _reversed_mask(B.window_mask >> (win_b[0] - B.lo), win_b[-1] - win_b[0] + 1)
+        for w in win_a:
+            bits |= b_reversed << (w - win_b[-1] - lo)
 
-    up = [rho for rho in range(period) if any(rho % m == c for m, c in fulls) or any(rho % m == c for m, c, _ in plus_rays)]
-    down = [rho for rho in range(period) if any(rho % m == c for m, c in fulls) or any(rho % m == c for m, c, _ in minus_rays)]
-    bits = [mem(t) for t in range(lo, hi + 1)]
-    return IntegerSet(period, up=up, down=down, lo=lo, hi=hi, bits=bits)
+    starts = {}
+    for m, c, v in plus_rays:
+        if v < starts.get((m, c), v + 1):
+            starts[m, c] = v
+    ends = {}
+    for m, c, v in minus_rays:
+        if v > ends.get((m, c), v - 1):
+            ends[m, c] = v
+    window_zeros = {}  # modulus -> residue-0 class mask over [lo, hi + modulus)
+    period_zeros = {}  # modulus -> residue-0 class mask over [0, period + modulus)
+    up = down = 0
+    for m, c in fulls | starts.keys() | ends.keys():
+        if m not in window_zeros:
+            window_zeros[m] = _extend(1, m, lo, width + m)
+            period_zeros[m] = _extend(1, m, 0, period + m)
+        cls = window_zeros[m] >> (-c % m) & ((1 << width) - 1)
+        cls_period = period_zeros[m] >> (-c % m) & ((1 << period) - 1)
+        if (m, c) in fulls:
+            bits |= cls
+            up |= cls_period
+            down |= cls_period
+            continue
+        if (m, c) in starts:
+            cut = starts[m, c] - lo
+            bits |= cls >> cut << cut
+            up |= cls_period
+        if (m, c) in ends:
+            bits |= cls & ((1 << (ends[m, c] - lo + 1)) - 1)
+            down |= cls_period
+    return IntegerSet(period, _Mask(up, period), _Mask(down, period), lo, hi, _Mask(bits, width))
 
 
 def quotient_set(A, B):
@@ -618,9 +769,9 @@ def _generic_integers(Y: IntegerSet) -> GenericityResult:
         cert.add(t_up)
         cert.add(t_dn)
         # points of class c between the two covered tails need point translates
-        for x in range(Y.lo + t_dn, Y.hi + t_up + 1):
-            if x % p == c:
-                cert.add(x - y0)
+        first = Y.lo + t_dn
+        first += (c - first) % p
+        cert.update(range(first - y0, Y.hi + t_up + 1 - y0, p))
     return GenericityResult(True, translates=tuple(sorted(cert)))
 
 
@@ -787,6 +938,21 @@ _NAMED_INTEGER_SETS = {
 }
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:  # JSON integers only: no booleans, no floats
+        raise ValueError(f"integer set {field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, field: str) -> list:
+    if not isinstance(values, list):
+        raise ValueError(f"integer set {field} must be a list of integers, got {values!r}")
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"integer set {field} must be integers, got {bad!r}")
+    return values
+
+
 def set_from_json(ctx: Group, obj):
     """Parse the scenario syntax for definable sets."""
     if isinstance(ctx, IntegerGroup):
@@ -795,18 +961,20 @@ def set_from_json(ctx: Group, obj):
                 return _NAMED_INTEGER_SETS[obj]()
             raise ValueError(f"unknown named set {obj!r}")
         if isinstance(obj, list):
-            return integers_from(obj)
+            return integers_from(_json_ints(obj, "list elements"))
         if isinstance(obj, dict):
             window = obj.get("window", {})
-            lo = window.get("lo", 0)
-            hi = window.get("hi", -1)
+            if not isinstance(window, dict):
+                raise ValueError(f"integer set window must be an object, got {window!r}")
             bits = window.get("bits", [])
+            if not isinstance(bits, list) or set(map(type, bits)) - {int, bool} or set(bits) - {0, 1}:
+                raise ValueError(f"integer set window bits must be a list of 0, 1, true or false, got {bits!r}")
             return IntegerSet(
-                obj.get("mod", 1),
-                up=obj.get("up", []),
-                down=obj.get("down", []),
-                lo=lo,
-                hi=hi,
+                _json_int(obj.get("mod", 1), "mod"),
+                up=_json_ints(obj.get("up", []), "up residues"),
+                down=_json_ints(obj.get("down", []), "down residues"),
+                lo=_json_int(window.get("lo", 0), "window lo"),
+                hi=_json_int(window.get("hi", -1), "window hi"),
                 bits=bits,
             )
         raise ValueError(f"cannot parse integer set from {obj!r}")
@@ -833,7 +1001,7 @@ def set_to_json(Y):
             "mod": Y.period,
             "up": sorted(Y.up),
             "down": sorted(Y.down),
-            "window": {"lo": Y.lo, "hi": Y.hi, "bits": [1 if b else 0 for b in Y.bits]},
+            "window": {"lo": Y.lo, "hi": Y.hi, "bits": list(_flags_of_mask(Y.window_mask, len(Y.bits)))},
         }
     if isinstance(Y, FiniteSubset):
         return {"elements": Y.elements()}

@@ -404,3 +404,53 @@ def test_assertion_error_in_a_task_gives_partial_report(tmp_path, capsys, monkey
     assert report["partial"]
     assert report["results"][0]["error"] == "AssertionError: schema probes selected 2 residues"
     assert report["results"][1]["ok"]
+
+
+@pytest.mark.parametrize(
+    "bad_set",
+    [
+        {"mod": 2, "up": [0], "window": [1]},
+        {"mod": 1, "window": {"lo": 0, "hi": 0, "bits": ["0"]}},
+        {"mod": 1, "window": {"lo": 0, "hi": 0, "bits": "0"}},
+        {"mod": 1, "window": {"lo": 0, "hi": 0, "bits": [2]}},
+        {"mod": 2.5, "up": [0]},
+        {"mod": True, "up": [0]},
+        {"mod": 2, "up": [0.5]},
+        {"mod": 2, "down": 1},
+        {"mod": 1, "window": {"lo": "0", "hi": 0, "bits": [1]}},
+        [1, 2.5],
+    ],
+)
+def test_malformed_integer_set_is_a_task_error(bad_set, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"kind": "integers"},
+                "tasks": [{"op": "is-generic", "set": bad_set}, {"op": "idempotents"}],
+            }
+        )
+    )
+    assert main(["--scenario", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["partial"]
+    assert report["results"][0]["error"].startswith("ValueError")
+    assert report["results"][1]["ok"]
+
+
+def test_boolean_level_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"kind": "integers"}, "level": True, "tasks": []}))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level must be a positive integer\n"
+
+
+def test_booleans_are_accepted_as_window_bits():
+    Y = {"mod": 2, "up": [0], "down": [1], "window": {"lo": -1, "hi": 1, "bits": [True, 0, False]}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": "boolean", "kind": "complement", "a": Y}]})
+    assert code == 0
+    assert report["results"][0]["result"]["result"] == {
+        "mod": 2, "up": [1], "down": [0], "window": {"lo": 1, "hi": 0, "bits": []}
+    }

@@ -1,6 +1,10 @@
+import operator
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typeflow.defsets import (
     FiniteSubset,
@@ -312,3 +316,137 @@ def test_integers_from_matches_plain_membership():
             assert member(Y, x) == (x in elems)
     assert integers_from([]) == integers_from(())
     assert not any(member(integers_from([]), x) for x in range(-5, 6))
+
+
+# ---------------------------------------------------------------------------
+# properties of the normal form on random raw inputs
+
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def raw_member(raw, x):
+    period, up, down, lo, hi, bits = raw
+    if x > hi:
+        return x % period in up
+    if x < lo:
+        return x % period in down
+    return bits[x - lo]
+
+
+@st.composite
+def raw_integer_sets(draw, periods=st.integers(1, 97), max_width=120, offset=150):
+    """Arguments for IntegerSet: patterns that often repeat at a proper
+    divisor of the period, windows that often agree with a pattern at one
+    end or are sparse, so that both the period and the window get reduced."""
+    period = draw(periods)
+    step = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+
+    def pattern():
+        base = draw(st.sets(st.integers(0, step - 1)))
+        return {r + k * step for r in base for k in range(period // step)}
+
+    up = pattern()
+    down = up if draw(st.booleans()) else pattern()
+    lo = draw(st.integers(-offset, offset))
+    width = draw(st.integers(0, max_width))
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    else:
+        side = draw(st.sampled_from([up, down, set()]))
+        bits = [(lo + i) % period in side for i in range(width)]
+        if width:
+            for i in draw(st.lists(st.integers(0, width - 1), max_size=3)):
+                bits[i] = not bits[i]
+    return period, sorted(up), sorted(down), lo, lo + width - 1, bits
+
+
+@PROPERTIES
+@given(raw_integer_sets())
+def test_normal_form_is_minimal_and_keeps_membership(raw):
+    Y = IntegerSet(*raw)
+    p = Y.period
+    for d in range(1, p):
+        if p % d == 0:
+            assert any(
+                ((r + d) % p in pat) != (r in pat) for pat in (Y.up, Y.down) for r in range(p)
+            ), (raw, Y, d)
+    if Y.bits:
+        assert Y.bits[-1] != (Y.hi % p in Y.up)
+        assert Y.bits[0] != (Y.lo % p in Y.down)
+    elif Y.up == Y.down:
+        assert (Y.lo, Y.hi) == (0, -1)
+    else:
+        # one point lower would change the membership of Y.hi
+        assert (Y.hi % p in Y.up) != (Y.hi % p in Y.down)
+    period, lo, hi = raw[0], raw[3], raw[4]
+    for x in range(lo - 2 * period, hi + 2 * period + 1):
+        assert Y.member(x) == raw_member(raw, x), (raw, x)
+
+
+@PROPERTIES
+@given(raw_integer_sets())
+def test_stored_masks_agree_with_the_fields(raw):
+    Y = IntegerSet(*raw)
+    assert Y.up_mask == sum(1 << r for r in Y.up)
+    assert Y.down_mask == sum(1 << r for r in Y.down)
+    assert Y.window_mask == sum(1 << i for i, b in enumerate(Y.bits) if b)
+    assert len(Y.bits) == Y.hi - Y.lo + 1
+    assert all(0 <= r < Y.period for r in Y.up | Y.down)
+    assert Y.is_empty == (not Y.up and not Y.down and not any(Y.bits))
+
+
+@PROPERTIES
+@given(raw_integer_sets(), raw_integer_sets())
+def test_boolean_operations_pointwise(raw_a, raw_b):
+    A, B = IntegerSet(*raw_a), IntegerSet(*raw_b)
+    reach = 2 * A.period * B.period // gcd(A.period, B.period)
+    xs = range(min(A.lo, B.lo) - reach, max(A.hi, B.hi) + reach + 1)
+    in_a = list(map(A.member, xs))
+    in_b = list(map(B.member, xs))
+    assert list(map(union(A, B).member, xs)) == list(map(operator.or_, in_a, in_b))
+    assert list(map(intersect(A, B).member, xs)) == list(map(operator.and_, in_a, in_b))
+    assert list(map(complement(A).member, xs)) == [not m for m in in_a]
+
+
+COPRIME_PAIRS = [(a, b) for a in range(1, 12) for b in range(1, 14) if gcd(a, b) == 1]
+
+
+@st.composite
+def tails_and_points(draw, period, up_tail, down_tail):
+    """A set with one to three tail residues on each chosen side and at most
+    four points in its window."""
+    residues = st.lists(st.integers(0, period - 1), min_size=1, max_size=3)
+    up = draw(residues) if up_tail else []
+    down = draw(residues) if down_tail else []
+    lo = draw(st.integers(-150, 150))
+    width = draw(st.integers(0, 120))
+    points = draw(st.lists(st.integers(0, width - 1), max_size=4)) if width else []
+    return period, up, down, lo, lo + width - 1, [i in points for i in range(width)]
+
+
+def _bitset(Y, radius):
+    """Bit x + radius is the membership of x, for |x| <= radius."""
+    return sum(1 << (x + radius) for x in range(-radius, radius + 1) if Y.member(x))
+
+
+@PROPERTIES
+@given(st.sampled_from(COPRIME_PAIRS), st.data())
+def test_quotient_set_matches_enumeration_for_coprime_periods(pair, data):
+    if data.draw(st.booleans()):
+        A = IntegerSet(*data.draw(raw_integer_sets(st.just(pair[0]))))
+        B = IntegerSet(*data.draw(raw_integer_sets(st.just(pair[1]))))
+    else:
+        # opposite tails and a few window points: no full congruence class
+        # and few rays cover the gaps below the Frobenius bound
+        up = data.draw(st.booleans())
+        A = IntegerSet(*data.draw(tails_and_points(pair[0], up, not up)))
+        B = IntegerSet(*data.draw(tails_and_points(pair[1], not up, up)))
+    Q = quotient_set(A, B)
+    # every t with |t| <= 800 in A - B has a witness pair inside [-1500, 1500]:
+    # windows lie in [-150, 270], the periods are at most 13 and the
+    # Frobenius bound at most 120
+    radius = 1500
+    in_a, in_b = _bitset(A, radius), _bitset(B, radius)
+    for t in range(-800, 801):
+        shifted = in_a >> t if t >= 0 else in_a << -t
+        assert Q.member(t) == bool(shifted & in_b), (A, B, t)

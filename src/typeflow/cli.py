@@ -10,10 +10,12 @@ partial).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .amenability import (
@@ -90,6 +92,14 @@ def _frac(x: Fraction) -> str:
 
 def _points_json(points) -> list:
     return [point_to_json(p) for p in sorted(points, key=point_key)]
+
+
+def _max_modulus(params) -> int:
+    """The family bound of a task; 0, negatives or `true` would search nothing."""
+    bound = params.get("max_modulus", 4)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise ValueError(f"max_modulus must be a positive integer, not {bound!r}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +241,7 @@ def _task_invariant_measure(ctx, level, params, opts):
 
 
 def _task_pestov_check(ctx, level, params, opts):
-    result = pestov_check(ctx, params.get("max_modulus", 4))
+    result = pestov_check(ctx, _max_modulus(params))
     if isinstance(result, PestovCertificate):
         return {
             "verdict": "certificate",
@@ -245,7 +255,7 @@ def _task_pestov_check(ctx, level, params, opts):
 
 
 def _task_kernel_intersection(ctx, level, params, opts):
-    descriptor, exact = kernel_intersection(ctx, params.get("max_modulus", 4))
+    descriptor, exact = kernel_intersection(ctx, _max_modulus(params))
     out = {"intersection": set_to_json(exact)}
     if descriptor is not None:
         out["subgroup"] = descriptor.to_json()
@@ -253,7 +263,7 @@ def _task_kernel_intersection(ctx, level, params, opts):
 
 
 def _task_singleton_minimal(ctx, level, params, opts):
-    report = singleton_minimal_criterion(ctx, level, params.get("max_modulus", 4))
+    report = singleton_minimal_criterion(ctx, level, _max_modulus(params))
     out = {
         "all_minimal_singletons": report.all_minimal_singletons,
         "meeting_sets_have_full_difference": report.meeting_sets_have_full_difference,
@@ -266,7 +276,7 @@ def _task_singleton_minimal(ctx, level, params, opts):
 
 def _task_measure_definability(ctx, level, params, opts):
     mu = invariant_measure(ctx, level)
-    report = measure_definability_check(ctx, level, mu, params.get("max_modulus", 4))
+    report = measure_definability_check(ctx, level, mu, _max_modulus(params))
     entries = []
     for entry in report.entries:
         item = dict(entry)
@@ -506,6 +516,68 @@ def run_scenario(scenario, with_oracle: bool = False, level_guard: int = DEFAULT
     return report, (3 if partial else 0)
 
 
+def render_json(report) -> str:
+    """The report as `json.dumps` writes it with a two-space indent and sorted keys.
+
+    The stdlib cannot use its C encoder once an indent is set; this
+    renderer writes the same text into a single chunk list. Dict keys must be
+    strings, as in every report. Each nesting level costs one frame, as in
+    the stdlib encoder, so any document `json.load` accepts still renders:
+    the recursion therefore uses plain loops, since on Python 3.11 every
+    comprehension or generator expression adds a frame.
+    """
+    chunks = []
+    _render(report, "\n", chunks)
+    return "".join(chunks)
+
+
+def _render(o, newline: str, chunks: list) -> None:
+    kind = type(o)
+    if kind is str:
+        chunks.append(encode_basestring_ascii(o))
+    elif kind is int:
+        chunks.append(int.__repr__(o))
+    elif kind is dict:
+        if not o:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            chunks.append(sep + encode_basestring_ascii(key) + ": ")
+            _render(value, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not o:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        # windows, element lists and residues: plain ints, bools excluded
+        if set(map(type, o)) == {int}:
+            chunks.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in o:
+            chunks.append(sep)
+            _render(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    elif o is None:
+        chunks.append("null")
+    elif o is True:
+        chunks.append("true")
+    elif o is False:
+        chunks.append("false")
+    elif isinstance(o, dict):
+        _render(dict(o), newline, chunks)
+    elif isinstance(o, (list, tuple)):
+        _render(list(o), newline, chunks)
+    else:
+        # floats, NaN and infinities as the stdlib spells them
+        chunks.append(json.dumps(o))
+
+
 def render_text(report) -> str:
     lines = [f"typeflow {report['version']}"]
     for entry in report["results"]:
@@ -520,7 +592,9 @@ def render_text(report) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; never mutated."""
     parser = argparse.ArgumentParser(
         prog="typeflow",
         description="scenario-driven analyses of definable dynamics at finite levels",
@@ -530,10 +604,15 @@ def main(argv=None) -> int:
     parser.add_argument("--with-oracle", action="store_true", help="re-run oracle agreement checks")
     parser.add_argument("--level-guard", type=int, default=DEFAULT_LEVEL_GUARD, help="lcm guard for level unification")
     parser.add_argument("--capabilities", action="store_true", help="print the task catalog and exit")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.capabilities:
-        print(json.dumps(list_capabilities(), indent=2, sort_keys=True))
+        print(render_json(list_capabilities()))
         return 0
     if not args.scenario:
         parser.print_usage(sys.stderr)
@@ -541,7 +620,9 @@ def main(argv=None) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
@@ -552,7 +633,7 @@ def main(argv=None) -> int:
     if args.text:
         print(render_text(report))
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(render_json(report))
     return code
 
 

@@ -254,9 +254,12 @@ def definable_homomorphism_check(
     surjective) image, canonical definable fibers, and the factorization
     through the universal quotient at the fiber modulus. The closure
     identity cl f(A . B) = cl f(A) . cl f(B) is verified on the witness
-    families of congruence classes.
+    families of congruence classes. A value outside the target raises
+    `BackendMismatch` before any check runs.
     """
     values = tuple(values)
+    for v in values:
+        target.check_element(v)
     if isinstance(ctx, IntegerGroup):
         d = len(values)
         if d < 1:

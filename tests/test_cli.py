@@ -1,10 +1,15 @@
+import argparse
+import collections
 import json
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typeflow import cli
-from typeflow.cli import SchemaError, list_capabilities, main, render_text, run_scenario
+from typeflow.cli import SchemaError, list_capabilities, main, render_json, render_text, run_scenario
 from typeflow.defsets import congruence_set, set_from_json
 from typeflow.groups import INTEGERS, FiniteGroup
 from typeflow.typespace import point_from_json
@@ -454,3 +459,136 @@ def test_booleans_are_accepted_as_window_bits():
     assert report["results"][0]["result"]["result"] == {
         "mod": 2, "up": [1], "down": [0], "window": {"lo": 1, "hi": 0, "bits": []}
     }
+
+
+# ---------------------------------------------------------------------------
+# the scenario file and its parameters
+
+
+def _write_bytes(tmp_path, data: bytes) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"group": {"kind": "integers"}, "tasks": [], "x": ' + b"7" * 5000 + b"}",
+        b'{"group": {"kind": "integers"}, "tasks": [], "x": ' + b"[" * 2000 + b"]" * 2000 + b"}",
+        b'{"group": {"kind": "integers"}, "tasks": [], "x": "\xff"}',
+    ],
+    ids=["digit-limit", "nested-2000", "not-utf8"],
+)
+def test_unreadable_scenario_is_a_one_line_error(data, tmp_path, capsys):
+    assert main(["--scenario", _write_bytes(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read scenario: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op", ["pestov-check", "kernel-intersection", "singleton-minimal", "measure-definability"])
+@pytest.mark.parametrize("bound", [0, -2, True, 2.5])
+def test_max_modulus_must_be_a_positive_integer(op, bound):
+    scenario = {"group": {"kind": "integers"}, "level": 2, "tasks": [{"op": op, "max_modulus": bound}, {"op": "idempotents"}]}
+    report, code = run_scenario(scenario)
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: max_modulus must be a positive integer, not {bound!r}"
+    assert report["results"][1]["ok"]
+
+
+def test_homomorphism_value_outside_the_target_is_a_task_error():
+    for values in ([9], [0, 9]):
+        scenario = {"group": {"kind": "integers"}, "tasks": [{"op": "check-homomorphism", "values": values, "target": "s3"}]}
+        report, code = run_scenario(scenario)
+        assert code == 3
+        assert report["results"][0]["error"].startswith("BackendMismatch: 9 is not an element")
+
+
+# ---------------------------------------------------------------------------
+# the report renderer against the stdlib encoder
+
+
+def reference_json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_tricky_text = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\té€\u2028\U0001d11e'), max_size=8)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(max_size=8),
+    _tricky_text,
+)
+_int_lists = st.lists(st.one_of(st.integers(), st.booleans()), max_size=8)
+_json_values = st.recursive(
+    st.one_of(_scalars, _int_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), _tricky_text), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_json_values)
+def test_render_json_matches_the_stdlib_encoder(value):
+    assert render_json(value) == reference_json(value)
+
+
+def test_render_json_on_container_subclasses():
+    point = collections.namedtuple("Point", "x y")
+    value = collections.OrderedDict([("b", point(1, [True])), ("a", ())])
+    assert render_json(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("name", ["integers-level4.json", "symmetric3.json"])
+def test_bundled_reports_render_as_the_stdlib_encoder(name, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", name)
+    with open(path, encoding="utf-8") as fh:
+        report, code = run_scenario(json.load(fh))
+    assert render_json(report) == reference_json(report)
+    assert main(["--scenario", path]) == code
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == reference_json(report) + "\n"
+
+
+def test_capabilities_render_as_the_stdlib_encoder(capsys):
+    assert main(["--capabilities"]) == 0
+    assert capsys.readouterr().out == reference_json(list_capabilities()) + "\n"
+
+
+def test_deeply_nested_scenario_renders(tmp_path, capsys):
+    nested = []
+    for _ in range(900):
+        nested = [nested]
+    scenario = {"group": {"kind": "integers"}, "tasks": [], "nested": nested}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"] == scenario
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"kind": "integers"}, "tasks": []}))
+    assert main(["--scenario", str(path)]) == 0
+    assert main(["--capabilities"]) == 0
+    capsys.readouterr()
+    assert built == ["typeflow"]

@@ -10,7 +10,7 @@ from typeflow.compactify import (
     universal_compactification,
 )
 from typeflow.defsets import congruence_set
-from typeflow.groups import INTEGERS, Subgroup, cyclic_group, quaternion_group_8, symmetric_group_3
+from typeflow.groups import INTEGERS, BackendMismatch, Subgroup, cyclic_group, quaternion_group_8, symmetric_group_3
 from typeflow.typespace import LevelError
 
 
@@ -130,6 +130,18 @@ def test_homomorphism_check_finite():
     assert verdict.valid
     verdict = definable_homomorphism_check(c6, [0, 0, 0, 0, 0, 0], cyclic_group(2))
     assert not verdict.valid and verdict.reason == "dense-image failure"
+
+
+@pytest.mark.parametrize("values", [[9], [0, 9]])
+def test_homomorphism_values_outside_the_target_integers(values):
+    with pytest.raises(BackendMismatch):
+        definable_homomorphism_check(INTEGERS, values, symmetric_group_3())
+
+
+@pytest.mark.parametrize("values", [[9, 0], [0, 9]])
+def test_homomorphism_values_outside_the_target_finite(values):
+    with pytest.raises(BackendMismatch):
+        definable_homomorphism_check(cyclic_group(2), values, symmetric_group_3())
 
 
 def test_finite_quotient_machinery():

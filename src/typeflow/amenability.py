@@ -262,7 +262,7 @@ def singleton_minimal_criterion(ctx: Group, level: int, max_modulus: int = 4) ->
     witness = None
     for Y in generated_family(ctx, max_modulus):
         if isinstance(Y, IntegerSet):
-            meets = bool(Y.up) or bool(Y.down)
+            meets = bool(Y.up_mask or Y.down_mask)
         else:
             meets = any(any(contains(p, Y) for p in flow) for flow in flows)
         if not meets:

@@ -42,12 +42,11 @@ from .defsets import (
     boolean_op,
     difference_set,
     is_left_generic,
-    member,
     set_from_json,
     set_to_json,
     translate,
 )
-from .ellis import DEFAULT_LEVEL_GUARD, LevelGuardExceeded, find_idempotents, star, star_via_schema
+from .ellis import find_idempotents, star, star_via_schema
 from .flows import (
     check_definable_flow,
     EventuallyPeriodicMap,
@@ -94,12 +93,22 @@ def _points_json(points) -> list:
     return [point_to_json(p) for p in sorted(points, key=point_key)]
 
 
-def _max_modulus(params) -> int:
-    """The family bound of a task; 0, negatives or `true` would search nothing."""
-    bound = params.get("max_modulus", 4)
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-        raise ValueError(f"max_modulus must be a positive integer, not {bound!r}")
-    return bound
+def _positive_int(params, name: str, default):
+    """A task parameter that, when given, must be a positive JSON integer."""
+    if name not in params:
+        return default
+    value = params[name]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return value
+
+
+def _point(ctx, obj):
+    """A type point of the task; a realized value must be an element of ctx."""
+    p = point_from_json(obj)
+    if isinstance(p, Realized):
+        ctx.check_element(p.value)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +116,9 @@ def _max_modulus(params) -> int:
 
 
 def _task_star(ctx, level, params, opts):
-    p = point_from_json(params["p"])
-    q = point_from_json(params["q"])
-    result = star(ctx, p, q, opts["level_guard"])
+    p = _point(ctx, params["p"])
+    q = _point(ctx, params["q"])
+    result = star(ctx, p, q)
     out = {"product": point_to_json(result)}
     if opts["with_oracle"]:
         lvl = result.modulus if isinstance(result, Limit) else level
@@ -118,10 +127,10 @@ def _task_star(ctx, level, params, opts):
 
 
 def _task_star_via_schema(ctx, level, params, opts):
-    p = point_from_json(params["p"])
-    q = point_from_json(params["q"])
-    direct = star(ctx, p, q, opts["level_guard"])
-    schema = star_via_schema(ctx, p, q, opts["level_guard"])
+    p = _point(ctx, params["p"])
+    q = _point(ctx, params["q"])
+    direct = star(ctx, p, q)
+    schema = star_via_schema(ctx, p, q)
     return {"product": point_to_json(schema), "agrees_with_closed_form": schema == direct}
 
 
@@ -165,7 +174,7 @@ def _task_universal_minimal_flow(ctx, level, params, opts):
 
 
 def _task_is_left_ideal(ctx, level, params, opts):
-    points = frozenset(point_from_json(p) for p in params["points"])
+    points = frozenset(_point(ctx, p) for p in params["points"])
     return {"left_ideal": is_left_ideal(ctx, level, points)}
 
 
@@ -241,7 +250,7 @@ def _task_invariant_measure(ctx, level, params, opts):
 
 
 def _task_pestov_check(ctx, level, params, opts):
-    result = pestov_check(ctx, _max_modulus(params))
+    result = pestov_check(ctx, _positive_int(params, "max_modulus", 4))
     if isinstance(result, PestovCertificate):
         return {
             "verdict": "certificate",
@@ -255,7 +264,7 @@ def _task_pestov_check(ctx, level, params, opts):
 
 
 def _task_kernel_intersection(ctx, level, params, opts):
-    descriptor, exact = kernel_intersection(ctx, _max_modulus(params))
+    descriptor, exact = kernel_intersection(ctx, _positive_int(params, "max_modulus", 4))
     out = {"intersection": set_to_json(exact)}
     if descriptor is not None:
         out["subgroup"] = descriptor.to_json()
@@ -263,7 +272,7 @@ def _task_kernel_intersection(ctx, level, params, opts):
 
 
 def _task_singleton_minimal(ctx, level, params, opts):
-    report = singleton_minimal_criterion(ctx, level, _max_modulus(params))
+    report = singleton_minimal_criterion(ctx, level, _positive_int(params, "max_modulus", 4))
     out = {
         "all_minimal_singletons": report.all_minimal_singletons,
         "meeting_sets_have_full_difference": report.meeting_sets_have_full_difference,
@@ -276,7 +285,7 @@ def _task_singleton_minimal(ctx, level, params, opts):
 
 def _task_measure_definability(ctx, level, params, opts):
     mu = invariant_measure(ctx, level)
-    report = measure_definability_check(ctx, level, mu, _max_modulus(params))
+    report = measure_definability_check(ctx, level, mu, _positive_int(params, "max_modulus", 4))
     entries = []
     for entry in report.entries:
         item = dict(entry)
@@ -300,7 +309,7 @@ def _task_difference_set(ctx, level, params, opts):
         )
         listed = oracle_difference_set(Y, universe)
         half = universe.radius // 2
-        out["oracle_agrees"] = listed == [x for x in range(-half, half + 1) if member(diff, x)]
+        out["oracle_agrees"] = listed == list(filter(diff.member, range(-half, half + 1)))
     return out
 
 
@@ -342,13 +351,13 @@ def _task_translate(ctx, level, params, opts):
 
 
 def _task_acting_set(ctx, level, params, opts):
-    p = point_from_json(params["p"])
+    p = _point(ctx, params["p"])
     Y = set_from_json(ctx, params["set"])
     return {"result": set_to_json(acting_set(ctx, p, Y))}
 
 
 def _task_contains(ctx, level, params, opts):
-    p = point_from_json(params["p"])
+    p = _point(ctx, params["p"])
     Y = set_from_json(ctx, params["set"])
     return {"contains": contains(p, Y)}
 
@@ -367,7 +376,7 @@ def _task_logic_quotient(ctx, level, params, opts):
 
 
 def _task_g00(ctx, level, params, opts):
-    return {"subgroup": g00_at_level(ctx, params.get("level", level)).to_json()}
+    return {"subgroup": g00_at_level(ctx, _positive_int(params, "level", level)).to_json()}
 
 
 def _task_universal_compactification(ctx, level, params, opts):
@@ -397,7 +406,7 @@ def _task_check_homomorphism(ctx, level, params, opts):
         target = bundled_group(target_spec)
     if not isinstance(target, FiniteGroup):
         raise SchemaError("homomorphism target must be a finite group")
-    verdict = definable_homomorphism_check(ctx, params["values"], target, params.get("level"))
+    verdict = definable_homomorphism_check(ctx, params["values"], target, _positive_int(params, "level", None))
     out = {"valid": verdict.valid}
     if verdict.reason:
         out["reason"] = verdict.reason
@@ -476,12 +485,12 @@ def validate_scenario(scenario) -> Group:
     return ctx
 
 
-def run_scenario(scenario, with_oracle: bool = False, level_guard: int = DEFAULT_LEVEL_GUARD):
+def run_scenario(scenario, with_oracle: bool = False):
     """Execute a scenario dict; returns (report, exit_code)."""
     ctx = validate_scenario(scenario)
     started = time.monotonic()
     level = scenario.get("level", 1)
-    opts = {"with_oracle": with_oracle, "level_guard": level_guard}
+    opts = {"with_oracle": with_oracle}
     results = []
     partial = False
     for task in scenario.get("tasks", []):
@@ -496,7 +505,6 @@ def run_scenario(scenario, with_oracle: bool = False, level_guard: int = DEFAULT
             ValueError,
             BackendMismatch,
             LevelError,
-            LevelGuardExceeded,
             KeyError,
             TypeError,
             AssertionError,
@@ -602,7 +610,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", help="path to a scenario JSON file")
     parser.add_argument("--text", action="store_true", help="human-readable report")
     parser.add_argument("--with-oracle", action="store_true", help="re-run oracle agreement checks")
-    parser.add_argument("--level-guard", type=int, default=DEFAULT_LEVEL_GUARD, help="lcm guard for level unification")
     parser.add_argument("--capabilities", action="store_true", help="print the task catalog and exit")
     return parser
 
@@ -626,7 +633,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
-        report, code = run_scenario(scenario, args.with_oracle, args.level_guard)
+        report, code = run_scenario(scenario, args.with_oracle)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 Integer sets are kept in an eventually periodic normal form: a period, the
 residue pattern the set eventually matches toward +infinity (``up``) and
 toward -infinity (``down``), and an explicit finite window of bits in
-between. Each of the three is also held as a Python int used as a bit
+between. Each of the three is stored as a Python int used as a bit
 vector (bit r is residue r, bit i is the point lo + i), and the integer
 kernels (canonicalisation, Boolean combination, translation and quotient
 sets) work on these ints: a period lift or a window extension is a
@@ -170,6 +170,11 @@ def _canonical_form(period, up, down, lo, hi, window):
     return period, up, down, new_lo, new_hi, window >> (new_lo - lo) & ((1 << (new_hi - new_lo + 1)) - 1)
 
 
+def _residues(mask: int, period: int) -> tuple:
+    """The residues whose bits are set in a period-bit mask, ascending."""
+    return tuple(compress(range(period), _flags_of_mask(mask, period)))
+
+
 class IntegerSet:
     """Eventually periodic subset of the integers in canonical normal form.
 
@@ -178,13 +183,13 @@ class IntegerSet:
     stored bits decide. Two IntegerSets are equal as objects exactly when
     they are equal as sets.
 
-    ``up`` and ``down`` are frozensets of residues and ``bits`` is a tuple
-    of bools, one per point of [lo, hi]. The same data is kept as masks:
-    bit r of ``up_mask`` and ``down_mask`` is residue r, bit i of
-    ``window_mask`` is the point lo + i.
+    The set is stored as masks: bit r of ``up_mask`` and ``down_mask`` is
+    residue r, bit i of ``window_mask`` is the point lo + i. ``up`` and
+    ``down`` (frozensets of residues) and ``bits`` (a tuple of bools, one
+    per point of [lo, hi]) are read-only views built from them on access.
     """
 
-    __slots__ = ("period", "up", "down", "lo", "hi", "bits", "up_mask", "down_mask", "window_mask")
+    __slots__ = ("period", "lo", "hi", "up_mask", "down_mask", "window_mask")
 
     def __init__(self, period, up=(), down=(), lo=0, hi=-1, bits=()):
         period = int(period)
@@ -205,16 +210,20 @@ class IntegerSet:
         self.up_mask = up_mask
         self.down_mask = down_mask
         self.window_mask = window_mask
-        self.up = frozenset(compress(range(period), _flags_of_mask(up_mask, period)))
-        self.down = frozenset(compress(range(period), _flags_of_mask(down_mask, period)))
-        self.bits = tuple(map(bool, _flags_of_mask(window_mask, hi - lo + 1)))
+
+    up = property(lambda self: frozenset(_residues(self.up_mask, self.period)))
+    down = property(lambda self: frozenset(_residues(self.down_mask, self.period)))
+    bits = property(lambda self: tuple(map(bool, self._flags())))
+
+    def _flags(self) -> bytes:
+        return _flags_of_mask(self.window_mask, self.hi - self.lo + 1)
 
     def member(self, x: int) -> bool:
         if x > self.hi:
-            return x % self.period in self.up
+            return bool(self.up_mask >> x % self.period & 1)
         if x < self.lo:
-            return x % self.period in self.down
-        return self.bits[x - self.lo]
+            return bool(self.down_mask >> x % self.period & 1)
+        return bool(self.window_mask >> x - self.lo & 1)
 
     def pattern(self, sign: int) -> frozenset:
         """Eventual residue pattern toward +infinity (sign > 0) or -infinity."""
@@ -225,7 +234,7 @@ class IntegerSet:
         return not (self.up_mask or self.down_mask or self.window_mask)
 
     def window_elements(self) -> list[int]:
-        return list(compress(range(self.lo, self.hi + 1), self.bits))
+        return list(compress(range(self.lo, self.hi + 1), self._flags()))
 
     def up_start(self, r: int) -> int:
         """Least element above the window congruent to r (r must be in up)."""
@@ -238,7 +247,9 @@ class IntegerSet:
         return x - (x - r) % self.period
 
     def _key(self):
-        return (self.period, tuple(sorted(self.up)), tuple(sorted(self.down)), self.lo, self.hi, self.bits)
+        # the window as bytes of 0s and 1s orders as the tuple of bools does
+        p = self.period
+        return (p, _residues(self.up_mask, p), _residues(self.down_mask, p), self.lo, self.hi, self._flags())
 
     def _masks(self):
         return (self.period, self.lo, self.hi, self.up_mask, self.down_mask, self.window_mask)
@@ -611,16 +622,18 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     g = gcd(pa, pb)
     win_a = A.window_elements()
     win_b = B.window_elements()
+    a_up, a_down = _residues(A.up_mask, pa), _residues(A.down_mask, pa)
+    b_up, b_down = _residues(B.up_mask, pb), _residues(B.down_mask, pb)
     fulls = set()    # (modulus, residue)
     plus_rays = []   # (modulus, residue, min_value): {t >= min, t = residue mod modulus}
     minus_rays = []  # (modulus, residue, max_value)
     marks = [0]
 
-    for r in A.up:
-        for r2 in B.up:
+    for r in a_up:
+        for r2 in b_up:
             fulls.add((g, (r - r2) % g))
-    for s in A.down:
-        for s2 in B.down:
+    for s in a_down:
+        for s2 in b_down:
             fulls.add((g, (s - s2) % g))
 
     # opposite tails: gaps below the Frobenius bound come from the semigroup
@@ -628,15 +641,15 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     semigroup = _semigroup_mask(pa, pb, frob)
     plus_bases = set()
     minus_bases = set()
-    for r in A.up:
+    for r in a_up:
         a0 = A.up_start(r)
-        for s2 in B.down:
+        for s2 in b_down:
             base = a0 - B.down_start(s2)
             plus_rays.append((g, (r - s2) % g, base + frob))
             plus_bases.add(base)
-    for s in A.down:
+    for s in a_down:
         a0 = A.down_start(s)
-        for r2 in B.up:
+        for r2 in b_up:
             base = a0 - B.up_start(r2)
             minus_rays.append((g, (s - r2) % g, base - frob))
             minus_bases.add(base)
@@ -648,14 +661,14 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
             marks += (base - top, base)
 
     for w in win_a:
-        for r2 in B.up:
+        for r2 in b_up:
             minus_rays.append((pb, (w - r2) % pb, w - B.up_start(r2)))
-        for s2 in B.down:
+        for s2 in b_down:
             plus_rays.append((pb, (w - s2) % pb, w - B.down_start(s2)))
     for w2 in win_b:
-        for r in A.up:
+        for r in a_up:
             plus_rays.append((pa, (r - w2) % pa, A.up_start(r) - w2))
-        for s in A.down:
+        for s in a_down:
             minus_rays.append((pa, (s - w2) % pa, A.down_start(s) - w2))
     if win_a and win_b:
         marks += [win_a[0] - win_b[-1], win_a[-1] - win_b[0]]
@@ -753,13 +766,13 @@ class GenericityResult:
 def _generic_integers(Y: IntegerSet) -> GenericityResult:
     if Y.is_empty:
         return GenericityResult(False, obstruction="empty set")
-    if not Y.up:
+    if not Y.up_mask:
         return GenericityResult(False, obstruction="no eventual pattern toward +infinity")
-    if not Y.down:
+    if not Y.down_mask:
         return GenericityResult(False, obstruction="no eventual pattern toward -infinity")
     p = Y.period
-    r = min(Y.up)
-    s = min(Y.down)
+    r = _lowest_bit(Y.up_mask)
+    s = _lowest_bit(Y.down_mask)
     y0_candidates = Y.window_elements() + [Y.up_start(r), Y.down_start(s)]
     y0 = min(y0_candidates, key=lambda v: (abs(v), v))
     cert = set()
@@ -938,9 +951,10 @@ _NAMED_INTEGER_SETS = {
 }
 
 
-def _json_int(value, field: str) -> int:
-    if type(value) is not int:  # JSON integers only: no booleans, no floats
-        raise ValueError(f"integer set {field} must be an integer, got {value!r}")
+def json_int(value, field: str) -> int:
+    """The value, which must be a JSON integer: no booleans, no floats."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
 
 
@@ -970,11 +984,11 @@ def set_from_json(ctx: Group, obj):
             if not isinstance(bits, list) or set(map(type, bits)) - {int, bool} or set(bits) - {0, 1}:
                 raise ValueError(f"integer set window bits must be a list of 0, 1, true or false, got {bits!r}")
             return IntegerSet(
-                _json_int(obj.get("mod", 1), "mod"),
+                json_int(obj.get("mod", 1), "integer set mod"),
                 up=_json_ints(obj.get("up", []), "up residues"),
                 down=_json_ints(obj.get("down", []), "down residues"),
-                lo=_json_int(window.get("lo", 0), "window lo"),
-                hi=_json_int(window.get("hi", -1), "window hi"),
+                lo=json_int(window.get("lo", 0), "integer set window lo"),
+                hi=json_int(window.get("hi", -1), "integer set window hi"),
                 bits=bits,
             )
         raise ValueError(f"cannot parse integer set from {obj!r}")
@@ -999,9 +1013,9 @@ def set_to_json(Y):
     if isinstance(Y, IntegerSet):
         return {
             "mod": Y.period,
-            "up": sorted(Y.up),
-            "down": sorted(Y.down),
-            "window": {"lo": Y.lo, "hi": Y.hi, "bits": list(_flags_of_mask(Y.window_mask, len(Y.bits)))},
+            "up": list(_residues(Y.up_mask, Y.period)),
+            "down": list(_residues(Y.down_mask, Y.period)),
+            "window": {"lo": Y.lo, "hi": Y.hi, "bits": list(Y._flags())},
         }
     if isinstance(Y, FiniteSubset):
         return {"elements": Y.elements()}

@@ -11,63 +11,44 @@ extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
 from .typespace import LevelError, LevelTypeSpace, Limit, Realized, acting_set, apply_group, contains, limit_of
 
-DEFAULT_LEVEL_GUARD = 10**6
 
+def _product_level(ctx: Group, p, q) -> int:
+    """The level at which p * q is determined when p or q is a limit point.
 
-class LevelGuardExceeded(ValueError):
-    """Unifying levels would exceed the configured lcm guard."""
-
-
-def point_level(p) -> int:
-    return p.modulus if isinstance(p, Limit) else 1
-
-
-def lift(p, level: int):
-    """Reinterpret a point at a finer level.
-
-    Realized points carry exact values and need no lifting, and a limit
-    point already at the target level is returned as it is (points are
-    immutable), so a same-level `star` allocates only its result. Any
-    other limit point is lifted along its integer residue representative,
-    the canonical choice among the finer classes it could stand for.
+    A realized factor is exact, so the product keeps the limit factor's
+    level. Limit points at levels m and n fix a + b only modulo
+    gcd(m, n), so no result is finer than an input.
     """
-    if isinstance(p, Realized) or p.modulus == level:
-        return p
-    if level % p.modulus != 0:
-        raise LevelError(f"{p.modulus} does not divide target level {level}")
-    return Limit(p.sign, p.residue, level)
+    if not isinstance(ctx, IntegerGroup):
+        raise BackendMismatch(
+            "the semigroup product on limit points is provided for the integer backend"
+        )
+    if isinstance(p, Realized):
+        return q.modulus
+    if isinstance(q, Realized):
+        return p.modulus
+    return gcd(p.modulus, q.modulus)
 
 
-def unify_levels(p, q, guard: int = DEFAULT_LEVEL_GUARD):
-    a, b = point_level(p), point_level(q)
-    level = a * b // gcd(a, b)
-    if level > guard:
-        raise LevelGuardExceeded(f"lcm of levels {a} and {b} exceeds guard {guard}")
-    return lift(p, level), lift(q, level), level
-
-
-def star(ctx: Group, p, q, guard: int = DEFAULT_LEVEL_GUARD):
+def star(ctx: Group, p, q):
     """The semigroup product p * q, closed form.
 
     Realized points multiply by the group law, a realized left factor acts
     on the right factor, and between limit points the right factor's
     direction wins while residues add. The rule extends the group action
-    and is continuous in the left argument.
+    and is continuous in the left argument. The result lies at
+    `_product_level`: the limit factor's own level, or gcd(levels).
     """
     if isinstance(p, Realized) and isinstance(q, Realized):
         return Realized(ctx.compose(p.value, q.value))
-    if not isinstance(ctx, IntegerGroup):
-        raise BackendMismatch(
-            "the semigroup product on limit points is provided for the integer backend"
-        )
-    p, q, level = unify_levels(p, q, guard)
+    level = _product_level(ctx, p, q)
     if isinstance(p, Realized):
         return Limit(q.sign, (p.value + q.residue) % level, level)
     if isinstance(q, Realized):
@@ -75,23 +56,19 @@ def star(ctx: Group, p, q, guard: int = DEFAULT_LEVEL_GUARD):
     return Limit(q.sign, (p.residue + q.residue) % level, level)
 
 
-def star_via_schema(ctx: Group, p, q, guard: int = DEFAULT_LEVEL_GUARD):
+def star_via_schema(ctx: Group, p, q):
     """The semigroup product computed through defining schemas.
 
     Membership of Y in p * q is decided as: the acting set of q for Y
     belongs to p. The result point is reconstructed from finitely many
-    probe sets (one congruence class per residue plus a half line for the
-    sign), so this path exercises acting sets and membership instead of
-    the closed form.
+    probe sets (one congruence class per residue at `_product_level` plus
+    a half line for the sign), so this path exercises acting sets and
+    membership instead of the closed form.
     """
     if isinstance(p, Realized) and isinstance(q, Realized):
         # both factors realized: the product is realized by the group law
         return Realized(ctx.compose(p.value, q.value))
-    if not isinstance(ctx, IntegerGroup):
-        raise BackendMismatch(
-            "the semigroup product on limit points is provided for the integer backend"
-        )
-    p, q, level = unify_levels(p, q, guard)
+    level = _product_level(ctx, p, q)
     positive = contains(p, acting_set(ctx, q, integer_ray(1, 0)))
     sign = 1 if positive else -1
     residues = [
@@ -116,10 +93,9 @@ class RightTranslation:
     ctx: Group
     q: object
     level: int
-    guard: int = field(default=DEFAULT_LEVEL_GUARD)
 
     def __call__(self, p):
-        return star(self.ctx, p, self.q, self.guard)
+        return star(self.ctx, p, self.q)
 
     def limit_images(self) -> dict:
         space = LevelTypeSpace(self.ctx, self.level)
@@ -154,10 +130,10 @@ class RightTranslation:
         }
 
 
-def right_translation(ctx: Group, q, level: int, guard: int = DEFAULT_LEVEL_GUARD) -> RightTranslation:
+def right_translation(ctx: Group, q, level: int) -> RightTranslation:
     if isinstance(q, Limit) and q.modulus != level:
         raise LevelError(f"right factor lives at level {q.modulus}, not {level}")
-    return RightTranslation(ctx, q, level, guard)
+    return RightTranslation(ctx, q, level)
 
 
 def find_idempotents(ctx: Group, level: int) -> list:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .defsets import member
 from .groups import FiniteGroup, Group
 from .typespace import LevelTypeSpace, Limit, Realized, apply_group, point_key
 
@@ -48,7 +47,7 @@ class WindowUniverse:
 
 def _membership_mask(Y, lo: int, hi: int) -> int:
     """Bit j is set iff lo + j is in Y."""
-    return int("".join("1" if member(Y, x) else "0" for x in range(hi, lo - 1, -1)), 2)
+    return int("".join("1" if b else "0" for b in map(Y.member, range(hi, lo - 1, -1))), 2)
 
 
 def _reversed(mask: int, width: int) -> int:
@@ -164,8 +163,8 @@ def oracle_star(ctx: Group, p, q, level: int, base_magnitude: int = 1000):
 
     Realize the left factor at moderate magnitude and the right factor a
     thousandfold further out, multiply, and classify the type of the
-    result at the level. Limit points are realized along the canonical
-    integer representative of their residue.
+    result at the level, which must divide every limit factor's modulus.
+    A limit point is realized along its own modulus, inside its class.
     """
     if isinstance(ctx, FiniteGroup):
         return Realized(ctx.compose(p.value, q.value))
@@ -173,7 +172,7 @@ def oracle_star(ctx: Group, p, q, level: int, base_magnitude: int = 1000):
     def realize(point, magnitude):
         if isinstance(point, Realized):
             return point.value
-        return point.sign * magnitude * level + point.residue
+        return point.sign * magnitude * point.modulus + point.residue
 
     # a limit left factor must outgrow any fixed realized right factor
     left_magnitude = base_magnitude

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .defsets import IntegerSet, congruence_set, member, right_translate
+from .defsets import IntegerSet, congruence_set, json_int, member, right_translate
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
 
 
@@ -69,7 +69,7 @@ def contains(p, Y) -> bool:
         raise LevelError(
             f"set period {Y.period} does not divide level {p.modulus}"
         )
-    return (p.residue % Y.period) in Y.pattern(p.sign)
+    return bool((Y.up_mask if p.sign > 0 else Y.down_mask) >> p.residue % Y.period & 1)
 
 
 def restrict(p, m: int):
@@ -219,5 +219,5 @@ def point_from_json(obj):
         sign = {"+": 1, "-": -1}.get(obj["sign"])
         if sign is None:
             raise ValueError(f"bad sign {obj['sign']!r}")
-        return Limit(sign, int(obj["res"]), int(obj["mod"]))
+        return Limit(sign, json_int(obj["res"], "type point res"), json_int(obj["mod"], "type point mod"))
     raise ValueError(f"unknown type point kind {obj['kind']!r}")

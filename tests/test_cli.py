@@ -192,7 +192,7 @@ def test_raw_table_group_scenario():
     assert report["results"][0]["result"]["subgroup"] == {"kind": "elements", "elements": [0]}
 
 
-def test_level_guard_flag():
+def test_mixed_level_star_is_answered_at_the_gcd():
     scenario = {
         "group": {"kind": "integers"},
         "level": 1,
@@ -204,11 +204,20 @@ def test_level_guard_flag():
             }
         ],
     }
-    report, code = run_scenario(scenario, level_guard=1000)
-    assert code == 3
-    assert "LevelGuardExceeded" in report["results"][0]["error"]
-    report, code = run_scenario(scenario)
+    report, code = run_scenario(scenario, with_oracle=True)
     assert code == 0
+    assert report["results"][0]["result"] == {
+        "product": {"kind": "limit", "sign": "+", "res": 0, "mod": 1},
+        "oracle_agrees": True,
+    }
+
+
+def test_level_guard_flag_is_gone(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "integers-level4.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["--level-guard", "5", "--scenario", path])
+    assert exc.value.code == 2
+    assert "--level-guard" in capsys.readouterr().err
 
 
 def test_product_backend_scenario():
@@ -592,3 +601,43 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert main(["--capabilities"]) == 0
     capsys.readouterr()
     assert built == ["typeflow"]
+
+
+# ---------------------------------------------------------------------------
+# type points and task levels are checked as strictly as sets
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("res", 2.5), ("res", "3"), ("res", True), ("mod", "4"), ("mod", 4.0)],
+)
+def test_limit_point_fields_must_be_json_integers(field, value):
+    p = {"kind": "limit", "sign": "+", "res": 1, "mod": 4}
+    p[field] = value
+    scenario = {"group": {"kind": "integers"}, "level": 4, "tasks": [{"op": "star", "p": p, "q": p}, {"op": "idempotents"}]}
+    report, code = run_scenario(scenario)
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: type point {field} must be an integer, got {value!r}"
+    assert report["results"][1]["ok"]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_realized_value_must_be_an_element(value):
+    task = {"op": "contains", "p": {"kind": "realized", "value": value}, "set": "evens"}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"].startswith(f"BackendMismatch: {value!r} is not an element")
+
+
+@pytest.mark.parametrize("level", [0, -4, True, 2.5])
+def test_task_level_must_be_a_positive_integer(level):
+    tasks = [
+        {"op": "check-homomorphism", "values": [0, 1], "target": "c2", "level": level},
+        {"op": "g00", "level": level},
+        {"op": "g00"},
+    ]
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 2, "tasks": tasks})
+    assert code == 3
+    for entry in report["results"][:2]:
+        assert entry["error"] == f"ValueError: level must be a positive integer, not {level!r}"
+    assert report["results"][2]["result"] == {"subgroup": {"kind": "congruence", "modulus": 2}}

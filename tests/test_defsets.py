@@ -195,6 +195,23 @@ def test_product_rectangle_algebra():
     assert quotient_set(Y, Y) == Y  # closed under componentwise differences here
 
 
+def test_rectangle_columns_keep_their_order():
+    # columns sort by residue tuples: (0, 2) < (1,), although the masks 5 > 2
+    ctx = ProductGroup(INTEGERS, cyclic_group(2))
+    c2 = cyclic_group(2)
+    Y = RectangleSet(
+        ctx,
+        [(congruence_set(3, [1]), FiniteSubset(c2, [1])), (congruence_set(3, [0, 2]), FiniteSubset(c2, [0]))],
+    )
+    empty = {"lo": 0, "hi": -1, "bits": []}
+    assert set_to_json(Y) == {
+        "rectangles": [
+            [{"mod": 3, "up": [0, 2], "down": [0, 2], "window": empty}, {"elements": [0]}],
+            [{"mod": 3, "up": [1], "down": [1], "window": empty}, {"elements": [1]}],
+        ]
+    }
+
+
 def test_product_genericity_and_certificates():
     ctx = ProductGroup(INTEGERS, cyclic_group(2))
     c2 = cyclic_group(2)

@@ -1,11 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 
 from typeflow.ellis import (
-    LevelGuardExceeded,
     find_idempotents,
-    lift,
     right_translation,
     star,
     star_via_schema,
@@ -110,12 +109,45 @@ def test_right_continuity_fails_where_it_should():
     assert all(a.sign == 1 for a in approximations)
 
 
-def test_level_unification_and_guard():
-    out = star(INTEGERS, Limit(1, 1, 2), Limit(1, 2, 3))
-    assert out == Limit(1, 3, 6)
-    with pytest.raises(LevelGuardExceeded):
-        star(INTEGERS, Limit(1, 0, 1000), Limit(1, 0, 1001), guard=10**5)
-    assert lift(Limit(1, 1, 2), 6) == Limit(1, 1, 6)
+def test_mixed_level_products_at_gcd():
+    # two limit points: a + b is known only modulo gcd(levels)
+    assert star(INTEGERS, Limit(1, 1, 2), Limit(1, 2, 3)) == Limit(1, 0, 1)
+    assert star(INTEGERS, Limit(1, 1, 2), Limit(1, 0, 4)) == Limit(1, 1, 2)
+    assert star(INTEGERS, Limit(1, 1, 3), Limit(-1, 1, 2)) == Limit(-1, 0, 1)
+    assert star(INTEGERS, Limit(1, 0, 1000), Limit(1, 0, 1001)) == Limit(1, 0, 1)
+    # +3 mod 4 restricts to +1 mod 2, and its product restricts to the same answer
+    assert star(INTEGERS, Limit(1, 3, 4), Limit(1, 0, 4)) == Limit(1, 3, 4)
+    assert restrict(Limit(1, 3, 4), 2) == Limit(1, 1, 2)
+    assert restrict(Limit(1, 3, 4), 2) == star(INTEGERS, Limit(1, 1, 2), Limit(1, 0, 4))
+    # a realized factor keeps the limit factor's level
+    assert star(INTEGERS, Realized(5), Limit(-1, 1, 4)) == Limit(-1, 2, 4)
+    assert star(INTEGERS, Limit(1, 1, 3), Realized(7)) == Limit(1, 2, 3)
+
+
+def all_points(levels):
+    return [p for n in levels for p in LevelTypeSpace(INTEGERS, n).limit_points()]
+
+
+def test_mixed_level_products_agree_three_ways():
+    pts = all_points(range(1, 7))
+    pts += [Realized(v) for v in (-7, 0, 5)]
+    for p in pts:
+        for q in pts:
+            direct = star(INTEGERS, p, q)
+            assert star_via_schema(INTEGERS, p, q) == direct
+            # the oracle classifies at a level fixed here, not by star
+            moduli = [x.modulus for x in (p, q) if isinstance(x, Limit)]
+            assert oracle_star(INTEGERS, p, q, gcd(*moduli) if moduli else 1) == direct
+
+
+def test_finer_left_factor_restricts_to_the_product():
+    for q in all_points(range(1, 7)):
+        for p in all_points(range(1, 7)):
+            coarse = star(INTEGERS, p, q)
+            for k in (2, 3):
+                for finer in LevelTypeSpace(INTEGERS, k * p.modulus).limit_points():
+                    if restrict(finer, p.modulus) == p:
+                        assert restrict(star(INTEGERS, finer, q), coarse.modulus) == coarse
 
 
 def test_right_translation():

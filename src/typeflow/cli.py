@@ -364,7 +364,7 @@ def _task_contains(ctx, level, params, opts):
 
 def _task_logic_quotient(ctx, level, params, opts):
     if "modulus" in params:
-        quotient = logic_quotient(ctx, CongruenceEquivalence(params["modulus"]))
+        quotient = logic_quotient(ctx, CongruenceEquivalence(_positive_int(params, "modulus", None)))
     else:
         quotient = logic_quotient(ctx, PartitionEquivalence(tuple(frozenset(b) for b in params["blocks"])))
     return {
@@ -381,6 +381,9 @@ def _task_g00(ctx, level, params, opts):
 
 def _task_universal_compactification(ctx, level, params, opts):
     targets = params["targets"]
+    if isinstance(ctx, IntegerGroup):
+        if not isinstance(targets, list) or any(type(m) is not int or m < 1 for m in targets):
+            raise ValueError(f"targets must be a list of positive integers, not {targets!r}")
     result = universal_compactification(ctx, level, targets)
     return {
         "quotient_size": result.quotient.size,

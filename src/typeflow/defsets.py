@@ -547,7 +547,8 @@ def boolean_op(kind: str, A, B=None):
 def translate(g, Y):
     """Left translate gY = {g . y : y in Y}."""
     if isinstance(Y, IntegerSet):
-        g = int(g)
+        if type(g) is not int:
+            raise TypeError(f"{g!r} is not an integer, so it cannot translate an integer set")
         shift = -g % Y.period
         return IntegerSet(
             Y.period,
@@ -958,12 +959,13 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def _json_ints(values, field: str) -> list:
+def json_ints(values, field: str) -> list:
+    """The value, which must be a JSON list of integers."""
     if not isinstance(values, list):
-        raise ValueError(f"integer set {field} must be a list of integers, got {values!r}")
+        raise ValueError(f"{field} must be a list of integers, got {values!r}")
     if set(map(type, values)) - {int}:
         bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"integer set {field} must be integers, got {bad!r}")
+        raise ValueError(f"{field} must be integers, got {bad!r}")
     return values
 
 
@@ -975,7 +977,7 @@ def set_from_json(ctx: Group, obj):
                 return _NAMED_INTEGER_SETS[obj]()
             raise ValueError(f"unknown named set {obj!r}")
         if isinstance(obj, list):
-            return integers_from(_json_ints(obj, "list elements"))
+            return integers_from(json_ints(obj, "integer set list elements"))
         if isinstance(obj, dict):
             window = obj.get("window", {})
             if not isinstance(window, dict):
@@ -985,8 +987,8 @@ def set_from_json(ctx: Group, obj):
                 raise ValueError(f"integer set window bits must be a list of 0, 1, true or false, got {bits!r}")
             return IntegerSet(
                 json_int(obj.get("mod", 1), "integer set mod"),
-                up=_json_ints(obj.get("up", []), "up residues"),
-                down=_json_ints(obj.get("down", []), "down residues"),
+                up=json_ints(obj.get("up", []), "integer set up residues"),
+                down=json_ints(obj.get("down", []), "integer set down residues"),
                 lo=json_int(window.get("lo", 0), "integer set window lo"),
                 hi=json_int(window.get("hi", -1), "integer set window hi"),
                 bits=bits,

@@ -19,6 +19,9 @@ from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
 from .typespace import LevelError, LevelTypeSpace, Limit, Realized, acting_set, apply_group, contains, limit_of
 
 
+_LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
+
+
 def _product_level(ctx: Group, p, q) -> int:
     """The level at which p * q is determined when p or q is a limit point.
 
@@ -27,9 +30,7 @@ def _product_level(ctx: Group, p, q) -> int:
     gcd(m, n), so no result is finer than an input.
     """
     if not isinstance(ctx, IntegerGroup):
-        raise BackendMismatch(
-            "the semigroup product on limit points is provided for the integer backend"
-        )
+        raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
     if isinstance(p, Realized):
         return q.modulus
     if isinstance(q, Realized):
@@ -46,14 +47,18 @@ def star(ctx: Group, p, q):
     and is continuous in the left argument. The result lies at
     `_product_level`: the limit factor's own level, or gcd(levels).
     """
+    if isinstance(p, Limit) and isinstance(q, Limit):
+        # the case of every hot caller, tested first
+        if not isinstance(ctx, IntegerGroup):
+            raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
+        level = gcd(p.modulus, q.modulus)
+        return Limit(q.sign, (p.residue + q.residue) % level, level)
     if isinstance(p, Realized) and isinstance(q, Realized):
         return Realized(ctx.compose(p.value, q.value))
     level = _product_level(ctx, p, q)
     if isinstance(p, Realized):
         return Limit(q.sign, (p.value + q.residue) % level, level)
-    if isinstance(q, Realized):
-        return Limit(p.sign, (p.residue + q.value) % level, level)
-    return Limit(q.sign, (p.residue + q.residue) % level, level)
+    return Limit(p.sign, (p.residue + q.value) % level, level)
 
 
 def star_via_schema(ctx: Group, p, q):

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
+from .defsets import json_int, json_ints
 from .ellis import star
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup
 from .typespace import (
@@ -50,7 +51,8 @@ class FiniteFlowPresentation:
 
     Over the integers the action is generated by a single map ``pi`` (the
     action of 1); over a finite backend a permutation is supplied for every
-    group element. Construction checks shapes only; `check_definable_flow`
+    group element. Entries are integers (`flow_from_json` checks that for
+    JSON input). Construction checks shapes only; `check_definable_flow`
     performs the axiom checks.
     """
 
@@ -62,7 +64,7 @@ class FiniteFlowPresentation:
         if isinstance(ctx, IntegerGroup):
             if pi is None or action is not None:
                 raise ValueError("integer flows are given by a single map pi")
-            pi = tuple(int(x) for x in pi)
+            pi = tuple(pi)
             if len(pi) != size or any(not 0 <= x < size for x in pi):
                 raise ValueError("pi is not a map of the carrier")
             self.pi = pi
@@ -70,7 +72,7 @@ class FiniteFlowPresentation:
         elif isinstance(ctx, FiniteGroup):
             if action is None or pi is not None:
                 raise ValueError("finite-backend flows are given by one permutation per element")
-            action = tuple(tuple(int(x) for x in row) for row in action)
+            action = tuple(map(tuple, action))
             if len(action) != ctx.order or any(
                 len(row) != size or any(not 0 <= x < size for x in row) for row in action
             ):
@@ -457,14 +459,15 @@ def kernel_of_flow(F: FiniteFlowPresentation) -> Subgroup:
 def flow_from_json(ctx: Group, obj) -> FiniteFlowPresentation:
     if not isinstance(obj, dict) or "carrier" not in obj:
         raise ValueError("flow spec must be an object with a 'carrier' field")
-    size = int(obj["carrier"])
+    size = json_int(obj["carrier"], "flow carrier")
     base = obj.get("base")
     if base is not None:
-        base = int(base)
+        base = json_int(base, "flow base")
     if "pi" in obj:
-        return FiniteFlowPresentation(ctx, size, pi=obj["pi"], base=base)
+        return FiniteFlowPresentation(ctx, size, pi=json_ints(obj["pi"], "flow pi"), base=base)
     if "action" in obj:
-        return FiniteFlowPresentation(ctx, size, action=obj["action"], base=base)
+        action = [json_ints(row, "flow action row") for row in obj["action"]]
+        return FiniteFlowPresentation(ctx, size, action=action, base=base)
     raise ValueError("flow spec needs 'pi' (integers) or 'action' (finite backend)")
 
 

@@ -11,8 +11,6 @@ its direction within its residue class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .defsets import IntegerSet, congruence_set, json_int, member, right_translate
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
 
@@ -21,28 +19,67 @@ class LevelError(ValueError):
     """Level and set period (or target level) are incompatible."""
 
 
-@dataclass(frozen=True)
 class Realized:
-    """The type of an actual group element."""
+    """The type of an actual group element.
 
-    value: object
+    Type points are values: their fields are never assigned after
+    construction, because the hash is computed once, in the constructor.
+    It equals ``hash((value,))``, the hash of the field tuple.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value):
+        self.value = value
+        self._hash = hash((value,))
+
+    def __eq__(self, other):
+        if other.__class__ is not Realized:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Realized(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class Limit:
-    """A nonrealized complete type at a level: sign direction and residue."""
+    """A nonrealized complete type at a level: sign direction and residue.
 
-    sign: int
-    residue: int
-    modulus: int
+    A value like `Realized`: never assigned after construction, with the
+    hash of ``(sign, residue, modulus)`` computed in the constructor.
+    """
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    __slots__ = ("sign", "residue", "modulus", "_hash")
+
+    def __init__(self, sign: int, residue: int, modulus: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("modulus must be at least 1")
-        if not 0 <= self.residue < self.modulus:
+        if not 0 <= residue < modulus:
             raise ValueError("residue out of range for modulus")
+        self.sign = sign
+        self.residue = residue
+        self.modulus = modulus
+        self._hash = hash((sign, residue, modulus))
+
+    def __eq__(self, other):
+        if other.__class__ is not Limit:
+            return NotImplemented
+        return (
+            self.residue == other.residue
+            and self.sign == other.sign
+            and self.modulus == other.modulus
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Limit(sign={self.sign!r}, residue={self.residue!r}, modulus={self.modulus!r})"
 
 
 def point_key(p):

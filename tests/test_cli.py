@@ -641,3 +641,57 @@ def test_task_level_must_be_a_positive_integer(level):
     for entry in report["results"][:2]:
         assert entry["error"] == f"ValueError: level must be a positive integer, not {level!r}"
     assert report["results"][2]["result"] == {"subgroup": {"kind": "congruence", "modulus": 2}}
+
+
+# ---------------------------------------------------------------------------
+# integer task parameters and flow specs are JSON integers
+
+
+@pytest.mark.parametrize("g", [True, 2.5, "3"])
+def test_translate_by_a_non_integer_is_a_task_error(g):
+    tasks = [{"op": "translate", "g": g, "set": "evens"}, {"op": "translate", "g": 3, "set": "evens"}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks})
+    assert code == 3
+    assert report["results"][0]["error"].startswith(f"TypeError: {g!r} is not an integer")
+    assert report["results"][1]["result"]["result"]["up"] == [1]
+
+
+@pytest.mark.parametrize("modulus", [True, 0, 2.5, "2"])
+def test_logic_quotient_modulus_must_be_a_positive_integer(modulus):
+    task = {"op": "logic-quotient", "modulus": modulus}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: modulus must be a positive integer, not {modulus!r}"
+
+
+@pytest.mark.parametrize("targets", [[True], [2.0], [2, "4"], [0], 4])
+def test_compactification_targets_must_be_positive_integers(targets):
+    task = {"op": "universal-compactification", "targets": targets}
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 4, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: targets must be a list of positive integers, not {targets!r}"
+
+
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        ({"carrier": 2.5, "pi": [1, 0]}, "flow carrier must be an integer, got 2.5"),
+        ({"carrier": "2", "pi": [1, 0]}, "flow carrier must be an integer, got '2'"),
+        ({"carrier": 2, "pi": [1, 0], "base": True}, "flow base must be an integer, got True"),
+        ({"carrier": 2, "pi": [1.9, 0]}, "flow pi must be integers, got 1.9"),
+        ({"carrier": 2, "pi": ["1", "0"]}, "flow pi must be integers, got '1'"),
+        ({"carrier": 2, "pi": "10"}, "flow pi must be a list of integers, got '10'"),
+    ],
+)
+def test_flow_spec_values_must_be_json_integers(flow, message):
+    tasks = [{"op": "universal-ambit-morphism", "flow": flow}, {"op": "check-flow", "flow": flow}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 2, "tasks": tasks})
+    assert code == 3
+    assert [entry["error"] for entry in report["results"]] == [f"ValueError: {message}"] * 2
+
+
+def test_finite_flow_action_must_be_json_integers():
+    flow = {"carrier": 2, "action": [[0, 1], [1.0, 0]]}
+    report, code = run_scenario({"group": {"kind": "cyclic", "order": 2}, "tasks": [{"op": "check-flow", "flow": flow}]})
+    assert code == 3
+    assert report["results"][0]["error"] == "ValueError: flow action row must be integers, got 1.0"

@@ -173,6 +173,10 @@ def test_star_restricted_on_product_backends():
     assert star(prod, Realized((1, 1)), Realized((2, 1))) == Realized((3, 0))
     with pytest.raises(BackendMismatch):
         star(prod, Limit(1, 0, 2), Realized((0, 0)))
+    with pytest.raises(BackendMismatch):
+        star(prod, Limit(1, 0, 2), Limit(-1, 1, 2))
+    with pytest.raises(BackendMismatch):
+        star(cyclic_group(3), Limit(1, 0, 1), Limit(1, 0, 1))
 
 
 def test_find_idempotents():

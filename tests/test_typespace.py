@@ -150,3 +150,48 @@ def test_point_json_round_trip():
         assert point_from_json(point_to_json(p)) == p
     assert point_to_json(Limit(1, 1, 4)) == {"kind": "limit", "sign": "+", "res": 1, "mod": 4}
     assert point_to_json(Realized(7)) == {"kind": "realized", "value": 7}
+
+
+# ---------------------------------------------------------------------------
+# type points are values
+
+
+@pytest.mark.parametrize(
+    "sign, residue, modulus, message",
+    [
+        (0, 0, 6, "sign must be +1 or -1"),
+        (2, 0, 6, "sign must be +1 or -1"),
+        (1, 0, 0, "modulus must be at least 1"),
+        (1, -1, 6, "residue out of range for modulus"),
+        (1, 6, 6, "residue out of range for modulus"),
+    ],
+)
+def test_limit_rejects_bad_fields(sign, residue, modulus, message):
+    with pytest.raises(ValueError) as excinfo:
+        Limit(sign, residue, modulus)
+    assert str(excinfo.value) == message
+
+
+def test_points_equal_only_points_of_their_class():
+    assert Limit(1, 0, 6) == Limit(1, 0, 6)
+    assert Limit(1, 0, 6) != (1, 0, 6)
+    assert (1, 0, 6) != Limit(1, 0, 6)
+    assert Limit(1, 0, 6) not in {(1, 0, 6)}
+    assert Realized(0) == Realized(0)
+    assert Realized(0) != (0,)
+    for p in LevelTypeSpace(INTEGERS, 1).limit_points():
+        assert Realized(0) != p and p != Realized(0)
+
+
+@pytest.mark.parametrize("sign, residue, modulus", [(1, 0, 6), (-1, 5, 6), (1, 0, 1), (-1, 7, 120)])
+def test_point_hash_is_the_field_tuple_hash(sign, residue, modulus):
+    assert hash(Limit(sign, residue, modulus)) == hash((sign, residue, modulus))
+    assert hash(Realized(residue)) == hash((residue,))
+    assert hash(Realized((residue, sign))) == hash(((residue, sign),))
+
+
+def test_point_repr():
+    assert repr(Limit(1, 0, 6)) == "Limit(sign=1, residue=0, modulus=6)"
+    assert repr(Limit(-1, 3, 4)) == "Limit(sign=-1, residue=3, modulus=4)"
+    assert repr(Realized(5)) == "Realized(value=5)"
+    assert repr(Realized((1, 0))) == "Realized(value=(1, 0))"

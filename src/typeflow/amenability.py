@@ -225,12 +225,20 @@ def kernel_intersection(ctx: Group, max_modulus: int = 4):
     Returns (descriptor, exact set). The descriptor is the recognized
     subgroup form; over the integers the intersection is a full congruence
     subgroup at these scales.
+
+    The search stops once the intersection is {e}: a generic set is
+    nonempty, so its difference set contains e and cannot shrink {e}.
+    Over the integers every difference set here is periodic, so {e} is
+    never reached there.
     """
     acc = full_set(ctx)
+    trivial = FiniteSubset(ctx, [ctx.identity]) if isinstance(ctx, FiniteGroup) else None
     for Y in generated_family(ctx, max_modulus):
         if not is_left_generic(ctx, Y).generic:
             continue
         acc = intersect(acc, difference_set(Y))
+        if acc == trivial:
+            break
     if isinstance(acc, FiniteSubset):
         return Subgroup.of_elements(acc.elements()), acc
     if isinstance(acc, IntegerSet):

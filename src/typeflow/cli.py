@@ -366,7 +366,7 @@ def _task_logic_quotient(ctx, level, params, opts):
     if "modulus" in params:
         quotient = logic_quotient(ctx, CongruenceEquivalence(_positive_int(params, "modulus", None)))
     else:
-        quotient = logic_quotient(ctx, PartitionEquivalence(tuple(frozenset(b) for b in params["blocks"])))
+        quotient = logic_quotient(ctx, PartitionEquivalence(tuple(params["blocks"])))
     return {
         "size": quotient.size,
         "is_group": quotient.group is not None,

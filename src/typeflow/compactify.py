@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsets import FiniteSubset, congruence_set
-from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, cyclic_group
+from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, cyclic_group, first_failing_pair
 from .typespace import LevelError
 
 
@@ -67,9 +67,16 @@ def _is_subgroup(ctx: FiniteGroup, elems: frozenset) -> bool:
 
 
 def _is_normal(ctx: FiniteGroup, elems: frozenset) -> bool:
+    """Is g N g^-1 = N for every g? Checked on the generators only.
+
+    Conjugation is injective and N is finite, so g N g^-1 ⊆ N already gives
+    g N g^-1 = N, and the g with g N g^-1 = N are closed under products.
+    They contain the generators exactly when they are the whole group.
+    """
+    table, inverse = ctx.table, ctx.inverse
     return all(
-        ctx.table[ctx.table[g][n]][ctx.inverse[g]] in elems
-        for g in ctx.elements()
+        table[table[g][n]][inverse[g]] in elems
+        for g in ctx.generators
         for n in elems
     )
 
@@ -111,7 +118,7 @@ def logic_quotient(ctx: Group, equivalence) -> CompactQuotient:
         fibers = [congruence_set(n, [r]) for r in range(n)]
         return CompactQuotient(ctx, fibers, cyclic_group(n))
     if isinstance(ctx, FiniteGroup) and isinstance(equivalence, PartitionEquivalence):
-        blocks = [frozenset(b) for b in equivalence.blocks]
+        blocks = [frozenset(map(ctx.check_element, b)) for b in equivalence.blocks]
         seen: set[int] = set()
         for b in blocks:
             if not b or b & seen:
@@ -187,17 +194,18 @@ def universal_compactification(ctx: Group, level: int, targets) -> UniversalComp
         factors = []
         for m in targets:
             images = tuple(i % m for i in range(level))
+            # Z/level is generated by 1 as a semigroup; see first_failing_pair
+            j = 1 % level
             hom = all(
                 images[(i + j) % level] == (images[i] + images[j]) % m
                 for i in range(level)
-                for j in range(level)
             )
             surjective = set(images) == set(range(m))
             commutes = all(images[g % level] == g % m for g in range(-2 * level, 2 * level + 1))
             factors.append(FactorMap(m, images, hom, surjective, commutes))
         return UniversalCompactification(quotient, tuple(factors))
     if isinstance(ctx, FiniteGroup):
-        subgroups = [frozenset(t) for t in targets]
+        subgroups = [frozenset(map(ctx.check_element, t)) for t in targets]
         for N in subgroups:
             if not (_is_subgroup(ctx, N) and _is_normal(ctx, N)):
                 raise ValueError("family members must be quotients by normal subgroups")
@@ -222,12 +230,11 @@ def universal_compactification(ctx: Group, level: int, targets) -> UniversalComp
                 elif images[i] != target_proj[g]:
                     consistent = False
             images = tuple(images)
-            hom = consistent and all(
-                images[quotient_group.table[a][b]]
-                == target_group.table[images[a]][images[b]]
-                for a in range(quotient_group.order)
-                for b in range(quotient_group.order)
-            )
+            source_table, target_table = quotient_group.table, target_group.table
+            hom = consistent and first_failing_pair(
+                quotient_group,
+                lambda a, b: images[source_table[a][b]] == target_table[images[a]][images[b]],
+            ) is None
             surjective = set(images) == set(range(target_group.order))
             factors.append(FactorMap(target_group.order, images, hom, surjective, consistent))
         return UniversalCompactification(quotient, tuple(factors))
@@ -266,12 +273,17 @@ def definable_homomorphism_check(
             raise ValueError("need at least one value")
         if values[0] != target.identity:
             return HomomorphismVerdict(False, reason="does not send 0 to the identity")
-        for a in range(d):
-            for b in range(d):
-                if values[(a + b) % d] != target.compose(values[a], values[b]):
-                    return HomomorphismVerdict(
-                        False, reason=f"not a homomorphism at ({a},{b})"
-                    )
+        table = target.table
+        # Z/d is generated by 1 as a semigroup; see first_failing_pair
+        one = 1 % d
+        if not all(values[(a + one) % d] == table[values[a]][values[one]] for a in range(d)):
+            a, b = next(
+                (a, b)
+                for a in range(d)
+                for b in range(d)
+                if values[(a + b) % d] != table[values[a]][values[b]]
+            )
+            return HomomorphismVerdict(False, reason=f"not a homomorphism at ({a},{b})")
         if set(values) != set(target.elements()):
             return HomomorphismVerdict(False, reason="dense-image failure")
         fibers = tuple(
@@ -301,10 +313,13 @@ def definable_homomorphism_check(
             raise ValueError("need one value per group element")
         if values[ctx.identity] != target.identity:
             return HomomorphismVerdict(False, reason="does not send the identity to the identity")
-        for a in ctx.elements():
-            for b in ctx.elements():
-                if values[ctx.table[a][b]] != target.compose(values[a], values[b]):
-                    return HomomorphismVerdict(False, reason=f"not a homomorphism at ({a},{b})")
+        source_table, target_table = ctx.table, target.table
+        failure = first_failing_pair(
+            ctx, lambda a, b: values[source_table[a][b]] == target_table[values[a]][values[b]]
+        )
+        if failure is not None:
+            a, b = failure
+            return HomomorphismVerdict(False, reason=f"not a homomorphism at ({a},{b})")
         if set(values) != set(target.elements()):
             return HomomorphismVerdict(False, reason="dense-image failure")
         fibers = tuple(

@@ -15,7 +15,7 @@ from math import gcd
 
 from .defsets import json_int, json_ints
 from .ellis import star
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup
+from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, first_failing_pair
 from .typespace import (
     LevelError,
     LevelTypeSpace,
@@ -138,10 +138,13 @@ def check_definable_flow(F: FiniteFlowPresentation) -> FlowVerdict:
         ident = tuple(range(F.size))
         if F.action[ctx.identity] != ident:
             raise ValueError("identity element does not act trivially")
-        for g in ctx.elements():
-            for h in ctx.elements():
-                if F.action[ctx.table[g][h]] != _perm_compose(F.action[g], F.action[h]):
-                    raise ValueError(f"action is not a homomorphism at ({g},{h})")
+        action, table = F.action, ctx.table
+        failure = first_failing_pair(
+            ctx, lambda g, h: action[table[g][h]] == _perm_compose(action[g], action[h])
+        )
+        if failure is not None:
+            g, h = failure
+            raise ValueError(f"action is not a homomorphism at ({g},{h})")
         periods = tuple(len({F.action[g][x] for g in ctx.elements()}) for x in range(F.size))
     ambit = None
     if F.base is not None:

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+from typeflow import amenability
 from typeflow.amenability import (
     PestovCertificate,
     PestovExhausted,
@@ -16,9 +18,9 @@ from typeflow.amenability import (
     singleton_minimal_criterion,
     verify_invariance,
 )
-from typeflow.defsets import congruence_set, difference_set, full_set, is_left_generic, translates_cover
+from typeflow.defsets import FiniteSubset, congruence_set, difference_set, full_set, is_left_generic, translates_cover
 from typeflow.flows import FiniteFlowPresentation, kernel_of_action
-from typeflow.groups import INTEGERS, Subgroup, bundled_small_groups, cyclic_group
+from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group
 from typeflow.typespace import LevelTypeSpace, Limit, Realized, apply_group
 
 
@@ -127,6 +129,56 @@ def test_kernel_intersection_finite():
     c1 = cyclic_group(1)
     sub1, _ = kernel_intersection(c1, 2)
     assert sorted(sub1.elements) == [0]
+
+
+def relabelled_dihedral(m, perm):
+    """The dihedral group of order 2m, r^a s^b at index perm[a + m b]."""
+
+    def mul(x, y):
+        a, b = x % m, x // m
+        c, d = y % m, y // m
+        return (a + (c if b == 0 else -c)) % m + m * ((b + d) % 2)
+
+    table = [[0] * (2 * m) for _ in range(2 * m)]
+    for x in range(2 * m):
+        for y in range(2 * m):
+            table[perm[x]][perm[y]] = perm[mul(x, y)]
+    return FiniteGroup(table, name=f"d{m}")
+
+
+def test_kernel_intersection_matches_the_whole_family():
+    rng = random.Random(11)
+    groups = list(bundled_small_groups()) + [cyclic_group(1)]
+    for m in range(2, 6):
+        perm = list(range(2 * m))
+        rng.shuffle(perm)
+        groups.append(relabelled_dihedral(m, perm))
+    for G in groups:
+        literal = set(G.elements())
+        for Y in generated_family(G):
+            if is_left_generic(G, Y).generic:
+                members = Y.elements()
+                literal &= {G.table[a][G.inverse[b]] for a in members for b in members}
+        sub, exact = kernel_intersection(G)
+        assert exact == FiniteSubset(G, sorted(literal))
+        assert sub == Subgroup.of_elements(literal)
+
+
+def test_kernel_intersection_stops_at_the_identity(monkeypatch):
+    # a pin that follows the algorithm: the first family member {0} is
+    # generic with difference set {e}, so nothing after it is examined
+    G = relabelled_dihedral(4, [3, 0, 1, 2, 4, 5, 6, 7])
+    assert G.identity == 3
+    calls = []
+
+    def counting(Y):
+        calls.append(Y)
+        return difference_set(Y)
+
+    monkeypatch.setattr(amenability, "difference_set", counting)
+    sub, exact = kernel_intersection(G)
+    assert exact.elements() == [3] and sub == Subgroup.of_elements({3})
+    assert calls == [FiniteSubset(G, [0])]
 
 
 def test_singleton_minimal_criterion():

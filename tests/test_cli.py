@@ -1,8 +1,11 @@
 import argparse
 import collections
+import contextlib
+import io
 import json
 import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -695,3 +698,114 @@ def test_finite_flow_action_must_be_json_integers():
     report, code = run_scenario({"group": {"kind": "cyclic", "order": 2}, "tasks": [{"op": "check-flow", "flow": flow}]})
     assert code == 3
     assert report["results"][0]["error"] == "ValueError: flow action row must be integers, got 1.0"
+
+
+# ---------------------------------------------------------------------------
+# group specs and finite element parameters are JSON integers
+
+
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ({"kind": "cyclic", "order": 2.5}, "cyclic group order must be an integer, got 2.5"),
+        ({"kind": "cyclic", "order": True}, "cyclic group order must be an integer, got True"),
+        ({"kind": "cyclic", "order": "3"}, "cyclic group order must be an integer, got '3'"),
+        ({"kind": "finite", "table": [[0, 1.7], [1, 0]]}, "table entries must be integers, got 1.7"),
+        ({"kind": "finite", "table": [[False, True], [True, False]]}, "table entries must be integers, got False"),
+        ({"kind": "finite", "table": [["0", "1"], ["1", "0"]]}, "table entries must be integers, got '0'"),
+        ({"kind": "finite", "table": [[0, 1], "10"]}, "table entries must be integers, got '1'"),
+        (
+            {"kind": "product", "left": {"kind": "integers"}, "right": {"kind": "cyclic", "order": 2.0}},
+            "cyclic group order must be an integer, got 2.0",
+        ),
+    ],
+)
+def test_group_spec_numbers_must_be_json_integers(group, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": group, "tasks": [{"op": "idempotents"}]}))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad group spec: {message}\n"
+
+
+def test_homomorphism_target_spec_must_use_json_integers():
+    task = {"op": "check-homomorphism", "values": [0, 1], "target": {"kind": "cyclic", "order": 2.0}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == "ValueError: cyclic group order must be an integer, got 2.0"
+
+
+@pytest.mark.parametrize(
+    "order, task, bad",
+    [
+        (2, {"op": "universal-compactification", "targets": [[0, 7]]}, 7),
+        (4, {"op": "universal-compactification", "targets": [[False, 2]]}, False),
+        (4, {"op": "universal-compactification", "targets": [[0, 2.0]]}, 2.0),
+        (2, {"op": "logic-quotient", "blocks": [[0], [True]]}, True),
+        (4, {"op": "logic-quotient", "blocks": [[0, 2], [1, 3.0]]}, 3.0),
+        (4, {"op": "logic-quotient", "blocks": [[0, 2], [1, -1, 3]]}, -1),
+    ],
+)
+def test_finite_element_lists_are_checked(order, task, bad, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"kind": "cyclic", "order": order}, "tasks": [task, {"op": "idempotents"}]}))
+    assert main(["--scenario", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["partial"]
+    assert report["results"][0]["error"] == f"BackendMismatch: {bad!r} is not an element of FiniteGroup(c{order}, order={order})"
+    assert report["results"][1]["ok"]
+
+
+# each finite-backend task parameter that holds group or carrier elements:
+# a valid task over c4, the path to one element in it, and the bound that
+# an in-range element stays below
+_ELEMENT_SITES = [
+    ({"op": "universal-compactification", "targets": [[0, 2]]}, ("targets", 0, 1), 4),
+    ({"op": "logic-quotient", "blocks": [[0, 2], [1, 3]]}, ("blocks", 1, 0), 4),
+    ({"op": "is-generic", "set": [0, 1]}, ("set", 1), 4),
+    ({"op": "difference-set", "set": {"elements": [0, 2]}}, ("set", "elements", 0), 4),
+    ({"op": "boolean", "kind": "union", "a": [0], "b": [1, 2]}, ("b", 1), 4),
+    ({"op": "translate", "g": 1, "set": [0, 1]}, ("g",), 4),
+    ({"op": "translate", "g": 1, "set": [0, 1]}, ("set", 0), 4),
+    ({"op": "check-homomorphism", "values": [0, 1, 0, 1], "target": "c2"}, ("values", 3), 2),
+    ({"op": "check-flow", "flow": {"carrier": 2, "action": [[0, 1], [1, 0], [0, 1], [1, 0]]}}, ("flow", "action", 1, 0), 2),
+]
+
+
+@st.composite
+def _bad_element_scenarios(draw):
+    task, path, bound = draw(st.sampled_from(_ELEMENT_SITES))
+    bad = draw(
+        st.one_of(
+            st.booleans(),
+            st.floats(),
+            st.text(max_size=4),
+            st.integers(max_value=-1),
+            st.integers(min_value=bound),
+        )
+    )
+    task = json.loads(json.dumps(task))
+    slot = task
+    for key in path[:-1]:
+        slot = slot[key]
+    slot[path[-1]] = bad
+    return {"group": {"kind": "cyclic", "order": 4}, "tasks": [task]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_bad_element_scenarios())
+def test_bad_finite_elements_never_escape_main(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--scenario", path])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    else:
+        assert code == 3 and err.getvalue() == ""
+        report = json.loads(out.getvalue())
+        assert report["partial"] and not report["results"][0]["ok"]

@@ -2,7 +2,11 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from typeflow.compactify import _is_normal, definable_homomorphism_check, finite_quotient
+from typeflow.flows import FiniteFlowPresentation, check_definable_flow
 from typeflow.groups import (
     BackendMismatch,
     FiniteGroup,
@@ -11,6 +15,7 @@ from typeflow.groups import (
     bundled_small_groups,
     cyclic_group,
     dihedral_group_8,
+    first_failing_pair,
     group_from_json,
     group_to_json,
     klein_four_group,
@@ -233,3 +238,165 @@ def test_relabelled_dihedral_and_product_tables_are_accepted():
         g = FiniteGroup(relabel(table, perm))
         assert g.order == len(table)
         assert g.identity == perm[0]
+
+
+# ---------------------------------------------------------------------------
+# group laws checked on the generating set
+
+
+def _law_groups():
+    rng = random.Random(8)
+    groups = bundled_small_groups() + [cyclic_group(n) for n in range(1, 13)]
+    for m in range(2, 7):
+        perm = list(range(2 * m))
+        rng.shuffle(perm)
+        groups.append(FiniteGroup(relabel(dihedral_table(m), perm), name=f"relabelled-d{m}"))
+    for left, right in [
+        (cyclic_group(2), symmetric_group_3()),
+        (cyclic_group(3), klein_four_group()),
+        (klein_four_group(), cyclic_group(2)),
+    ]:
+        groups.append(FiniteGroup(product_table(left.table, right.table), name=f"{left.name}x{right.name}"))
+    return groups
+
+
+LAW_GROUPS = _law_groups()
+LAWS = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+def literal_first_failure(G, holds):
+    return next(((a, b) for a in G.elements() for b in G.elements() if not holds(a, b)), None)
+
+
+def normal_closure(G, x):
+    N = {G.identity, x}
+    while True:
+        more = {G.table[a][b] for a in N for b in N}
+        more |= {G.table[G.table[g][a]][G.inverse[g]] for g in G.elements() for a in N}
+        if more <= N:
+            return frozenset(N)
+        N |= more
+
+
+@st.composite
+def perturbed_quotient_maps(draw):
+    """A group, its projection onto a quotient by a normal closure, and the
+    quotient acting on itself through it, one entry of each changed."""
+    G = draw(st.sampled_from(LAW_GROUPS))
+    Q, projection = finite_quotient(G, normal_closure(G, draw(st.sampled_from(G.elements()))))
+    values = list(projection)
+    action = [[Q.table[projection[g]][x] for x in Q.elements()] for g in G.elements()]
+    others = [g for g in G.elements() if g != G.identity]
+    if others:
+        values[draw(st.sampled_from(others))] = draw(st.sampled_from(Q.elements()))
+        row = action[draw(st.sampled_from(others))]
+        i, j = draw(st.sampled_from(Q.elements())), draw(st.sampled_from(Q.elements()))
+        row[i], row[j] = row[j], row[i]
+    return G, Q, values, action
+
+
+def test_generators_are_kept_and_generate():
+    for G in LAW_GROUPS:
+        assert isinstance(G.generators, tuple)
+        assert G.identity not in G.generators
+        assert len(G.generators) <= max(G.order - 1, 0).bit_length()
+        reached = {G.identity}
+        while True:
+            more = {G.table[a][s] for a in reached for s in G.generators} - reached
+            if not more:
+                break
+            reached |= more
+        assert reached == set(G.elements())
+    assert cyclic_group(1).generators == ()
+
+
+@LAWS
+@given(perturbed_quotient_maps())
+def test_generator_law_checks_agree_with_all_pairs(case):
+    G, Q, values, action = case
+
+    def hom_law(a, b):
+        return values[G.table[a][b]] == Q.table[values[a]][values[b]]
+
+    def action_law(a, b):
+        return action[G.table[a][b]] == [action[a][action[b][x]] for x in Q.elements()]
+
+    for law in (hom_law, action_law):
+        assert first_failing_pair(G, law) == literal_first_failure(G, law)
+
+    failure = literal_first_failure(G, hom_law)
+    verdict = definable_homomorphism_check(G, values, Q)
+    if failure is None:
+        assert verdict.valid or verdict.reason == "dense-image failure"
+    else:
+        assert not verdict.valid and verdict.reason == "not a homomorphism at ({},{})".format(*failure)
+
+    failure = literal_first_failure(G, action_law)
+    flow = FiniteFlowPresentation(G, Q.order, action=action)
+    if failure is None:
+        assert check_definable_flow(flow).valid
+    else:
+        with pytest.raises(ValueError, match=re.escape("action is not a homomorphism at ({},{})".format(*failure))):
+            check_definable_flow(flow)
+
+
+def test_first_failing_pair_may_have_a_non_generator_second_entry():
+    c4 = cyclic_group(4)
+    assert c4.generators == (1,)
+    values = [0, 1, 2, 1]
+
+    def law(a, b):
+        return values[c4.table[a][b]] == c4.table[values[a]][values[b]]
+
+    # the generator scan fails first at (2, 1); the reported pair is (1, 2)
+    assert not law(2, 1)
+    assert first_failing_pair(c4, law) == literal_first_failure(c4, law) == (1, 2)
+    verdict = definable_homomorphism_check(c4, values, c4)
+    assert verdict.reason == "not a homomorphism at (1,2)"
+    action = [[c4.table[v][x] for x in range(4)] for v in values]
+    with pytest.raises(ValueError, match=re.escape("action is not a homomorphism at (1,2)")):
+        check_definable_flow(FiniteFlowPresentation(c4, 4, action=action))
+
+
+def test_trivial_group_law_is_checked_at_the_identity():
+    c1 = cyclic_group(1)
+    assert first_failing_pair(c1, lambda a, b: True) is None
+    assert first_failing_pair(c1, lambda a, b: False) == (0, 0)
+    # the map from c1 onto the non-identity element of c2 breaks the law at (0, 0)
+    c2, values = cyclic_group(2), [1]
+    law = lambda a, b: values[c1.table[a][b]] == c2.table[values[a]][values[b]]  # noqa: E731
+    assert first_failing_pair(c1, law) == literal_first_failure(c1, law) == (0, 0)
+
+
+@pytest.mark.parametrize("values, reason", [([0, 1, 0, 1], None), ([0, 1, 1, 1], "(1,1)"), ([0, 1, 0, 0], "(1,2)")])
+def test_integer_homomorphism_law_names_the_first_failing_pair(values, reason):
+    c2 = cyclic_group(2)
+    literal = next(
+        (
+            (a, b)
+            for a in range(len(values))
+            for b in range(len(values))
+            if values[(a + b) % len(values)] != c2.table[values[a]][values[b]]
+        ),
+        None,
+    )
+    verdict = definable_homomorphism_check(INTEGERS, values, c2)
+    if reason is None:
+        assert literal is None and verdict.valid
+    else:
+        assert f"({literal[0]},{literal[1]})" == reason
+        assert verdict.reason == f"not a homomorphism at {reason}"
+
+
+def _subsets(G):
+    return [frozenset(g for g in G.elements() if mask >> g & 1) for mask in range(1 << G.order)]
+
+
+@pytest.mark.parametrize("G", [symmetric_group_3(), dihedral_group_8(), quaternion_group_8()], ids=lambda G: G.name)
+def test_is_normal_matches_the_literal_definition_on_every_subset(G):
+    verdicts = []
+    for N in _subsets(G):
+        literal = all(G.table[G.table[g][n]][G.inverse[g]] in N for g in G.elements() for n in N)
+        assert _is_normal(G, N) == literal, sorted(N)
+        verdicts.append(literal)
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -21,9 +21,7 @@ from .defsets import (
     difference_set,
     full_set,
     intersect,
-    is_empty,
     is_left_generic,
-    member,
     translate,
 )
 from .flows import FiniteFlowPresentation, minimal_subflows, minimal_subflows_of_flow
@@ -328,7 +326,7 @@ def measure_definability_check(
             for high in distinct[i + 1 :]:
                 low_set = congruence_set(level, [g for g, v in values.items() if v <= low])
                 high_set = congruence_set(level, [g for g, v in values.items() if v >= high])
-                if not is_empty(intersect(low_set, high_set)):
+                if not intersect(low_set, high_set).is_empty:
                     separable = False
         entries.append(
             {

@@ -59,7 +59,7 @@ from .flows import (
     universal_ambit_morphism,
     universal_minimal_flow,
 )
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, bundled_group, group_from_json, group_to_json
+from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, bundled_group, group_from_json
 from .oracle import (
     WindowUniverse,
     oracle_difference_set,
@@ -511,6 +511,7 @@ def run_scenario(scenario, with_oracle: bool = False):
             KeyError,
             TypeError,
             AssertionError,
+            OverflowError,
         ) as exc:
             entry["ok"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -45,12 +45,6 @@ class CompactQuotient:
     def size(self) -> int:
         return len(self.fibers)
 
-    def project(self, g) -> int:
-        for i, fiber in enumerate(self.fibers):
-            if fiber.member(g):
-                return i
-        raise ValueError(f"{g!r} is in no fiber; classes do not partition the group")
-
     def __repr__(self):
         kind = "group" if self.group is not None else "space"
         return f"CompactQuotient({kind}, size={self.size})"

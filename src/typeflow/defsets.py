@@ -27,6 +27,7 @@ from math import gcd
 
 from .groups import (
     BackendMismatch,
+    INTEGERS,
     FiniteGroup,
     Group,
     IntegerGroup,
@@ -190,6 +191,7 @@ class IntegerSet:
     """
 
     __slots__ = ("period", "lo", "hi", "up_mask", "down_mask", "window_mask")
+    group = INTEGERS
 
     def __init__(self, period, up=(), down=(), lo=0, hi=-1, bits=()):
         period = int(period)
@@ -296,6 +298,9 @@ class FiniteSubset:
     def is_empty(self) -> bool:
         return self.mask == 0
 
+    def _key(self):
+        return self.mask
+
     def __eq__(self, other):
         return isinstance(other, FiniteSubset) and self.group == other.group and self.mask == other.mask
 
@@ -324,7 +329,7 @@ class RectangleSet:
         rects = [
             (a, b)
             for a, b in rectangles
-            if not is_empty(a) and not is_empty(b)
+            if not a.is_empty and not b.is_empty
         ]
         for a, b in rects:
             _check_backend(group.left, a)
@@ -335,20 +340,20 @@ class RectangleSet:
             for atom in atoms:
                 inside = intersect(atom, a)
                 outside = intersect(atom, complement(a))
-                if not is_empty(inside):
+                if not inside.is_empty:
                     refined.append(inside)
-                if not is_empty(outside):
+                if not outside.is_empty:
                     refined.append(outside)
             atoms = refined
         by_fiber = {}
         for atom in atoms:
             fiber = empty_set(group.right)
             for a, b in rects:
-                if not is_empty(intersect(atom, a)):
+                if not intersect(atom, a).is_empty:
                     fiber = union(fiber, b)
-            if is_empty(fiber):
+            if fiber.is_empty:
                 continue
-            key = sort_key(fiber)
+            key = fiber._key()
             if key in by_fiber:
                 col, fib = by_fiber[key]
                 by_fiber[key] = (union(col, atom), fib)
@@ -356,7 +361,7 @@ class RectangleSet:
                 by_fiber[key] = (atom, fiber)
         self.group = group
         self.columns = tuple(
-            sorted(by_fiber.values(), key=lambda cf: sort_key(cf[0]))
+            sorted(by_fiber.values(), key=lambda cf: cf[0]._key())
         )
 
     def member(self, x) -> bool:
@@ -370,18 +375,15 @@ class RectangleSet:
     def is_empty(self) -> bool:
         return not self.columns
 
-    def _key(self):
-        return tuple((sort_key(c), sort_key(f)) for c, f in self.columns)
-
     def __eq__(self, other):
         return (
             isinstance(other, RectangleSet)
             and self.group == other.group
-            and self._key() == other._key()
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.group, self._key()))
+        return hash((self.group, self.columns))
 
     def __repr__(self):
         return f"RectangleSet({len(self.columns)} columns)"
@@ -391,27 +393,21 @@ class RectangleSet:
 # generic dispatch helpers
 
 
+_SET_KINDS = (IntegerSet, FiniteSubset, RectangleSet)
+
+
 def _check_backend(ctx: Group, Y):
-    if isinstance(ctx, IntegerGroup):
-        if not isinstance(Y, IntegerSet):
-            raise BackendMismatch(f"expected an IntegerSet, got {type(Y).__name__}")
-    elif isinstance(ctx, FiniteGroup):
-        if not (isinstance(Y, FiniteSubset) and Y.group == ctx):
-            raise BackendMismatch("set does not belong to this finite group")
-    elif isinstance(ctx, ProductGroup):
-        if not (isinstance(Y, RectangleSet) and Y.group == ctx):
-            raise BackendMismatch("set does not belong to this product group")
-    else:
-        raise BackendMismatch(f"unknown context {ctx!r}")
-    return Y
+    if not (isinstance(Y, _SET_KINDS) and Y.group == ctx):
+        raise BackendMismatch(f"{Y!r} is not a set of {ctx!r}")
+
+
+def _same_backend(A, B):
+    if not (isinstance(A, _SET_KINDS) and isinstance(B, _SET_KINDS) and A.group == B.group):
+        raise BackendMismatch("operands live over different backends")
 
 
 def member(Y, x) -> bool:
     return Y.member(x)
-
-
-def is_empty(Y) -> bool:
-    return Y.is_empty
 
 
 def empty_set(ctx: Group):
@@ -484,27 +480,25 @@ def _combine_integer(A: IntegerSet, B: IntegerSet, op) -> IntegerSet:
 
 
 def union(A, B):
-    if isinstance(A, IntegerSet) and isinstance(B, IntegerSet):
+    _same_backend(A, B)
+    if isinstance(A, IntegerSet):
         return _combine_integer(A, B, operator.or_)
-    if isinstance(A, FiniteSubset) and isinstance(B, FiniteSubset) and A.group == B.group:
+    if isinstance(A, FiniteSubset):
         return FiniteSubset(A.group, mask=A.mask | B.mask)
-    if isinstance(A, RectangleSet) and isinstance(B, RectangleSet) and A.group == B.group:
-        return RectangleSet(A.group, list(A.columns) + list(B.columns))
-    raise BackendMismatch("operands live over different backends")
+    return RectangleSet(A.group, list(A.columns) + list(B.columns))
 
 
 def intersect(A, B):
-    if isinstance(A, IntegerSet) and isinstance(B, IntegerSet):
+    _same_backend(A, B)
+    if isinstance(A, IntegerSet):
         return _combine_integer(A, B, operator.and_)
-    if isinstance(A, FiniteSubset) and isinstance(B, FiniteSubset) and A.group == B.group:
+    if isinstance(A, FiniteSubset):
         return FiniteSubset(A.group, mask=A.mask & B.mask)
-    if isinstance(A, RectangleSet) and isinstance(B, RectangleSet) and A.group == B.group:
-        rects = []
-        for ca, fa in A.columns:
-            for cb, fb in B.columns:
-                rects.append((intersect(ca, cb), intersect(fa, fb)))
-        return RectangleSet(A.group, rects)
-    raise BackendMismatch("operands live over different backends")
+    rects = []
+    for ca, fa in A.columns:
+        for cb, fb in B.columns:
+            rects.append((intersect(ca, cb), intersect(fa, fb)))
+    return RectangleSet(A.group, rects)
 
 
 def complement(A):
@@ -572,9 +566,7 @@ def translate(g, Y):
 
 
 def right_translate(g, Y):
-    """Right translate Yg = {y . g : y in Y}."""
-    if isinstance(Y, IntegerSet):
-        return translate(g, Y)
+    """Right translate Yg = {y . g : y in Y}; on the abelian integers it is gY."""
     if isinstance(Y, FiniteSubset):
         grp = Y.group
         grp.check_element(g)
@@ -585,7 +577,7 @@ def right_translate(g, Y):
             Y.group,
             [(right_translate(g[0], col), right_translate(g[1], fib)) for col, fib in Y.columns],
         )
-    raise BackendMismatch(f"not a definable set: {Y!r}")
+    return translate(g, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -729,22 +721,21 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
 
 def quotient_set(A, B):
     """The two-sided difference set {a . b^{-1} : a in A, b in B}."""
-    if isinstance(A, IntegerSet) and isinstance(B, IntegerSet):
+    _same_backend(A, B)
+    if isinstance(A, IntegerSet):
         return _integer_quotient(A, B)
-    if isinstance(A, FiniteSubset) and isinstance(B, FiniteSubset) and A.group == B.group:
+    if isinstance(A, FiniteSubset):
         grp = A.group
         out = set()
         for a in A.elements():
             for b in B.elements():
                 out.add(grp.table[a][grp.inverse[b]])
         return FiniteSubset(grp, elements=out)
-    if isinstance(A, RectangleSet) and isinstance(B, RectangleSet) and A.group == B.group:
-        rects = []
-        for ca, fa in A.columns:
-            for cb, fb in B.columns:
-                rects.append((quotient_set(ca, cb), quotient_set(fa, fb)))
-        return RectangleSet(A.group, rects)
-    raise BackendMismatch("operands live over different backends")
+    rects = []
+    for ca, fa in A.columns:
+        for cb, fb in B.columns:
+            rects.append((quotient_set(ca, cb), quotient_set(fa, fb)))
+    return RectangleSet(A.group, rects)
 
 
 def difference_set(Y):
@@ -789,60 +780,63 @@ def _generic_integers(Y: IntegerSet) -> GenericityResult:
     return GenericityResult(True, translates=tuple(sorted(cert)))
 
 
-def _generic_finite(ctx: FiniteGroup, Y: FiniteSubset) -> GenericityResult:
-    if Y.is_empty:
-        return GenericityResult(False, obstruction="empty set")
-    elems = Y.elements()
-    y0 = elems[0]
+def _greedy_cover(ctx: Group, elems) -> tuple:
+    """Left translates covering a finite group: for each element x not yet
+    covered, the translate that moves the least element of elems onto x."""
+    if isinstance(ctx, FiniteGroup):
+        # read the table: compose would check both elements on every call
+        table = ctx.table
+        compose = lambda g, h: table[g][h]
+    else:
+        compose = ctx.compose
+    y0_inverse = ctx.invert(min(elems))
     covered = set()
     cert = []
-    for x in range(ctx.order):
+    for x in ctx.elements():
         if x in covered:
             continue
-        t = ctx.table[x][ctx.inverse[y0]]
+        t = compose(x, y0_inverse)
         cert.append(t)
-        covered.update(ctx.table[t][y] for y in elems)
-    return GenericityResult(True, translates=tuple(cert))
+        covered.update(compose(t, y) for y in elems)
+    return tuple(cert)
 
 
 _PRODUCT_NOTE = "relative to the rectangle algebra"
 
 
-def _corner_tail(Y: RectangleSet, sx: int, sy: int):
-    """An exact rectangle tail of Y in the (sx, sy) corner, or None.
+def _axis_tail(S, sign: int):
+    """S's tail toward sign as (period, threshold), or None if it has none.
 
-    Returns (px, a, kx, py, b, ky) describing
-    {x : sx*x > sx*kx, x = a mod px} x {y : sy*y > sy*ky, y = b mod py}.
+    On an integer axis the tail is the part of S past the threshold, where
+    S follows its eventual pattern toward sign; on a finite axis it is all
+    of S, given as (None, None).
     """
+    if not isinstance(S, IntegerSet):
+        return None if S.is_empty else (None, None)
+    if not (S.up_mask if sign > 0 else S.down_mask):
+        return None
+    return S.period, S.hi if sign > 0 else S.lo
+
+
+def _corner_tail(Y: RectangleSet, sx: int, sy: int):
+    """The axis tails (see _axis_tail) of the first column of Y with a
+    rectangle tail in the (sx, sy) corner, or None."""
     for col, fib in Y.columns:
-        pat_x = col.pattern(sx) if isinstance(col, IntegerSet) else (col.elements() or None)
-        pat_y = fib.pattern(sy) if isinstance(fib, IntegerSet) else (fib.elements() or None)
-        if not pat_x or not pat_y:
-            continue
-        if isinstance(col, IntegerSet):
-            a = min(pat_x)
-            px = col.period
-            kx = col.hi if sx > 0 else col.lo
-        else:
-            a, px, kx = min(pat_x), None, None
-        if isinstance(fib, IntegerSet):
-            b = min(pat_y)
-            py = fib.period
-            ky = fib.hi if sy > 0 else fib.lo
-        else:
-            b, py, ky = min(pat_y), None, None
-        return (px, a, kx, py, b, ky)
+        tail_x = _axis_tail(col, sx)
+        tail_y = _axis_tail(fib, sy)
+        if tail_x and tail_y:
+            return tail_x, tail_y
     return None
 
 
-def _axis_grid(comp: Group, sign: int, period, residue_start, threshold, bound):
+def _axis_grid(comp: Group, sign: int, period, threshold, bound):
     """Translate shifts along one axis that push a tail over one half line.
 
     For an integer axis: period many consecutive anchors past the bound.
-    For a finite axis: one shift per group element.
+    For a finite axis: every group element.
     """
-    if isinstance(comp, FiniteGroup):
-        return [comp.compose(h, comp.invert(residue_start)) for h in comp.elements()]
+    if comp.is_finite:
+        return comp.elements()
     if sign > 0:
         anchor = -(threshold + bound + period)
         return [anchor - i for i in range(period)]
@@ -856,16 +850,7 @@ def _generic_product(ctx: ProductGroup, Y: RectangleSet) -> GenericityResult:
     if ctx.is_finite:
         # a product of finite groups is just a finite group; cover greedily
         elems = [(a, b) for col, fib in Y.columns for a in col.elements() for b in fib.elements()]
-        y0 = min(elems)
-        covered = set()
-        cert = []
-        for x in ctx.elements():
-            if x in covered:
-                continue
-            t = ctx.compose(x, ctx.invert(y0))
-            cert.append(t)
-            covered.update(ctx.compose(t, y) for y in elems)
-        return GenericityResult(True, translates=tuple(cert), note=_PRODUCT_NOTE)
+        return GenericityResult(True, translates=_greedy_cover(ctx, elems), note=_PRODUCT_NOTE)
 
     signs_x = [1, -1] if isinstance(ctx.left, IntegerGroup) else [0]
     signs_y = [1, -1] if isinstance(ctx.right, IntegerGroup) else [0]
@@ -894,9 +879,9 @@ def _generic_product(ctx: ProductGroup, Y: RectangleSet) -> GenericityResult:
     bx = axis_bound(0)
     by = axis_bound(1)
     cert = set()
-    for (sx, sy), (px, a, kx, py, b, ky) in corners.items():
-        xs = _axis_grid(ctx.left, sx, px, a, kx, bx)
-        ys = _axis_grid(ctx.right, sy, py, b, ky, by)
+    for (sx, sy), ((px, kx), (py, ky)) in corners.items():
+        xs = _axis_grid(ctx.left, sx, px, kx, bx)
+        ys = _axis_grid(ctx.right, sy, py, ky, by)
         for u in xs:
             for v in ys:
                 cert.add((u, v))
@@ -910,11 +895,13 @@ def is_left_generic(ctx: Group, Y) -> GenericityResult:
     the whole group; a negative one carries the obstruction.
     """
     _check_backend(ctx, Y)
-    if isinstance(ctx, IntegerGroup):
+    if isinstance(Y, IntegerSet):
         return _generic_integers(Y)
-    if isinstance(ctx, FiniteGroup):
-        return _generic_finite(ctx, Y)
-    return _generic_product(ctx, Y)
+    if isinstance(Y, RectangleSet):
+        return _generic_product(ctx, Y)
+    if Y.is_empty:
+        return GenericityResult(False, obstruction="empty set")
+    return GenericityResult(True, translates=_greedy_cover(ctx, Y.elements()))
 
 
 def translates_cover(ctx: Group, translates, Y) -> bool:
@@ -929,17 +916,7 @@ def translates_cover(ctx: Group, translates, Y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# ordering and (de)serialization
-
-
-def sort_key(Y):
-    if isinstance(Y, IntegerSet):
-        return (0, Y._key())
-    if isinstance(Y, FiniteSubset):
-        return (1, Y.mask)
-    if isinstance(Y, RectangleSet):
-        return (2, Y._key())
-    raise TypeError(f"not a definable set: {Y!r}")
+# (de)serialization
 
 
 _NAMED_INTEGER_SETS = {

@@ -86,14 +86,6 @@ class FiniteFlowPresentation:
         self.base = base
         self._order = None
 
-    def act(self, g, x: int) -> int:
-        self.ctx.check_element(g)
-        if self.pi is not None:
-            for _ in range(g % self._pi_order()):
-                x = self.pi[x]
-            return x
-        return self.action[g][x]
-
     def _pi_order(self) -> int:
         if self._order is None:
             order = 1

@@ -455,6 +455,24 @@ def test_malformed_integer_set_is_a_task_error(bad_set, tmp_path, capsys):
     assert report["results"][1]["ok"]
 
 
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"op": "is-generic", "set": {"mod": 10**30, "up": [0]}},
+        {"op": "boolean", "kind": "complement", "a": {"mod": 10**30, "up": [0]}},
+    ],
+)
+def test_modulus_too_large_to_index_is_a_task_error(task, tmp_path, capsys):
+    # 10**30 cannot size a residue table at all, so nothing is allocated
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"kind": "integers"}, "tasks": [task, {"op": "idempotents"}]}))
+    assert main(["--scenario", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["partial"]
+    assert report["results"][0]["error"].startswith("OverflowError: ")
+    assert report["results"][1]["ok"]
+
+
 def test_boolean_level_is_a_schema_error(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"group": {"kind": "integers"}, "level": True, "tasks": []}))

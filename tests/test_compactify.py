@@ -19,10 +19,11 @@ def test_logic_quotient_integers():
     assert q.size == 6 and q.discrete
     assert q.group is not None and q.group.order == 6
     assert q.fibers[1] == congruence_set(6, [1])
-    assert q.project(13) == 1 and q.project(-1) == 5
-    # fiber lookup then projection is the identity on classes
-    for i, fiber in enumerate(q.fibers):
-        assert q.project(i) == i and fiber.member(i)
+    assert [i for i, fiber in enumerate(q.fibers) if fiber.member(13)] == [1]
+    assert [i for i, fiber in enumerate(q.fibers) if fiber.member(-1)] == [5]
+    # each class representative i lies in exactly one fiber, fiber i
+    for i in range(q.size):
+        assert [j for j, fiber in enumerate(q.fibers) if fiber.member(i)] == [i]
 
     assert logic_quotient(INTEGERS, CongruenceEquivalence(1)).size == 1
 

@@ -22,6 +22,7 @@ from typeflow.defsets import (
     is_left_generic,
     member,
     quotient_set,
+    right_translate,
     set_from_json,
     set_to_json,
     translate,
@@ -176,12 +177,38 @@ def test_canonical_form_decides_equality():
 
 
 def test_backend_mismatch_raises():
-    c3 = cyclic_group(3)
-    with pytest.raises(BackendMismatch):
-        union(EVENS, FiniteSubset(c3, [0]))
-    c4 = cyclic_group(4)
-    with pytest.raises(BackendMismatch):
-        union(FiniteSubset(c3, [0]), FiniteSubset(c4, [0]))
+    c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    over_c2 = RectangleSet(ProductGroup(INTEGERS, c2), [(EVENS, FiniteSubset(c2, [0]))])
+    over_c3 = RectangleSet(ProductGroup(INTEGERS, c3), [(EVENS, FiniteSubset(c3, [0]))])
+    pairs = [
+        (EVENS, FiniteSubset(c3, [0])),
+        (FiniteSubset(c3, [0]), FiniteSubset(c4, [0])),
+        (over_c2, over_c3),
+        (FiniteSubset(c2, [0]), over_c2),
+        (EVENS, None),
+        (FiniteSubset(c3, [0]), 3),
+        (None, over_c2),
+    ]
+    for op in (union, intersect, quotient_set):
+        for A, B in pairs:
+            with pytest.raises(BackendMismatch):
+                op(A, B)
+            with pytest.raises(BackendMismatch):
+                op(B, A)
+
+    sets = {INTEGERS: EVENS, c3: FiniteSubset(c3, [0]), over_c2.group: over_c2}
+    for ctx in sets:
+        for Y in [*(Y for other, Y in sets.items() if other != ctx), FiniteSubset(c4, [0]), over_c3, None, 0]:
+            with pytest.raises(BackendMismatch):
+                is_left_generic(ctx, Y)
+
+    for not_a_set in (None, 0, (0, 1), frozenset([0])):
+        with pytest.raises(BackendMismatch):
+            complement(not_a_set)
+        with pytest.raises(BackendMismatch):
+            translate(0, not_a_set)
+        with pytest.raises(BackendMismatch):
+            right_translate(0, not_a_set)
 
 
 def test_product_rectangle_algebra():
@@ -210,6 +237,36 @@ def test_rectangle_columns_keep_their_order():
             [{"mod": 3, "up": [1], "down": [1], "window": empty}, {"elements": [1]}],
         ]
     }
+
+
+def test_finite_columns_keep_their_order():
+    # columns sort by mask: {1} (2) < {2} (4) < {0, 3} (9), although [0, 3] < [1]
+    c3, c4 = cyclic_group(3), cyclic_group(4)
+    Y = RectangleSet(
+        ProductGroup(c4, c3),
+        [(FiniteSubset(c4, [0, 3]), FiniteSubset(c3, [0])), (FiniteSubset(c4, [1]), FiniteSubset(c3, [1, 2])),
+         (FiniteSubset(c4, [2]), FiniteSubset(c3, [2]))],
+    )
+    assert set_to_json(Y) == {
+        "rectangles": [
+            [{"elements": [1]}, {"elements": [1, 2]}],
+            [{"elements": [2]}, {"elements": [2]}],
+            [{"elements": [0, 3]}, {"elements": [0]}],
+        ]
+    }
+
+
+def test_rectangle_order_does_not_matter():
+    c2 = cyclic_group(2)
+    rects = [
+        (congruence_set(3, [1]), FiniteSubset(c2, [1])),
+        (integer_ray(1, 2), FiniteSubset(c2, [0])),
+        (integers_from([-4, 0, 7]), full_set(c2)),
+    ]
+    ctx = ProductGroup(INTEGERS, c2)
+    for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+        Y = RectangleSet(ctx, [rects[i] for i in order])
+        assert Y == RectangleSet(ctx, rects) and hash(Y) == hash(RectangleSet(ctx, rects))
 
 
 def test_product_genericity_and_certificates():

@@ -51,13 +51,38 @@ class CompactQuotient:
 
 
 def _is_subgroup(ctx: FiniteGroup, elems: frozenset) -> bool:
+    """Is N a subgroup? Checked on a generating subset, in O(|N|·|gens|).
+
+    Walking N in ascending order, each member not yet reached becomes a
+    generator, and the reached set is closed from e under right
+    multiplication by the generators; a product outside N refutes at once.
+    At the end every member is reached, so N is the set of products of its
+    generators: a·b for b = g1···gk stays in N one factor at a time. N is
+    finite, so g⁻¹ = g^(|g|−1) is such a product too.
+    """
     if ctx.identity not in elems:
         return False
-    return all(
-        ctx.table[a][b] in elems and ctx.inverse[a] in elems
-        for a in elems
-        for b in elems
-    )
+    table = ctx.table
+    reached = [ctx.identity]
+    seen = {ctx.identity}
+    gens: list[int] = []
+    for g in sorted(elems):
+        if g in seen:
+            continue
+        gens.append(g)
+        # reached[:old] is closed under the earlier generators already
+        old, i = len(reached), 0
+        while i < len(reached):
+            x = reached[i]
+            for h in gens if i >= old else gens[-1:]:
+                y = table[x][h]
+                if y not in elems:
+                    return False
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+            i += 1
+    return True
 
 
 def _is_normal(ctx: FiniteGroup, elems: frozenset) -> bool:

@@ -239,6 +239,18 @@ def test_product_backend_scenario():
     assert result["generic"] and result["note"] == "relative to the rectangle algebra"
 
 
+@pytest.mark.parametrize("rectangles", [[[[0]]], 5, [[[0], [1], [0]]], [{"left": [0], "right": [1]}]])
+def test_malformed_rectangles_are_a_task_error(rectangles):
+    group = {"kind": "product", "left": {"kind": "cyclic", "order": 2}, "right": {"kind": "cyclic", "order": 2}}
+    tasks = [{"op": "is-generic", "set": {"rectangles": rectangles}}, {"op": "is-generic", "set": {"rectangles": [[[0], [1]]]}}]
+    report, code = run_scenario({"group": group, "tasks": tasks})
+    assert code == 3
+    assert report["results"][0]["error"] == (
+        f"ValueError: rectangles must be a list of [left, right] pairs, got {rectangles!r}"
+    )
+    assert report["results"][1]["ok"]
+
+
 def test_render_text_shape():
     scenario = {
         "group": {"kind": "integers"},

@@ -269,6 +269,31 @@ def test_rectangle_order_does_not_matter():
         assert Y == RectangleSet(ctx, rects) and hash(Y) == hash(RectangleSet(ctx, rects))
 
 
+def random_finite_subset(rng, G):
+    return FiniteSubset(G, [g for g in G.elements() if rng.random() < 0.5])
+
+
+def test_rectangle_columns_match_their_input_rectangles():
+    rng = random.Random(11)
+    c3, c4 = cyclic_group(3), cyclic_group(4)
+    backends = [
+        (ProductGroup(INTEGERS, c3), lambda: random_integer_set(rng), range(-20, 21)),
+        (ProductGroup(c4, c3), lambda: random_finite_subset(rng, c4), c4.elements()),
+    ]
+    for ctx, random_left, lefts in backends:
+        for _ in range(60):
+            rects = [(random_left(), random_finite_subset(rng, c3)) for _ in range(rng.randint(1, 4))]
+            Y = RectangleSet(ctx, rects)
+            for x in lefts:
+                for y in c3.elements():
+                    expected = any(member(a, x) and member(b, y) for a, b in rects)
+                    assert member(Y, (x, y)) == expected, (rects, x, y)
+            cols = [c for c, _ in Y.columns]
+            fibers = [f for _, f in Y.columns]
+            assert all(intersect(c, d).is_empty for i, c in enumerate(cols) for d in cols[i + 1 :])
+            assert all(not f.is_empty for f in fibers) and len(set(fibers)) == len(fibers)
+
+
 def test_product_genericity_and_certificates():
     ctx = ProductGroup(INTEGERS, cyclic_group(2))
     c2 = cyclic_group(2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeflow.compactify import _is_normal, definable_homomorphism_check, finite_quotient
+from typeflow.compactify import _is_normal, _is_subgroup, definable_homomorphism_check, finite_quotient
 from typeflow.flows import FiniteFlowPresentation, check_definable_flow
 from typeflow.groups import (
     BackendMismatch,
@@ -398,5 +398,30 @@ def test_is_normal_matches_the_literal_definition_on_every_subset(G):
     for N in _subsets(G):
         literal = all(G.table[G.table[g][n]][G.inverse[g]] in N for g in G.elements() for n in N)
         assert _is_normal(G, N) == literal, sorted(N)
+        verdicts.append(literal)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _s3_transpositions_first():
+    # relabelled so that two transpositions precede their product, a
+    # 3-cycle: {e, s, t, st} is then the product set <s><t>, not a subgroup
+    G, label = symmetric_group_3(), [0, 4, 5, 1, 2, 3]
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[label[a]][label[b]] = label[G.table[a][b]]
+    return FiniteGroup(table, name="s3-transpositions-first")
+
+
+@pytest.mark.parametrize(
+    "G",
+    [symmetric_group_3(), _s3_transpositions_first(), dihedral_group_8(), quaternion_group_8(), cyclic_group(12)],
+    ids=lambda G: G.name,
+)
+def test_is_subgroup_matches_the_literal_definition_on_every_subset(G):
+    verdicts = []
+    for N in _subsets(G):
+        literal = G.identity in N and all(G.table[a][b] in N and G.inverse[a] in N for a in N for b in N)
+        assert _is_subgroup(G, N) == literal, sorted(N)
         verdicts.append(literal)
     assert 0 < sum(verdicts) < len(verdicts)

@@ -59,8 +59,9 @@ from .flows import (
     universal_ambit_morphism,
     universal_minimal_flow,
 )
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, bundled_group, group_from_json
+from .groups import FiniteGroup, Group, IntegerGroup, bundled_group, group_from_json
 from .oracle import (
+    EXHAUSTION_LEVEL_BOUND,
     WindowUniverse,
     oracle_difference_set,
     oracle_generic,
@@ -70,7 +71,6 @@ from .oracle import (
     sufficient_radius,
 )
 from .typespace import (
-    LevelError,
     Limit,
     Realized,
     acting_set,
@@ -137,7 +137,7 @@ def _task_star_via_schema(ctx, level, params, opts):
 def _task_idempotents(ctx, level, params, opts):
     idems = find_idempotents(ctx, level)
     out = {"idempotents": _points_json(idems)}
-    if opts["with_oracle"] and isinstance(ctx, IntegerGroup) and level <= 8:
+    if opts["with_oracle"] and isinstance(ctx, IntegerGroup) and level <= EXHAUSTION_LEVEL_BOUND:
         out["oracle_agrees"] = set(oracle_idempotents(ctx, level)) == set(idems)
     return out
 
@@ -145,7 +145,7 @@ def _task_idempotents(ctx, level, params, opts):
 def _task_minimal_subflows(ctx, level, params, opts):
     flows = minimal_subflows(ctx, level)
     out = {"subflows": [_points_json(f) for f in flows]}
-    if opts["with_oracle"] and isinstance(ctx, IntegerGroup) and level <= 8:
+    if opts["with_oracle"] and isinstance(ctx, IntegerGroup) and level <= EXHAUSTION_LEVEL_BOUND:
         out["oracle_agrees"] = set(oracle_minimal_subflows(ctx, level)) == set(flows)
     return out
 
@@ -196,7 +196,7 @@ def _task_ambit_morphism(ctx, level, params, opts):
         "realized_images": list(h.realized_images),
         "limit_images": [
             [point_to_json(p), h.limit_images[p]]
-            for p in sorted(h.limit_images, key=lambda q: (q.sign < 0, q.residue))
+            for p in sorted(h.limit_images, key=point_key)
         ],
         "checks": h.certify(),
     }
@@ -408,7 +408,7 @@ def _task_check_homomorphism(ctx, level, params, opts):
     else:
         target = bundled_group(target_spec)
     if not isinstance(target, FiniteGroup):
-        raise SchemaError("homomorphism target must be a finite group")
+        raise ValueError("homomorphism target must be a finite group")
     verdict = definable_homomorphism_check(ctx, params["values"], target, _positive_int(params, "level", None))
     out = {"valid": verdict.valid}
     if verdict.reason:
@@ -506,8 +506,6 @@ def run_scenario(scenario, with_oracle: bool = False):
             entry["ok"] = True
         except (
             ValueError,
-            BackendMismatch,
-            LevelError,
             KeyError,
             TypeError,
             AssertionError,

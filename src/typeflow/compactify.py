@@ -127,9 +127,26 @@ def finite_quotient(ctx: FiniteGroup, normal_elems) -> tuple[FiniteGroup, tuple]
     return FiniteGroup(table, name=f"{ctx.name}/N{len(N)}"), tuple(projection)
 
 
+def _fibers(ctx: FiniteGroup, labels, count: int) -> tuple:
+    """Fibre i is the set of g with labels[g] == i, built in one pass of bitmasks."""
+    masks = [0] * count
+    for g, i in enumerate(labels):
+        masks[i] |= 1 << g
+    return tuple(FiniteSubset(ctx, mask=m) for m in masks)
+
+
+def _coset_quotient(ctx: FiniteGroup, N) -> tuple[CompactQuotient, tuple]:
+    """The quotient by a normal subgroup N, its fibres the cosets of N in
+    quotient order, and the projection onto it."""
+    group, projection = finite_quotient(ctx, N)
+    return CompactQuotient(ctx, _fibers(ctx, projection, group.order), group), projection
+
+
 def logic_quotient(ctx: Group, equivalence) -> CompactQuotient:
     """Quotient by a bounded equivalence; fibers are canonical definable
-    sets and the finite-index logic topology is discrete."""
+    sets and the finite-index logic topology is discrete. A partition of a
+    finite group carries a group, with fibers in quotient order, exactly
+    when its blocks are the cosets of a normal subgroup."""
     if isinstance(ctx, IntegerGroup) and isinstance(equivalence, CongruenceEquivalence):
         n = equivalence.modulus
         if n < 1:
@@ -145,23 +162,14 @@ def logic_quotient(ctx: Group, equivalence) -> CompactQuotient:
             seen |= b
         if seen != set(ctx.elements()):
             raise ValueError("blocks do not cover the group")
-        ident_block = next(b for b in blocks if ctx.identity in b)
-        group = None
-        if _is_subgroup(ctx, ident_block) and _is_normal(ctx, ident_block):
-            cosets = set()
-            for b in blocks:
-                g = min(b)
-                cosets.add(frozenset(ctx.table[g][n] for n in ident_block))
-            if cosets == set(blocks):
-                quotient, projection = finite_quotient(ctx, ident_block)
-                fibers = []
-                for i in range(quotient.order):
-                    fibers.append(
-                        FiniteSubset(ctx, elements=[g for g in ctx.elements() if projection[g] == i])
-                    )
-                return CompactQuotient(ctx, fibers, quotient)
-        fibers = [FiniteSubset(ctx, elements=sorted(b)) for b in blocks]
-        return CompactQuotient(ctx, fibers, group)
+        fibers = [FiniteSubset(ctx, elements=b) for b in blocks]
+        N = next(b for b in blocks if ctx.identity in b)
+        # cosets all have |N| elements; the test spares building a quotient
+        if all(len(b) == len(N) for b in blocks) and _is_subgroup(ctx, N) and _is_normal(ctx, N):
+            quotient, _ = _coset_quotient(ctx, N)
+            if {f.mask for f in quotient.fibers} == {f.mask for f in fibers}:
+                return quotient
+        return CompactQuotient(ctx, fibers, None)
     raise ValueError("unsupported equivalence for this backend")
 
 
@@ -195,13 +203,26 @@ class UniversalCompactification:
     factors: tuple
 
 
+def _factor_map(source: FiniteGroup, images, target_order: int, compose) -> tuple:
+    """Check i -> images[i] as a map onto the group on range(target_order)
+    with product `compose`: the first pair breaking f(ab) = f(a)f(b), or
+    None (by `first_failing_pair`), and whether the map is surjective."""
+    table = source.table
+    failure = first_failing_pair(
+        source, lambda a, b: images[table[a][b]] == compose(images[a], images[b])
+    )
+    return failure, set(images) == set(range(target_order))
+
+
 def universal_compactification(ctx: Group, level: int, targets) -> UniversalCompactification:
     """The level universal compactification with its universality witnesses.
 
     Over the integers: the congruence quotient at the level together with
     the reduction map onto each family modulus, each verified elementwise
     to be a commuting surjective homomorphism and forced (hence unique) on
-    the image of the group. Family moduli must divide the level.
+    the image of the group. Family moduli must divide the level. Over a
+    finite group the quotient is by the intersection of the target normal
+    subgroups. Both backends check factor maps with `_factor_map`.
     """
     if isinstance(ctx, IntegerGroup):
         for m in targets:
@@ -213,49 +234,27 @@ def universal_compactification(ctx: Group, level: int, targets) -> UniversalComp
         factors = []
         for m in targets:
             images = tuple(i % m for i in range(level))
-            # Z/level is generated by 1 as a semigroup; see first_failing_pair
-            j = 1 % level
-            hom = all(
-                images[(i + j) % level] == (images[i] + images[j]) % m
-                for i in range(level)
-            )
-            surjective = set(images) == set(range(m))
+            failure, surjective = _factor_map(quotient.group, images, m, lambda x, y: (x + y) % m)
             commutes = all(images[g % level] == g % m for g in range(-2 * level, 2 * level + 1))
-            factors.append(FactorMap(m, images, hom, surjective, commutes))
+            factors.append(FactorMap(m, images, failure is None, surjective, commutes))
         return UniversalCompactification(quotient, tuple(factors))
     if isinstance(ctx, FiniteGroup):
         subgroups = [frozenset(map(ctx.check_element, t)) for t in targets]
         for N in subgroups:
             if not (_is_subgroup(ctx, N) and _is_normal(ctx, N)):
                 raise ValueError("family members must be quotients by normal subgroups")
-        core = frozenset(ctx.elements())
-        for N in subgroups:
-            core = core & N
-        quotient_group, projection = finite_quotient(ctx, core)
-        fibers = [
-            FiniteSubset(ctx, elements=[g for g in ctx.elements() if projection[g] == i])
-            for i in range(quotient_group.order)
-        ]
-        quotient = CompactQuotient(ctx, fibers, quotient_group)
+        quotient, projection = _coset_quotient(ctx, frozenset(ctx.elements()).intersection(*subgroups))
         factors = []
         for N in subgroups:
-            target_group, target_proj = finite_quotient(ctx, N)
-            images = [None] * quotient_group.order
-            consistent = True
-            for g in ctx.elements():
-                i = projection[g]
-                if images[i] is None:
-                    images[i] = target_proj[g]
-                elif images[i] != target_proj[g]:
-                    consistent = False
+            target, target_proj = finite_quotient(ctx, N)
+            images = [None] * quotient.size
+            for g, i in enumerate(projection):
+                images[i] = target_proj[g]
             images = tuple(images)
-            source_table, target_table = quotient_group.table, target_group.table
-            hom = consistent and first_failing_pair(
-                quotient_group,
-                lambda a, b: images[source_table[a][b]] == target_table[images[a]][images[b]],
-            ) is None
-            surjective = set(images) == set(range(target_group.order))
-            factors.append(FactorMap(target_group.order, images, hom, surjective, consistent))
+            commutes = all(images[i] == target_proj[g] for g, i in enumerate(projection))
+            table = target.table
+            failure, surjective = _factor_map(quotient.group, images, target.order, lambda x, y: table[x][y])
+            factors.append(FactorMap(target.order, images, failure is None, surjective, commutes))
         return UniversalCompactification(quotient, tuple(factors))
     raise ValueError("unsupported backend")
 
@@ -275,77 +274,60 @@ def definable_homomorphism_check(
 ) -> HomomorphismVerdict:
     """Verify a candidate compactification map g -> C.
 
-    Over the integers the map is given by one period of values (so it is
-    exactly periodic); the checks are the homomorphism law, dense (here
-    surjective) image, canonical definable fibers, and the factorization
-    through the universal quotient at the fiber modulus. The closure
-    identity cl f(A . B) = cl f(A) . cl f(B) is verified on the witness
-    families of congruence classes. A value outside the target raises
-    `BackendMismatch` before any check runs.
+    Over the integers the map is given by one period of d values (so it is
+    exactly periodic), over a finite group by one value per element. Both
+    check the identity, the homomorphism law (`_factor_map`, on Z/d's table
+    over the integers) and dense (here surjective) image. Over the integers
+    the fibers are canonical definable sets, the map factors through the
+    universal quotient at the fiber modulus, and the closure identity
+    cl f(A . B) = cl f(A) . cl f(B) is verified on the witness families of
+    congruence classes. A value outside the target raises `BackendMismatch`
+    before any check runs.
     """
     values = tuple(values)
     for v in values:
         target.check_element(v)
     if isinstance(ctx, IntegerGroup):
-        d = len(values)
-        if d < 1:
+        if not values:
             raise ValueError("need at least one value")
-        if values[0] != target.identity:
-            return HomomorphismVerdict(False, reason="does not send 0 to the identity")
-        table = target.table
-        # Z/d is generated by 1 as a semigroup; see first_failing_pair
-        one = 1 % d
-        if not all(values[(a + one) % d] == table[values[a]][values[one]] for a in range(d)):
-            a, b = next(
-                (a, b)
-                for a in range(d)
-                for b in range(d)
-                if values[(a + b) % d] != table[values[a]][values[b]]
-            )
-            return HomomorphismVerdict(False, reason=f"not a homomorphism at ({a},{b})")
-        if set(values) != set(target.elements()):
-            return HomomorphismVerdict(False, reason="dense-image failure")
-        fibers = tuple(
-            congruence_set(d, [r for r in range(d) if values[r] == c])
-            for c in target.elements()
-        )
-        factor_level = d if level is None else level
-        if factor_level % d != 0:
-            raise LevelError(f"level too coarse: {d} does not divide {factor_level}")
-        factor_images = tuple(values[i % d] for i in range(factor_level))
-        # closure identity on witness families: the closure of the image of a
-        # congruence class is the single value it maps to
-        closure_ok = all(
-            {values[(a + b) % d]} == {target.compose(values[a], values[b])}
-            for a in range(d)
-            for b in range(d)
-        )
-        return HomomorphismVerdict(
-            True,
-            fibers=fibers,
-            fiber_modulus=d,
-            factor_images=factor_images,
-            closure_identity_checked=closure_ok,
-        )
-    if isinstance(ctx, FiniteGroup):
+        source, identity_name = cyclic_group(len(values)), "0"
+    elif isinstance(ctx, FiniteGroup):
         if len(values) != ctx.order:
             raise ValueError("need one value per group element")
-        if values[ctx.identity] != target.identity:
-            return HomomorphismVerdict(False, reason="does not send the identity to the identity")
-        source_table, target_table = ctx.table, target.table
-        failure = first_failing_pair(
-            ctx, lambda a, b: values[source_table[a][b]] == target_table[values[a]][values[b]]
-        )
-        if failure is not None:
-            a, b = failure
-            return HomomorphismVerdict(False, reason=f"not a homomorphism at ({a},{b})")
-        if set(values) != set(target.elements()):
-            return HomomorphismVerdict(False, reason="dense-image failure")
-        fibers = tuple(
-            FiniteSubset(ctx, elements=[g for g in ctx.elements() if values[g] == c])
-            for c in target.elements()
-        )
-        return HomomorphismVerdict(
-            True, fibers=fibers, factor_images=values, closure_identity_checked=True
-        )
-    raise ValueError("unsupported backend")
+        source, identity_name = ctx, "the identity"
+    else:
+        raise ValueError("unsupported backend")
+    if values[source.identity] != target.identity:
+        return HomomorphismVerdict(False, reason=f"does not send {identity_name} to the identity")
+    table = target.table
+    failure, surjective = _factor_map(source, values, target.order, lambda x, y: table[x][y])
+    if failure is not None:
+        return HomomorphismVerdict(False, reason="not a homomorphism at ({},{})".format(*failure))
+    if not surjective:
+        return HomomorphismVerdict(False, reason="dense-image failure")
+    if isinstance(ctx, FiniteGroup):
+        fibers = _fibers(ctx, values, target.order)
+        return HomomorphismVerdict(True, fibers=fibers, factor_images=values, closure_identity_checked=True)
+    d = len(values)
+    fibers = tuple(
+        congruence_set(d, [r for r in range(d) if values[r] == c])
+        for c in target.elements()
+    )
+    factor_level = d if level is None else level
+    if factor_level % d != 0:
+        raise LevelError(f"level too coarse: {d} does not divide {factor_level}")
+    factor_images = tuple(values[i % d] for i in range(factor_level))
+    # closure identity on witness families: the closure of the image of a
+    # congruence class is the single value it maps to
+    closure_ok = all(
+        {values[(a + b) % d]} == {target.compose(values[a], values[b])}
+        for a in range(d)
+        for b in range(d)
+    )
+    return HomomorphismVerdict(
+        True,
+        fibers=fibers,
+        fiber_modulus=d,
+        factor_images=factor_images,
+        closure_identity_checked=closure_ok,
+    )

@@ -237,6 +237,13 @@ class AmbitMorphism:
         return self.limit_images[p]
 
     def certify(self) -> dict:
+        """Surjectivity, equivariance and, over the integers, limit stability.
+
+        Over a finite group, realized[gh] = g·realized[h] is checked for h in
+        the generators (`first_failing_pair`). That is exact because the
+        action is a homomorphism (`check_definable_flow`): the h that pass
+        are closed under products, as realized[g·hk] = (gh)·realized[k].
+        """
         F = self.flow
         ctx = F.ctx
         surjective = set(self.realized_images) | set(self.limit_images.values())
@@ -258,11 +265,10 @@ class AmbitMorphism:
             # and limit values by continuity, so agreement there is uniqueness
             checks["unique"] = equivariant and stable
         else:
-            equivariant = all(
-                self.realized_images[ctx.table[g][h]] == F.action[g][self.realized_images[h]]
-                for g in ctx.elements()
-                for h in ctx.elements()
-            )
+            realized, action, table = self.realized_images, F.action, ctx.table
+            equivariant = first_failing_pair(
+                ctx, lambda g, h: realized[table[g][h]] == action[g][realized[h]]
+            ) is None
             checks["equivariant"] = equivariant
             checks["unique"] = equivariant
         return checks

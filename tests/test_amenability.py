@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from typeflow import amenability
 from typeflow.amenability import (
+    InvariantMeasure,
     PestovCertificate,
     PestovExhausted,
     fixed_points,
@@ -20,7 +21,7 @@ from typeflow.amenability import (
 )
 from typeflow.defsets import FiniteSubset, congruence_set, difference_set, full_set, is_left_generic, translates_cover
 from typeflow.flows import FiniteFlowPresentation, kernel_of_action
-from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group
+from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.typespace import LevelTypeSpace, Limit, Realized, apply_group
 
 
@@ -237,3 +238,28 @@ def test_difference_ne_group_matches_no_fixed_points_at_even_levels():
     assert isinstance(cert, PestovCertificate)
     assert difference_set(cert.witness_set) != full_set(INTEGERS)
     assert all(fixed_points(INTEGERS, n) == [] for n in (2, 4, 6, 8, 10, 12))
+
+
+def test_non_invariant_measure_fails_on_s3():
+    s3 = symmetric_group_3()
+    assert verify_invariance(s3, 1, invariant_measure(s3, 1))
+    assert not verify_invariance(s3, 1, InvariantMeasure({Realized(0): 1}))
+    # uniform on the rotations {e, r, r2}: kept by the rotations, moved by a reflection
+    rotations = InvariantMeasure({Realized(g): Fraction(1, 3) for g in (0, 1, 2)})
+    assert not verify_invariance(s3, 1, rotations)
+
+
+def test_invariance_on_generators_agrees_with_every_element():
+    # uniform measures on every nonempty subset: a subset kept by the
+    # generators of a subgroup but not by the group shows up among them
+    seen = set()
+    for G in bundled_small_groups() + [cyclic_group(1)]:
+        for mask in range(1, 1 << G.order):
+            support = [g for g in G.elements() if mask >> g & 1]
+            mu = InvariantMeasure({Realized(g): Fraction(1, len(support)) for g in support})
+            literal = all(
+                mu.weight(apply_group(G, g, p)) == w for g in G.elements() for p, w in mu.weights.items()
+            )
+            assert verify_invariance(G, 1, mu) == literal, (G.name, support)
+            seen.add(literal)
+    assert seen == {True, False}

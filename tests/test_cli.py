@@ -766,6 +766,14 @@ def test_homomorphism_target_spec_must_use_json_integers():
     assert report["results"][0]["error"] == "ValueError: cyclic group order must be an integer, got 2.0"
 
 
+def test_homomorphism_target_that_is_not_finite_is_a_task_error():
+    c2 = {"kind": "bundled", "name": "c2"}
+    task = {"op": "check-homomorphism", "values": [0, 1], "target": {"kind": "product", "left": c2, "right": c2}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == "ValueError: homomorphism target must be a finite group"
+
+
 @pytest.mark.parametrize(
     "order, task, bad",
     [

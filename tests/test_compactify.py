@@ -2,6 +2,7 @@ import pytest
 
 from typeflow.compactify import (
     CongruenceEquivalence,
+    _factor_map,
     PartitionEquivalence,
     definable_homomorphism_check,
     finite_quotient,
@@ -153,3 +154,25 @@ def test_finite_quotient_machinery():
         finite_quotient(s3, [0, 1])  # not closed under the product
     with pytest.raises(ValueError):
         finite_quotient(s3, [0, 3])  # order-2 subgroup, not normal in s3
+
+
+def test_factor_map_reports_a_broken_law_and_a_missed_element():
+    c4 = cyclic_group(4)
+    mod2 = lambda x, y: (x + y) % 2  # noqa: E731
+    assert _factor_map(c4, (0, 1, 0, 1), 2, mod2) == (None, True)
+    assert _factor_map(c4, (0, 1, 1, 1), 2, mod2) == ((1, 1), True)
+    assert _factor_map(c4, (0, 0, 0, 0), 2, mod2) == (None, False)
+    c2 = cyclic_group(2)
+    assert _factor_map(c4, (0, 1, 0, 0), 2, lambda x, y: c2.table[x][y]) == ((1, 2), True)
+
+
+def test_logic_quotient_needs_the_blocks_to_be_cosets():
+    c4 = cyclic_group(4)
+    # {0, 2} is a normal subgroup, but {1} and {3} are not its cosets
+    q = logic_quotient(c4, PartitionEquivalence(({0, 2}, {1}, {3})))
+    assert q.group is None
+    assert [f.elements() for f in q.fibers] == [[0, 2], [1], [3]]
+    # the cosets of {0, 2}, listed in either order, give the quotient in its own order
+    q = logic_quotient(c4, PartitionEquivalence(({1, 3}, {0, 2})))
+    assert q.group is not None and q.group.order == 2
+    assert [f.elements() for f in q.fibers] == [[0, 2], [1, 3]]

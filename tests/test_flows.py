@@ -5,6 +5,7 @@ import pytest
 from typeflow import flows
 from typeflow.ellis import find_idempotents, star
 from typeflow.flows import (
+    AmbitMorphism,
     EventuallyPeriodicMap,
     FiniteFlowPresentation,
     check_definable_flow,
@@ -19,7 +20,7 @@ from typeflow.flows import (
     universal_ambit_morphism,
     universal_minimal_flow,
 )
-from typeflow.groups import INTEGERS, Subgroup, cyclic_group
+from typeflow.groups import INTEGERS, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_equivariant_maps, oracle_minimal_subflows
 from typeflow.typespace import LevelError, LevelTypeSpace, Limit, Realized, apply_group, restrict
 
@@ -251,3 +252,39 @@ def test_flow_json_round_trip():
     regular = FiniteFlowPresentation(c3, 3, action=[[0, 1, 2], [1, 2, 0], [2, 0, 1]], base=1)
     H = flow_from_json(c3, flow_to_json(regular))
     assert H.action == regular.action and H.base == 1
+
+
+def regular_flow(G):
+    return FiniteFlowPresentation(G, G.order, action=G.table, base=G.identity)
+
+
+def test_tampered_ambit_morphism_is_not_equivariant():
+    s3 = symmetric_group_3()
+    F = regular_flow(s3)
+    h = universal_ambit_morphism(1, F)
+    assert all(h.certify().values())
+    images = list(h.realized_images)
+    images[1], images[2] = images[2], images[1]
+    checks = AmbitMorphism(F, 1, s3.order, tuple(images), {}).certify()
+    assert checks["surjective"] and not checks["equivariant"] and not checks["unique"]
+
+
+def test_ambit_equivariance_on_generators_agrees_with_all_pairs():
+    seen = set()
+    for G in bundled_small_groups() + [cyclic_group(1)]:
+        F = regular_flow(G)
+        elements = list(G.elements())
+        # h -> hx is equivariant for every x, h -> xh only for central x
+        candidates = [[G.table[h][x] for h in elements] for x in elements]
+        candidates += [[G.table[x][h] for h in elements] for x in elements]
+        for i in elements:
+            for j in elements[:i]:
+                swapped = list(elements)
+                swapped[i], swapped[j] = j, i
+                candidates.append(swapped)
+        for images in candidates:
+            literal = all(images[G.table[g][h]] == F.action[g][images[h]] for g in elements for h in elements)
+            verdict = AmbitMorphism(F, 1, G.order, tuple(images), {}).certify()["equivariant"]
+            assert verdict == literal, (G.name, images)
+            seen.add(literal)
+    assert seen == {True, False}

@@ -1,6 +1,8 @@
-"""Every name a typeflow module imports is used in that module.
+"""Every name a typeflow module imports is used in that module, and every
+module-level private function or class is used somewhere in the package.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -34,3 +36,36 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes named with one leading underscore
+    that no module of `sources` (file name -> source) mentions, as a name
+    or an attribute. An imported private name counts once it is used, which
+    the import check above requires."""
+    defined, used = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append(f"{name}:{node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [d for d in defined if d.split(":")[1] not in used]
+
+
+def test_the_guard_sees_an_unused_private_function():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _unused():\n    pass\n\n\nclass _Lonely:\n    pass\n\n\nclass _Held:\n    pass\n",
+        "b.py": "from . import a\nfrom .a import _used\n\n\ndef public():\n    def _nested():\n        pass\n    return _used, a._Held\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py:_unused", "a.py:_Lonely"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

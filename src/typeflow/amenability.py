@@ -16,6 +16,9 @@ from fractions import Fraction
 from .defsets import (
     FiniteSubset,
     IntegerSet,
+    _Mask,
+    _divisors,
+    _rotate,
     complement,
     congruence_set,
     difference_set,
@@ -138,18 +141,21 @@ def generated_family(ctx: Group, max_modulus: int = 4):
     """Deterministic enumeration of probe sets.
 
     Integers: pure congruence-class sets of modulus up to the bound, in
-    (modulus, residue-mask) order, deduplicated by canonical form. Finite
-    backends: every nonempty subset in mask order.
+    (modulus, residue-mask) order, each set once, at its first occurrence.
+    A modulus-n mask that a rotation by a proper divisor d of n leaves
+    unchanged is a modulus-d set, which the list already holds, so it is
+    not built; every other mask is a set of canonical period n, built from
+    the mask itself. Finite backends: every nonempty subset in mask order.
     """
     if isinstance(ctx, IntegerGroup):
-        seen = set()
         out = []
         for n in range(1, max_modulus + 1):
+            shifts = _divisors(n)[:-1]
             for mask in range(1, 1 << n):
-                Y = congruence_set(n, [r for r in range(n) if mask >> r & 1])
-                if Y not in seen:
-                    seen.add(Y)
-                    out.append(Y)
+                if any(_rotate(mask, d, n) == mask for d in shifts):
+                    continue
+                residues = _Mask(mask, n)
+                out.append(IntegerSet(n, residues, residues))
         return out
     if isinstance(ctx, FiniteGroup):
         return [
@@ -227,6 +233,15 @@ def kernel_intersection(ctx: Group, max_modulus: int = 4):
     subgroup form; over the integers the intersection is a full congruence
     subgroup at these scales.
 
+    Over the integers a member Y of canonical period p is skipped, before
+    its genericity test, when the running intersection already lies in pZ.
+    This is exact: a generic Y has a nonempty eventual pattern of period p,
+    and for y far out in one of its tail classes, y + kp lies in Y for
+    every k >= 0, so every multiple of p lies in Y Y^{-1}; the intersection
+    with Y Y^{-1} is then the running intersection itself. The containment
+    is tested once per period, and the answers are forgotten whenever the
+    intersection is recomputed.
+
     The search stops once the intersection is {e}: a generic set is
     nonempty, so its difference set contains e and cannot shrink {e}.
     Over the integers every difference set here is periodic, so {e} is
@@ -234,10 +249,18 @@ def kernel_intersection(ctx: Group, max_modulus: int = 4):
     """
     acc = full_set(ctx)
     trivial = FiniteSubset(ctx, [ctx.identity]) if isinstance(ctx, FiniteGroup) else None
+    in_multiples = {}  # period p -> whether acc lies in pZ
     for Y in generated_family(ctx, max_modulus):
+        if isinstance(Y, IntegerSet):
+            p = Y.period
+            if p not in in_multiples:
+                in_multiples[p] = intersect(acc, congruence_set(p, [0])) == acc
+            if in_multiples[p]:
+                continue
         if not is_left_generic(ctx, Y).generic:
             continue
         acc = intersect(acc, difference_set(Y))
+        in_multiples.clear()
         if acc == trivial:
             break
     if isinstance(acc, FiniteSubset):

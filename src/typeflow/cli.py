@@ -42,6 +42,7 @@ from .defsets import (
     boolean_op,
     difference_set,
     is_left_generic,
+    json_int,
     set_from_json,
     set_to_json,
     translate,
@@ -206,11 +207,19 @@ def _task_extend_map(ctx, level, params, opts):
     if not isinstance(ctx, IntegerGroup):
         raise ValueError("extend-map applies to the integer backend")
     spec = params["map"]
+    if not isinstance(spec, dict):
+        raise ValueError(f"map must be an object, got {spec!r}")
+    window = spec.get("window", {})
+    if not isinstance(window, dict):
+        raise ValueError(f"map window must be an object, got {window!r}")
+    for side in ("up", "down"):
+        if not isinstance(spec[side], list):
+            raise ValueError(f"map {side} values must be a list, got {spec[side]!r}")
     f = EventuallyPeriodicMap(
-        spec["period"],
+        json_int(spec["period"], "map period"),
         spec["up"],
         spec["down"],
-        {int(k): v for k, v in spec.get("window", {}).items()},
+        {int(k): v for k, v in window.items()},
     )
     ext = extend_definable_map(f, level)
     images = {}

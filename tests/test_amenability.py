@@ -19,7 +19,15 @@ from typeflow.amenability import (
     singleton_minimal_criterion,
     verify_invariance,
 )
-from typeflow.defsets import FiniteSubset, congruence_set, difference_set, full_set, is_left_generic, translates_cover
+from typeflow.defsets import (
+    FiniteSubset,
+    congruence_set,
+    difference_set,
+    full_set,
+    intersect,
+    is_left_generic,
+    translates_cover,
+)
 from typeflow.flows import FiniteFlowPresentation, kernel_of_action
 from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.typespace import LevelTypeSpace, Limit, Realized, apply_group
@@ -107,6 +115,32 @@ def test_generated_family_deterministic_and_deduplicated():
     assert congruence_set(2, [0]) in fam
 
 
+def literal_integer_family(max_modulus):
+    """One congruence_set per residue mask, in (modulus, mask) order, first occurrence kept."""
+    out = []
+    for n in range(1, max_modulus + 1):
+        for mask in range(1, 1 << n):
+            Y = congruence_set(n, [r for r in range(n) if mask >> r & 1])
+            if Y not in out:
+                out.append(Y)
+    return out
+
+
+def test_generated_family_over_the_integers_is_the_literal_family():
+    for m in range(1, 10):
+        assert generated_family(INTEGERS, m) == literal_integer_family(m)
+
+
+def test_integer_searches_agree_with_the_literal_family(monkeypatch):
+    found = {
+        m: (pestov_check(INTEGERS, m), singleton_minimal_criterion(INTEGERS, 4, m))
+        for m in range(1, 9)
+    }
+    monkeypatch.setattr(amenability, "generated_family", lambda ctx, m: literal_integer_family(m))
+    for m, answers in found.items():
+        assert answers == (pestov_check(INTEGERS, m), singleton_minimal_criterion(INTEGERS, 4, m))
+
+
 def test_kernel_intersection_integers():
     sub, exact = kernel_intersection(INTEGERS, 6)
     assert sub == Subgroup.congruence(60)
@@ -163,6 +197,32 @@ def test_kernel_intersection_matches_the_whole_family():
         sub, exact = kernel_intersection(G)
         assert exact == FiniteSubset(G, sorted(literal))
         assert sub == Subgroup.of_elements(literal)
+
+
+def test_integer_kernel_intersection_matches_the_whole_family():
+    for m in range(1, 9):
+        literal = full_set(INTEGERS)
+        for Y in literal_integer_family(m):
+            if is_left_generic(INTEGERS, Y).generic:
+                literal = intersect(literal, difference_set(Y))
+        sub, exact = kernel_intersection(INTEGERS, m)
+        assert exact == literal
+        assert sub == Subgroup.congruence(literal.period)
+
+
+def test_integer_kernel_intersection_skips_periods_it_already_divides(monkeypatch):
+    # a pin that follows the algorithm: one difference set per period that
+    # still shrinks the intersection, ending at 60Z; period 6 divides 60
+    periods = []
+
+    def counting(Y):
+        periods.append(Y.period)
+        return difference_set(Y)
+
+    monkeypatch.setattr(amenability, "difference_set", counting)
+    sub, exact = kernel_intersection(INTEGERS, 6)
+    assert exact == congruence_set(60, [0])
+    assert periods == [2, 3, 4, 5]
 
 
 def test_kernel_intersection_stops_at_the_identity(monkeypatch):

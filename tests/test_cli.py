@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import copy
 import io
 import json
 import os
@@ -263,14 +264,16 @@ def test_render_text_shape():
     assert "- idempotents: ok" in text
 
 
-def test_every_cataloged_task_runs():
+def cataloged_task_params():
+    """Valid parameters for every cataloged task over the integers at level 4."""
     point_p = {"kind": "limit", "sign": "+", "res": 0, "mod": 4}
     point_q = {"kind": "limit", "sign": "-", "res": 1, "mod": 4}
     flow = {"carrier": 4, "pi": [1, 2, 3, 0], "base": 0}
-    per_task_params = {
+    ideal_points = [{"kind": "limit", "sign": "+", "res": r, "mod": 4} for r in range(4)]
+    return {
         "star": {"p": point_p, "q": point_q},
         "star-via-schema": {"p": point_p, "q": point_q},
-        "is-left-ideal": {"points": []},  # filled in below
+        "is-left-ideal": {"points": ideal_points},
         "check-flow": {"flow": flow},
         "universal-ambit-morphism": {"flow": flow},
         "extend-map": {"map": {"period": 2, "up": [0, 1], "down": [0, 1], "window": {"0": 9}}},
@@ -295,8 +298,10 @@ def test_every_cataloged_task_runs():
         "minimal-subflows": {},
         "universal-minimal-flow": {},
     }
-    ideal_points = [{"kind": "limit", "sign": "+", "res": r, "mod": 4} for r in range(4)]
-    per_task_params["is-left-ideal"] = {"points": ideal_points}
+
+
+def test_every_cataloged_task_runs():
+    per_task_params = cataloged_task_params()
     catalog = [t["op"] for t in list_capabilities()["tasks"]]
     assert set(per_task_params) == set(catalog)
     scenario = {
@@ -308,6 +313,62 @@ def test_every_cataloged_task_runs():
     assert code == 0, [r for r in report["results"] if not r["ok"]]
     assert all(r["ok"] for r in report["results"])
     assert report["results"][0]["op"] == catalog[0]
+
+
+def parameter_paths(value, prefix=()):
+    """The key or index path of every value nested inside a task's parameters."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield prefix + (key,)
+        yield from parameter_paths(inner, prefix + (key,))
+
+
+def with_swapped(params, path, replacement):
+    out = copy.deepcopy(params)
+    holder = out
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = replacement
+    return out
+
+
+def test_a_type_swapped_parameter_never_escapes_run_scenario():
+    # every task parameter, at any depth, replaced by a value of the wrong
+    # type or sign gives a report (exit 0 or 3), never an uncaught exception
+    escapes = []
+    for op, params in cataloged_task_params().items():
+        for path in parameter_paths(params):
+            for replacement in (None, True, 1.5, "x", [], {}, [None], 0, -1):
+                task = {"op": op, **with_swapped(params, path, replacement)}
+                scenario = {"group": {"kind": "integers"}, "level": 4, "tasks": [task]}
+                try:
+                    run_scenario(scenario, with_oracle=True)
+                except SchemaError:
+                    pass
+                except Exception as exc:  # listed, so that one run names every escape
+                    escapes.append((op, path, replacement, f"{type(exc).__name__}: {exc}"))
+    assert escapes == []
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ({"period": True, "up": [0], "down": [0]}, "map period must be an integer"),
+        ({"period": 1.0, "up": [0], "down": [0]}, "map period must be an integer"),
+        ({"period": 1, "up": [0], "down": [0], "window": [1]}, "map window must be an object"),
+        ({"period": 1, "up": "0", "down": [0]}, "map up values must be a list"),
+        ([1, [0], [0]], "map must be an object"),
+    ],
+)
+def test_malformed_extend_map_fails_the_task(spec, error):
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": "extend-map", "map": spec}]})
+    assert code == 3
+    assert report["results"][0]["error"].startswith(f"ValueError: {error}")
 
 
 @pytest.mark.parametrize("group", [{"kind": "cyclic"}, {"kind": "finite", "table": 5}])

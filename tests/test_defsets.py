@@ -507,6 +507,19 @@ def test_boolean_operations_pointwise(raw_a, raw_b):
     assert list(map(complement(A).member, xs)) == [not m for m in in_a]
 
 
+@PROPERTIES
+@given(raw_integer_sets())
+def test_a_set_with_a_tail_has_every_multiple_of_its_period_as_a_difference(raw):
+    # the lemma behind the pruning in amenability.kernel_intersection: with
+    # y far out in a tail class, y + kp lies in Y for every k >= 0
+    Y = IntegerSet(*raw)
+    if not (Y.up_mask or Y.down_mask):
+        return
+    diff = difference_set(Y)
+    reach = (Y.hi - Y.lo + 1) // Y.period + 3
+    assert all(diff.member(k * Y.period) for k in range(-reach, reach + 1))
+
+
 COPRIME_PAIRS = [(a, b) for a in range(1, 12) for b in range(1, 14) if gcd(a, b) == 1]
 
 

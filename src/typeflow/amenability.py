@@ -10,6 +10,7 @@ checks verify invariance rather than existence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,9 @@ from .groups import FiniteGroup, Group, IntegerGroup, Subgroup
 from .typespace import LevelError, LevelTypeSpace, Limit, Realized, apply_group, contains
 
 
+_ZERO = Fraction(0)
+
+
 class InvariantMeasure:
     """Exact rational probability weights on a level space or finite flow.
 
@@ -41,18 +45,20 @@ class InvariantMeasure:
     """
 
     def __init__(self, weights):
-        weights = {k: Fraction(v) for k, v in weights.items()}
-        if any(w < 0 for w in weights.values()):
+        weights = {k: v if type(v) is Fraction else Fraction(v) for k, v in weights.items()}
+        # a measure repeats few distinct weights: check and add each once
+        counts = Counter((w.numerator, w.denominator) for w in weights.values())
+        if any(num < 0 for num, _ in counts):
             raise ValueError("weights must be nonnegative")
-        if sum(weights.values(), Fraction(0)) != 1:
+        if sum((Fraction(num * c, den) for (num, den), c in counts.items()), _ZERO) != 1:
             raise ValueError("weights must sum to one")
         self.weights = weights
 
     def weight(self, key) -> Fraction:
-        return self.weights.get(key, Fraction(0))
+        return self.weights.get(key, _ZERO)
 
     def mass_of(self, keys) -> Fraction:
-        return sum((self.weight(k) for k in keys), Fraction(0))
+        return sum((self.weight(k) for k in keys), _ZERO)
 
     def __eq__(self, other):
         return isinstance(other, InvariantMeasure) and self.weights == other.weights
@@ -109,7 +115,7 @@ def pushforward_measure(ctx: Group, mu: InvariantMeasure, target_level: int) -> 
         if p.modulus % target_level != 0:
             raise LevelError(f"{target_level} does not divide level {p.modulus}")
         q = Limit(p.sign, p.residue % target_level, target_level)
-        out[q] = out.get(q, Fraction(0)) + w
+        out[q] = out.get(q, _ZERO) + w
     return InvariantMeasure(out)
 
 
@@ -344,7 +350,7 @@ def measure_definability_check(
         for g in range(level):
             gy = translate(g, Y)
             values[g] = sum(
-                (mu.weight(p) for p in limit_points if contains(p, gy)), Fraction(0)
+                (mu.weight(p) for p in limit_points if contains(p, gy)), _ZERO
             )
         distinct = sorted(set(values.values()))
         separable = True

@@ -203,6 +203,18 @@ def _task_ambit_morphism(ctx, level, params, opts):
     }
 
 
+def _window_point(key: str) -> int:
+    """The point a map window key names; only canonical decimals such as
+    "-3" are keys, so that no two keys name the same point."""
+    try:
+        x = int(key)
+    except ValueError:
+        x = None
+    if x is None or key != str(x):
+        raise ValueError(f"map window key {key!r} is not a canonical integer")
+    return x
+
+
 def _task_extend_map(ctx, level, params, opts):
     if not isinstance(ctx, IntegerGroup):
         raise ValueError("extend-map applies to the integer backend")
@@ -219,7 +231,7 @@ def _task_extend_map(ctx, level, params, opts):
         json_int(spec["period"], "map period"),
         spec["up"],
         spec["down"],
-        {int(k): v for k, v in window.items()},
+        {_window_point(k): v for k, v in window.items()},
     )
     ext = extend_definable_map(f, level)
     images = {}

@@ -104,7 +104,9 @@ def finite_quotient(ctx: FiniteGroup, normal_elems) -> tuple[FiniteGroup, tuple]
     """Quotient of a finite group by a normal subgroup.
 
     Returns the quotient group (identity coset at index 0) and the
-    projection as a tuple indexed by source elements.
+    projection as a tuple indexed by source elements. The coset table is a
+    group because N is normal, so it is not verified again; the inverse of
+    a coset is the coset of its representative's inverse.
     """
     N = frozenset(normal_elems)
     if not _is_subgroup(ctx, N):
@@ -120,11 +122,9 @@ def finite_quotient(ctx: FiniteGroup, normal_elems) -> tuple[FiniteGroup, tuple]
         reps.append(g)
         for n in N:
             projection[ctx.table[g][n]] = idx
-    table = [
-        [projection[ctx.table[reps[i]][reps[j]]] for j in range(len(reps))]
-        for i in range(len(reps))
-    ]
-    return FiniteGroup(table, name=f"{ctx.name}/N{len(N)}"), tuple(projection)
+    table = tuple(tuple(projection[ctx.table[a][b]] for b in reps) for a in reps)
+    inverse = (projection[ctx.inverse[a]] for a in reps)
+    return FiniteGroup._by_construction(table, inverse, f"{ctx.name}/N{len(N)}"), tuple(projection)
 
 
 def _fibers(ctx: FiniteGroup, labels, count: int) -> tuple:

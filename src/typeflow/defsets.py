@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from math import gcd
 
@@ -50,6 +51,22 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+@lru_cache(maxsize=256)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n in increasing order, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +151,20 @@ def _canonical_form(period, up, down, lo, hi, window):
     """Reduce to the unique normal form: minimal period, minimal window.
 
     ``up`` and ``down`` are period-bit masks and ``window`` is the mask of
-    the bits over [lo, hi]. The minimal period is the least divisor d of
-    the period such that rotating both patterns by d leaves them unchanged.
+    the bits over [lo, hi]. The minimal period is the least divisor d0 of
+    the period such that rotating both patterns by d0 leaves them
+    unchanged. It is found by prime descent: start at d = period and, for
+    each prime q dividing the period in turn, replace d by d/q as long as q
+    divides d and rotating both masks by d/q leaves them unchanged.
+
+    This is exact. The rotations that fix both masks form a subgroup of
+    Z/period, generated by d0, so rotating by a divisor e of the period
+    fixes both masks exactly when d0 divides e. Every step keeps d0 | d.
+    Once the test for q fails at some d, it fails at every later d' = d/m
+    with q not dividing m: d0 | d'/q would give d0 | d/q. So if the final
+    d were not d0, some prime q of d/d0 would divide the period, and
+    d0 | d/q would have passed q's test, a contradiction.
+
     The window is the least interval outside of which membership agrees
     with the eventual patterns: its top is the highest point whose bit
     disagrees with ``up``, its bottom the lowest one that disagrees with
@@ -144,12 +173,17 @@ def _canonical_form(period, up, down, lo, hi, window):
     boundary is the least valid one. A set that agrees with a single
     two-sided pattern everywhere gets the fixed empty window (0, -1).
     """
-    for d in _divisors(period)[:-1]:
-        if _rotate(up, d, period) == up and _rotate(down, d, period) == down:
-            up &= (1 << d) - 1
-            down &= (1 << d) - 1
-            period = d
-            break
+    d = period
+    for q in _prime_divisors(period):
+        while d % q == 0:
+            e = d // q
+            if _rotate(up, e, period) != up or _rotate(down, e, period) != down:
+                break
+            d = e
+    if d < period:
+        up &= (1 << d) - 1
+        down &= (1 << d) - 1
+        period = d
 
     width = hi - lo + 1
     up_disagree = window ^ _extend(up, period, lo, width)
@@ -226,10 +260,6 @@ class IntegerSet:
         if x < self.lo:
             return bool(self.down_mask >> x % self.period & 1)
         return bool(self.window_mask >> x - self.lo & 1)
-
-    def pattern(self, sign: int) -> frozenset:
-        """Eventual residue pattern toward +infinity (sign > 0) or -infinity."""
-        return self.up if sign > 0 else self.down
 
     @property
     def is_empty(self) -> bool:
@@ -445,8 +475,13 @@ def full_set(ctx: Group):
 
 def congruence_set(modulus: int, residues) -> IntegerSet:
     """The set of integers congruent to one of the residues."""
-    rs = set(int(r) % modulus for r in residues)
-    return IntegerSet(modulus, up=rs, down=rs)
+    if modulus < 1:
+        raise ValueError("period must be at least 1")
+    mask = 0
+    for r in residues:
+        mask |= 1 << int(r) % modulus
+    pattern = _Mask(mask, modulus)
+    return IntegerSet(modulus, up=pattern, down=pattern)
 
 
 def integer_ray(sign: int, bound: int) -> IntegerSet:

@@ -84,6 +84,13 @@ class FiniteGroup(Group):
     They are kept as the read-only tuple ``generators``, which is empty
     only for the trivial group; `first_failing_pair` checks group laws on
     them.
+
+    Tables that are groups by construction skip these checks: the Z/n
+    table of `cyclic_group` and the G/N table of `finite_quotient`, for an
+    N just checked to be a normal subgroup. Both come from
+    `_by_construction`, with identity 0 and their inverses given. Every
+    table read from input (the ``finite`` kind, homomorphism targets) goes
+    through the verifying constructor.
     """
 
     def __init__(self, table, name: str | None = None):
@@ -129,6 +136,19 @@ class FiniteGroup(Group):
         self.identity = ident
         self.generators = generators
         self.name = name or f"finite{n}"
+
+    @classmethod
+    def _by_construction(cls, table: tuple, inverse, name: str) -> "FiniteGroup":
+        """A group from a tuple-of-tuples table that is a group by how it
+        was built, with identity 0 and ``inverse[g]`` the inverse of g."""
+        self = cls.__new__(cls)
+        self.order = len(table)
+        self.table = table
+        self.inverse = tuple(inverse)
+        self.identity = 0
+        self.generators = tuple(_greedy_generators(table, 0))
+        self.name = name
+        return self
 
     @property
     def is_finite(self) -> bool:
@@ -293,8 +313,10 @@ class Subgroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"c{n}")
+    # row i is row 0 rotated left by i: (i + j) mod n
+    row = tuple(range(n))
+    table = tuple(row[i:] + row[:i] for i in range(n))
+    return FiniteGroup._by_construction(table, (-g % n for g in row), f"c{n}")
 
 
 def klein_four_group() -> FiniteGroup:

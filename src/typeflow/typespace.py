@@ -11,7 +11,7 @@ its direction within its residue class.
 
 from __future__ import annotations
 
-from .defsets import IntegerSet, congruence_set, json_int, member, right_translate
+from .defsets import IntegerSet, _Mask, _rotate, congruence_set, json_int, member, right_translate
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
 
 
@@ -143,8 +143,10 @@ def acting_set(ctx: Group, p, Y):
         raise BackendMismatch("expected an integer set")
     if p.modulus % Y.period != 0:
         raise LevelError(f"set period {Y.period} does not divide level {p.modulus}")
-    pat = Y.pattern(p.sign)
-    return congruence_set(Y.period, [(r - p.residue) % Y.period for r in pat])
+    # g is in the set when (p.residue + g) mod period is in the pattern
+    mask = Y.up_mask if p.sign > 0 else Y.down_mask
+    pattern = _Mask(_rotate(mask, p.residue % Y.period, Y.period), Y.period)
+    return IntegerSet(Y.period, up=pattern, down=pattern)
 
 
 def limit_of(sign: int, residue: int, modulus: int):

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from typeflow import amenability
 from typeflow.amenability import (
     InvariantMeasure,
@@ -323,3 +327,70 @@ def test_invariance_on_generators_agrees_with_every_element():
             assert verify_invariance(G, 1, mu) == literal, (G.name, support)
             seen.add(literal)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# weight validation
+
+
+def literal_measure_outcome(weights):
+    """What the definition says of a weight dict: accept, or which rule fails."""
+    values = [Fraction(v) for v in weights.values()]
+    if any(w < 0 for w in values):
+        return "nonnegative"
+    if sum(values) != 1:
+        return "sum to one"
+    return "accept"
+
+
+@st.composite
+def weight_dicts(draw):
+    """Weights as ints, strings and Fractions; half of them rescaled so that
+    they sum to one, some negative, some zero."""
+    pairs = st.tuples(st.integers(-1, 6), st.integers(1, 6))
+    raw = [Fraction(*pair) for pair in draw(st.lists(pairs, min_size=1, max_size=12))]
+    total = sum(raw)
+    if total and draw(st.booleans()):
+        raw = [w / total for w in raw]
+    weights = {}
+    for key, w in enumerate(raw):
+        form = draw(st.sampled_from(["fraction", "string", "int"]))
+        if form == "string":
+            weights[key] = str(w)
+        elif form == "int" and w.denominator == 1:
+            weights[key] = int(w)
+        else:
+            weights[key] = w
+    return weights
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(weight_dicts())
+def test_measure_weights_are_validated_as_defined(weights):
+    expected = literal_measure_outcome(weights)
+    if expected == "accept":
+        mu = InvariantMeasure(weights)
+        assert mu.weights == {k: Fraction(v) for k, v in weights.items()}
+        assert all(type(w) is Fraction for w in mu.weights.values())
+    else:
+        with pytest.raises(ValueError, match=expected):
+            InvariantMeasure(weights)
+
+
+@pytest.mark.parametrize(
+    "weights, outcome",
+    [
+        ({0: "1/2", 1: Fraction(1, 2)}, "accept"),
+        ({0: 1, 1: 0}, "accept"),
+        ({0: "3/2", 1: Fraction(-1, 2)}, "nonnegative"),
+        ({0: "1/3", 1: "1/3"}, "sum to one"),
+        ({0: 2}, "sum to one"),
+    ],
+)
+def test_measure_weight_examples(weights, outcome):
+    assert literal_measure_outcome(weights) == outcome
+    if outcome == "accept":
+        InvariantMeasure(weights)
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            InvariantMeasure(weights)

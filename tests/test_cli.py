@@ -908,3 +908,61 @@ def test_bad_finite_elements_never_escape_main(scenario):
         assert code == 3 and err.getvalue() == ""
         report = json.loads(out.getvalue())
         assert report["partial"] and not report["results"][0]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# extend-map window keys are canonical decimals
+
+
+@pytest.mark.parametrize("key", ["03", " 3", "+3", "3_0", "-0", "3 ", "x"])
+def test_extend_map_window_key_must_be_canonical(key):
+    spec = {"period": 1, "up": [0], "down": [0], "window": {key: 1}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": "extend-map", "map": spec}]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: map window key {key!r} is not a canonical integer"
+
+
+def test_extend_map_keys_naming_one_point_twice_fail_the_task():
+    spec = {"period": 1, "up": [0], "down": [0], "window": {"3": 1, "03": 1, " 3": 2, "+3": 3, "3_0": 7}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": "extend-map", "map": spec}]})
+    assert code == 3
+    assert report["results"][0]["error"] == "ValueError: map window key '03' is not a canonical integer"
+
+
+def test_extend_map_takes_negative_and_zero_keys():
+    spec = {"period": 1, "up": [0], "down": [0], "window": {"-3": 1, "0": 1, "12": 1}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 2, "tasks": [{"op": "extend-map", "map": spec}]})
+    assert code == 0
+    assert report["results"][0]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# every table read from input is verified as a group
+
+
+MALFORMED_TABLES = [
+    ([[0, 1], [1, 0], [0, 1]], "table is not a square array of element indices"),
+    ([[0, 1], [1, 2]], "table is not a square array of element indices"),
+    ([[1, 0], [0, 0]], "table has no identity element"),
+    ([[0, 1], [1, 1]], "element 1 has no inverse"),
+    (
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+        "table is not associative at (1,1,2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("table, message", MALFORMED_TABLES)
+def test_malformed_finite_table_is_a_schema_error(table, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"kind": "finite", "table": table}, "tasks": [{"op": "idempotents"}]}))
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: bad group spec: {message}\n"
+
+
+@pytest.mark.parametrize("table, message", MALFORMED_TABLES)
+def test_malformed_homomorphism_target_table_fails_the_task(table, message):
+    task = {"op": "check-homomorphism", "values": [0], "target": {"kind": "finite", "table": table}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: {message}"

@@ -10,6 +10,7 @@ from typeflow.defsets import (
     FiniteSubset,
     IntegerSet,
     RectangleSet,
+    _canonical_form,
     boolean_op,
     complement,
     congruence_set,
@@ -174,6 +175,12 @@ def test_canonical_form_decides_equality():
         B = random_integer_set(rng)
         pointwise = all(A.member(x) == B.member(x) for x in range(-150, 151))
         assert pointwise == (A == B)
+
+
+@pytest.mark.parametrize("modulus, residues", [(0, [1]), (0, []), (-3, [1]), (-3, [])])
+def test_congruence_modulus_must_be_positive(modulus, residues):
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        congruence_set(modulus, residues)
 
 
 def test_backend_mismatch_raises():
@@ -562,3 +569,48 @@ def test_quotient_set_matches_enumeration_for_coprime_periods(pair, data):
     for t in range(-800, 801):
         shifted = in_a >> t if t >= 0 else in_a << -t
         assert Q.member(t) == bool(shifted & in_b), (A, B, t)
+
+
+# ---------------------------------------------------------------------------
+# the least period by prime descent
+
+
+def ascending_divisor_period(period, up, down):
+    """The least divisor d of the period at which both period-bit masks
+    repeat, found by trying every divisor in ascending order."""
+    texts = [format(mask, f"0{period}b") for mask in (up, down)]
+    for d in range(1, period):
+        if period % d == 0 and all(t == t[d:] + t[:d] for t in texts):
+            return d
+    return period
+
+
+DESCENT_PERIODS = [1, 2, 6, 12, 64, 81, 128, 120, 360, 840, 2310, 97, 8633]
+
+
+@st.composite
+def planted_patterns(draw, period):
+    """A period-bit mask repeating a random pattern of a drawn sub-period,
+    with one bit flipped or none."""
+    sub = draw(st.sampled_from([d for d in range(1, period + 1) if period % d == 0]))
+    tile = draw(st.integers(0, (1 << sub) - 1))
+    mask = int(format(tile, f"0{sub}b") * (period // sub), 2)
+    if draw(st.booleans()):
+        mask ^= 1 << draw(st.integers(0, period - 1))
+    return mask
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(DESCENT_PERIODS), st.data())
+def test_prime_descent_finds_the_least_period(period, data):
+    up = data.draw(planted_patterns(period))
+    down = data.draw(planted_patterns(period))
+    width = data.draw(st.integers(0, 12))
+    lo = data.draw(st.integers(-30, 30))
+    window = data.draw(st.integers(0, (1 << width) - 1))
+    d = ascending_divisor_period(period, up, down)
+    low_bits = (1 << d) - 1
+    got = _canonical_form(period, up, down, lo, lo + width - 1, window)
+    assert got[0] == d
+    # at its least period the form has no period left to reduce
+    assert got == _canonical_form(d, up & low_bits, down & low_bits, lo, lo + width - 1, window)

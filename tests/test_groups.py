@@ -425,3 +425,42 @@ def test_is_subgroup_matches_the_literal_definition_on_every_subset(G):
         assert _is_subgroup(G, N) == literal, sorted(N)
         verdicts.append(literal)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# tables that are groups by construction
+
+
+def group_fields(G):
+    return G.table, G.identity, G.inverse, G.generators, G.name, G.order
+
+
+def test_cyclic_tables_match_the_verifying_constructor():
+    for n in range(1, 61):
+        built = cyclic_group(n)
+        assert group_fields(built) == group_fields(FiniteGroup(built.table, name=f"c{n}"))
+
+
+def normal_subgroups(G):
+    """Every normal subgroup of G, found by trying every subset."""
+    found = []
+    for mask in range(1 << G.order):
+        N = frozenset(g for g in G.elements() if mask >> g & 1)
+        if _is_subgroup(G, N) and _is_normal(G, N):
+            found.append(N)
+    return found
+
+
+def test_quotient_tables_match_the_verifying_constructor():
+    groups = bundled_small_groups() + [
+        FiniteGroup(product_table(cyclic_group(2).table, symmetric_group_3().table), name="c2xs3"),
+        FiniteGroup(product_table(cyclic_group(3).table, klein_four_group().table), name="c3xv4"),
+    ]
+    quotients = 0
+    for G in groups:
+        for N in normal_subgroups(G):
+            Q, _ = finite_quotient(G, N)
+            assert group_fields(Q) == group_fields(FiniteGroup(Q.table, name=Q.name))
+            quotients += 1
+    # s3 has 3 normal subgroups, d4 and q8 have 6 each, c2 x s3 has 7
+    assert quotients == 56

@@ -1,5 +1,6 @@
-"""Every name a typeflow module imports is used in that module, and every
-module-level private function or class is used somewhere in the package.
+"""Every name a typeflow module imports is used in that module, every
+module-level private function or class is used somewhere in the package,
+and only tables that are groups by construction skip the group checks.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -69,3 +70,39 @@ def test_the_guard_sees_an_unused_private_function():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def by_construction_callers(sources: dict[str, str]) -> list[str]:
+    """Where ``_by_construction``, the constructor that skips the group-axiom
+    checks, is mentioned as a name or an attribute: "file:function" for the
+    innermost enclosing function, "file:<module>" outside any. Sorted."""
+    found = set()
+
+    def visit(node, name, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif getattr(node, "attr", getattr(node, "id", None)) == "_by_construction":
+            found.add(f"{name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name, "<module>")
+    return sorted(found)
+
+
+def test_the_guard_sees_every_caller_of_the_unchecked_constructor():
+    sources = {
+        "a.py": "def cyclic_group(n):\n    return FiniteGroup._by_construction(t, i, 'c')\n",
+        "b.py": (
+            "def from_input(t):\n    make = FiniteGroup._by_construction\n    return make(t, i, 'x')\n\n\n"
+            "G = FiniteGroup._by_construction(t, i, 'y')\n"
+        ),
+    }
+    assert by_construction_callers(sources) == ["a.py:cyclic_group", "b.py:<module>", "b.py:from_input"]
+
+
+def test_only_tables_built_as_groups_skip_the_group_checks():
+    # a table read from input must always go through FiniteGroup.__init__
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert by_construction_callers(sources) == ["compactify.py:finite_quotient", "groups.py:cyclic_group"]

@@ -442,33 +442,36 @@ def _task_check_homomorphism(ctx, level, params, opts):
     return out
 
 
+# op -> (handler, parameter descriptions for --capabilities, the parameters
+# the handler reads on every call). Parameters needed only in some cases,
+# such as `b` for a binary boolean, are checked by the handler.
 TASKS = {
-    "star": (_task_star, {"p": "type point", "q": "type point"}),
-    "star-via-schema": (_task_star_via_schema, {"p": "type point", "q": "type point"}),
-    "idempotents": (_task_idempotents, {}),
-    "minimal-subflows": (_task_minimal_subflows, {}),
-    "universal-minimal-flow": (_task_universal_minimal_flow, {}),
-    "is-left-ideal": (_task_is_left_ideal, {"points": "list of type points"}),
-    "check-flow": (_task_check_flow, {"flow": "flow presentation"}),
-    "universal-ambit-morphism": (_task_ambit_morphism, {"flow": "pointed flow presentation"}),
-    "extend-map": (_task_extend_map, {"map": "eventually periodic map"}),
-    "kernel-of-action": (_task_kernel_of_action, {"flow": "optional flow presentation"}),
-    "fixed-points": (_task_fixed_points, {"flow": "optional flow presentation"}),
-    "invariant-measure": (_task_invariant_measure, {"flow": "optional flow presentation"}),
-    "pestov-check": (_task_pestov_check, {"max_modulus": "int, default 4"}),
-    "kernel-intersection": (_task_kernel_intersection, {"max_modulus": "int, default 4"}),
-    "singleton-minimal": (_task_singleton_minimal, {"max_modulus": "int, default 4"}),
-    "measure-definability": (_task_measure_definability, {"max_modulus": "int, default 4"}),
-    "difference-set": (_task_difference_set, {"set": "definable set"}),
-    "is-generic": (_task_is_generic, {"set": "definable set"}),
-    "boolean": (_task_boolean, {"kind": "union|intersection|complement", "a": "set", "b": "set (binary ops)"}),
-    "translate": (_task_translate, {"g": "group element", "set": "definable set"}),
-    "acting-set": (_task_acting_set, {"p": "type point", "set": "definable set"}),
-    "contains": (_task_contains, {"p": "type point", "set": "definable set"}),
-    "logic-quotient": (_task_logic_quotient, {"modulus": "int (integers)", "blocks": "partition (finite)"}),
-    "g00": (_task_g00, {"level": "int, default scenario level"}),
-    "universal-compactification": (_task_universal_compactification, {"targets": "list of moduli or subgroups"}),
-    "check-homomorphism": (_task_check_homomorphism, {"values": "one period of values", "target": "finite group", "level": "optional int"}),
+    "star": (_task_star, {"p": "type point", "q": "type point"}, ("p", "q")),
+    "star-via-schema": (_task_star_via_schema, {"p": "type point", "q": "type point"}, ("p", "q")),
+    "idempotents": (_task_idempotents, {}, ()),
+    "minimal-subflows": (_task_minimal_subflows, {}, ()),
+    "universal-minimal-flow": (_task_universal_minimal_flow, {}, ()),
+    "is-left-ideal": (_task_is_left_ideal, {"points": "list of type points"}, ("points",)),
+    "check-flow": (_task_check_flow, {"flow": "flow presentation"}, ("flow",)),
+    "universal-ambit-morphism": (_task_ambit_morphism, {"flow": "pointed flow presentation"}, ("flow",)),
+    "extend-map": (_task_extend_map, {"map": "eventually periodic map"}, ("map",)),
+    "kernel-of-action": (_task_kernel_of_action, {"flow": "optional flow presentation"}, ()),
+    "fixed-points": (_task_fixed_points, {"flow": "optional flow presentation"}, ()),
+    "invariant-measure": (_task_invariant_measure, {"flow": "optional flow presentation"}, ()),
+    "pestov-check": (_task_pestov_check, {"max_modulus": "int, default 4"}, ()),
+    "kernel-intersection": (_task_kernel_intersection, {"max_modulus": "int, default 4"}, ()),
+    "singleton-minimal": (_task_singleton_minimal, {"max_modulus": "int, default 4"}, ()),
+    "measure-definability": (_task_measure_definability, {"max_modulus": "int, default 4"}, ()),
+    "difference-set": (_task_difference_set, {"set": "definable set"}, ("set",)),
+    "is-generic": (_task_is_generic, {"set": "definable set"}, ("set",)),
+    "boolean": (_task_boolean, {"kind": "union|intersection|complement", "a": "set", "b": "set (binary ops)"}, ("kind", "a")),
+    "translate": (_task_translate, {"g": "group element", "set": "definable set"}, ("g", "set")),
+    "acting-set": (_task_acting_set, {"p": "type point", "set": "definable set"}, ("p", "set")),
+    "contains": (_task_contains, {"p": "type point", "set": "definable set"}, ("p", "set")),
+    "logic-quotient": (_task_logic_quotient, {"modulus": "int (integers)", "blocks": "partition (finite)"}, ()),
+    "g00": (_task_g00, {"level": "int, default scenario level"}, ()),
+    "universal-compactification": (_task_universal_compactification, {"targets": "list of moduli or subgroups"}, ("targets",)),
+    "check-homomorphism": (_task_check_homomorphism, {"values": "one period of values", "target": "finite group", "level": "optional int"}, ("values", "target")),
 }
 
 
@@ -506,6 +509,9 @@ def validate_scenario(scenario) -> Group:
             raise SchemaError("each task must be an object with an 'op' field")
         if task["op"] not in TASKS:
             raise SchemaError(f"unknown task {task['op']!r}")
+        for name in TASKS[task["op"]][2]:
+            if name not in task:
+                raise SchemaError(f"task {task['op']!r} lacks required parameter {name!r}")
     return ctx
 
 
@@ -520,7 +526,7 @@ def run_scenario(scenario, with_oracle: bool = False):
     for task in scenario.get("tasks", []):
         op = task["op"]
         params = {k: v for k, v in task.items() if k != "op"}
-        handler, _ = TASKS[op]
+        handler = TASKS[op][0]
         entry = {"op": op, "params": params}
         try:
             entry["result"] = handler(ctx, level, params, opts)

@@ -16,7 +16,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import LevelError, LevelTypeSpace, Limit, Realized, acting_set, apply_group, contains, limit_of
+from .typespace import _LIMITS, LevelError, LevelTypeSpace, Limit, Realized, acting_set, apply_group, contains, limit_of
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -52,7 +52,14 @@ def star(ctx: Group, p, q):
         if not isinstance(ctx, IntegerGroup):
             raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
         level = gcd(p.modulus, q.modulus)
-        return Limit(q.sign, (p.residue + q.residue) % level, level)
+        residue = (p.residue + q.residue) % level
+        sign = q.sign
+        # the interned point when every field is an exact int, as in Limit()
+        if type(sign) is int and type(residue) is int:
+            point = _LIMITS.get((sign, residue, level))
+            if point is not None:
+                return point
+        return Limit(sign, residue, level)
     if isinstance(p, Realized) and isinstance(q, Realized):
         return Realized(ctx.compose(p.value, q.value))
     level = _product_level(ctx, p, q)

@@ -189,7 +189,8 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     member. A realized member forces unboundedly many realized products
     and can never sit inside a finite descriptor. The members are distinct
     points of one level, so a sign circle is full exactly when the set
-    holds `level` members of that sign.
+    holds `level` members of that sign. That count is decided before the
+    2 * level left factors are built.
     """
     S = frozenset(points)
     if not S:
@@ -202,11 +203,10 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
             return False
         if p.modulus != level:
             raise LevelError(f"point at level {p.modulus} in a level-{level} check")
-    per_sign = Counter(p.sign for p in S)
+    if any(count != level for count in Counter(p.sign for p in S).values()):
+        return False
     left_factors = LevelTypeSpace(ctx, level).limit_points()
     for l in S:
-        if per_sign[l.sign] != level:
-            return False
         for s in left_factors:
             if star(ctx, s, l) not in S:
                 return False

@@ -45,26 +45,59 @@ class Realized:
         return f"Realized(value={self.value!r})"
 
 
+# The interned limit points, keyed by their (sign, residue, modulus) tuple of
+# exact ints. Written only by `Limit.__new__`; read directly by `star`. A write
+# that takes it past _LIMITS_CAP points clears it, so between constructor
+# calls it never holds more, even when threads build points at once.
+_LIMITS: dict = {}
+_LIMITS_CAP = 1 << 16
+
+
 class Limit:
     """A nonrealized complete type at a level: sign direction and residue.
 
     A value like `Realized`: never assigned after construction, with the
     hash of ``(sign, residue, modulus)`` computed in the constructor.
+
+    Limit points are interned: a point whose three fields are exact ints
+    is built once and then shared, so ``Limit(1, 5, 120)`` returns the same
+    object to every caller and a set of points matches a product by
+    identity before it calls `__eq__`. Fields of any other type (a bool,
+    a float) are validated and built afresh on every call and never
+    returned in place of an int point. Interning is only a fast path:
+    equality and hashing stay by value, so a point built while the bounded
+    table was full or just cleared still equals its interned twin.
     """
 
     __slots__ = ("sign", "residue", "modulus", "_hash")
 
-    def __init__(self, sign: int, residue: int, modulus: int):
+    def __new__(cls, sign: int, residue: int, modulus: int):
+        key = (sign, residue, modulus)
+        exact = type(sign) is int and type(residue) is int and type(modulus) is int
+        if exact:
+            point = _LIMITS.get(key)
+            if point is not None:
+                return point
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if modulus < 1:
             raise ValueError("modulus must be at least 1")
         if not 0 <= residue < modulus:
             raise ValueError("residue out of range for modulus")
-        self.sign = sign
-        self.residue = residue
-        self.modulus = modulus
-        self._hash = hash((sign, residue, modulus))
+        point = object.__new__(cls)
+        point.sign = sign
+        point.residue = residue
+        point.modulus = modulus
+        point._hash = hash(key)
+        if exact:
+            _LIMITS[key] = point
+            if len(_LIMITS) > _LIMITS_CAP:
+                _LIMITS.clear()
+        return point
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor
+        return (Limit, (self.sign, self.residue, self.modulus))
 
     def __eq__(self, other):
         if other.__class__ is not Limit:

@@ -315,6 +315,35 @@ def test_every_cataloged_task_runs():
     assert report["results"][0]["op"] == catalog[0]
 
 
+def test_a_missing_parameter_is_a_schema_error_only_when_always_read():
+    dropped = {}
+    for op, params in cataloged_task_params().items():
+        for name in params:
+            task = {"op": op, **{k: v for k, v in params.items() if k != name}}
+            scenario = {"group": {"kind": "integers"}, "level": 4, "tasks": [task]}
+            try:
+                _, code = run_scenario(scenario)
+            except SchemaError as exc:
+                assert str(exc) == f"task {op!r} lacks required parameter {name!r}"
+                dropped[op, name] = "schema"
+            else:
+                dropped[op, name] = code
+    schema = sorted(key for key, outcome in dropped.items() if outcome == "schema")
+    assert schema == sorted((op, name) for op, (_, _, required) in cli.TASKS.items() for name in required)
+    # parameters that only some cases read stay task errors
+    assert dropped["boolean", "b"] == 3 and dropped["logic-quotient", "modulus"] == 3
+    assert dropped["pestov-check", "max_modulus"] == 0
+
+
+def test_star_without_q_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "no-q.json"
+    point = {"kind": "limit", "sign": "+", "res": 0, "mod": 4}
+    path.write_text(json.dumps({"group": {"kind": "integers"}, "level": 4, "tasks": [{"op": "star", "p": point}]}))
+    assert main(["--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: task 'star' lacks required parameter 'q'\n"
+
+
 def parameter_paths(value, prefix=()):
     """The key or index path of every value nested inside a task's parameters."""
     if isinstance(value, dict):

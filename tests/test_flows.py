@@ -155,6 +155,21 @@ def test_left_ideal_star_calls(monkeypatch):
     assert calls == []
 
 
+def test_left_ideal_counts_circles_before_building_left_factors(monkeypatch):
+    def no_left_factors(self):
+        raise AssertionError("left factors built for a set with a partial circle")
+
+    monkeypatch.setattr(LevelTypeSpace, "limit_points", no_left_factors)
+    n = 1000
+    plus = frozenset(Limit(1, r, n) for r in range(n))
+    assert not is_left_ideal(INTEGERS, n, {Limit(1, 0, n)})
+    assert not is_left_ideal(INTEGERS, n, {Limit(-1, 3, n), Limit(-1, 7, n)})
+    # a full + circle does not excuse a partial - circle
+    assert not is_left_ideal(INTEGERS, n, plus | {Limit(-1, 0, n)})
+    with pytest.raises(AssertionError, match="left factors built"):
+        is_left_ideal(INTEGERS, n, plus)
+
+
 def test_left_ideal_randomized_larger_levels():
     rng = random.Random(31)
     for _ in range(120):

@@ -1,6 +1,7 @@
 """Every name a typeflow module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and only tables that are groups by construction skip the group checks.
+only tables that are groups by construction skip the group checks, and
+only the `Limit` constructor writes the table of interned limit points.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -72,16 +73,15 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
-def by_construction_callers(sources: dict[str, str]) -> list[str]:
-    """Where ``_by_construction``, the constructor that skips the group-axiom
-    checks, is mentioned as a name or an attribute: "file:function" for the
+def enclosing_functions(sources: dict[str, str], matches) -> list[str]:
+    """Where a node satisfying ``matches`` occurs: "file:function" for the
     innermost enclosing function, "file:<module>" outside any. Sorted."""
     found = set()
 
     def visit(node, name, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        elif getattr(node, "attr", getattr(node, "id", None)) == "_by_construction":
+        elif matches(node):
             found.add(f"{name}:{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, name, where)
@@ -89,6 +89,14 @@ def by_construction_callers(sources: dict[str, str]) -> list[str]:
     for name, source in sources.items():
         visit(ast.parse(source), name, "<module>")
     return sorted(found)
+
+
+def by_construction_callers(sources: dict[str, str]) -> list[str]:
+    """Where ``_by_construction``, the constructor that skips the group-axiom
+    checks, is mentioned as a name or an attribute."""
+    return enclosing_functions(
+        sources, lambda node: getattr(node, "attr", getattr(node, "id", None)) == "_by_construction"
+    )
 
 
 def test_the_guard_sees_every_caller_of_the_unchecked_constructor():
@@ -106,3 +114,49 @@ def test_only_tables_built_as_groups_skip_the_group_checks():
     # a table read from input must always go through FiniteGroup.__init__
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert by_construction_callers(sources) == ["compactify.py:finite_quotient", "groups.py:cyclic_group"]
+
+
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _names_the_table(node) -> bool:
+    return getattr(node, "attr", getattr(node, "id", None)) == "_LIMITS"
+
+
+def _writes_limits(node) -> bool:
+    """An assignment or deletion of ``_LIMITS`` or of one of its entries, a
+    call of one of its mutating methods, or any ``object.__new__`` call,
+    which could build a limit point that skips the checks and the table."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and _names_the_table(node):
+        return isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Subscript) and _names_the_table(node.value):
+        return isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner = node.func.value
+        if node.func.attr in MUTATORS and _names_the_table(owner):
+            return True
+        return node.func.attr == "__new__" and isinstance(owner, ast.Name) and owner.id == "object"
+    return False
+
+
+def limit_table_writers(sources: dict[str, str]) -> list[str]:
+    return enclosing_functions(sources, _writes_limits)
+
+
+def test_the_guard_sees_a_stray_write_to_the_intern_table():
+    sources = {
+        "a.py": "point = _LIMITS.get(key)\n",
+        "b.py": (
+            "def forge(s, r, m):\n    p = object.__new__(Limit)\n    return p\n\n\n"
+            "def seed(p):\n    typespace._LIMITS[(1, 0, 6)] = p\n\n\n"
+            "def wipe():\n    _LIMITS.clear()\n\n\n"
+            "def rebind():\n    global _LIMITS\n    del _LIMITS\n"
+        ),
+    }
+    assert limit_table_writers(sources) == ["b.py:forge", "b.py:rebind", "b.py:seed", "b.py:wipe"]
+
+
+def test_only_the_limit_constructor_writes_the_intern_table():
+    # every other module reads the table or calls Limit(...), which validates
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert limit_table_writers(sources) == ["typespace.py:<module>", "typespace.py:__new__"]

@@ -1,8 +1,16 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from typeflow import typespace
 from typeflow.defsets import IntegerSet, complement, congruence_set, integer_ray, member, union
+from typeflow.ellis import star
 from typeflow.groups import INTEGERS, cyclic_group
 from typeflow.typespace import (
     LevelError,
@@ -195,3 +203,90 @@ def test_point_repr():
     assert repr(Limit(-1, 3, 4)) == "Limit(sign=-1, residue=3, modulus=4)"
     assert repr(Realized(5)) == "Realized(value=5)"
     assert repr(Realized((1, 0))) == "Realized(value=(1, 0))"
+
+
+# ---------------------------------------------------------------------------
+# limit points are interned
+
+
+@st.composite
+def limit_fields(draw):
+    modulus = draw(st.integers(min_value=1, max_value=10**12))
+    return draw(st.sampled_from([1, -1])), draw(st.integers(min_value=0, max_value=modulus - 1)), modulus
+
+
+@given(limit_fields())
+def test_equal_int_fields_give_one_shared_point(fields):
+    sign, residue, modulus = fields
+    p = Limit(sign, residue, modulus)
+    # equal but distinct int objects for the large fields
+    q = Limit(int(str(sign)), int(str(residue)), int(str(modulus)))
+    assert p is q
+    assert hash(p) == hash((sign, residue, modulus))
+    assert (p.sign, p.residue, p.modulus) == (sign, residue, modulus)
+
+
+@pytest.mark.parametrize("fields", [(True, 0, 6), (1, False, 6), (1, True, 6), (1.0, 0, 6), (1, 0.0, 6), (1, 0, 6.0)])
+def test_bool_and_float_fields_never_alias_an_int_point(fields):
+    ints = tuple(int(f) for f in fields)
+    before = Limit(*ints)
+    odd = Limit(*fields)
+    assert odd is not before and odd is not Limit(*fields)
+    assert odd == before and hash(odd) == hash(before)
+    assert tuple(map(type, (odd.sign, odd.residue, odd.modulus))) == tuple(map(type, fields))
+    # the reverse order: an odd point built first is never handed out for ints
+    assert Limit(*ints) is before
+    assert type(Limit(*ints).sign) is int
+
+
+def test_star_keeps_a_bool_sign_like_the_constructor():
+    product = star(INTEGERS, Limit(1, 2, 6), Limit(True, 1, 6))
+    assert product == Limit(1, 3, 6) and type(product.sign) is bool
+    assert star(INTEGERS, Limit(1, 2, 6), Limit(-1, 1, 6)) is Limit(-1, 3, 6)
+
+
+@pytest.mark.parametrize("fields", [(1, 5, 120), (-1, 0, 1), (True, 0, 6), (1, 0.0, 6)])
+def test_copies_and_pickles_rebuild_through_the_constructor(fields):
+    p = Limit(*fields)
+    exact = all(type(f) is int for f in fields)
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and repr(clone) == repr(p)
+        assert (clone is p) == exact
+
+
+def test_the_intern_table_stays_bounded():
+    cap = typespace._LIMITS_CAP
+    modulus = cap + 7
+    built = [Limit(1, r, modulus) for r in range(cap + 7)]
+    assert len(typespace._LIMITS) <= cap
+    assert all(p == Limit(p.sign, p.residue, p.modulus) for p in built)
+    # a point built before the table was cleared still matches by value
+    assert Limit(1, 0, modulus) in frozenset(built) and built[0] in {Limit(1, 0, modulus)}
+
+
+def test_threads_building_points_keep_the_table_bounded(monkeypatch):
+    # a small cap makes every thread clear the table again and again
+    monkeypatch.setattr(typespace, "_LIMITS_CAP", 16)
+    wrong = []
+
+    def build(seed):
+        rng = random.Random(seed)
+        for _ in range(4000):
+            sign, residue = rng.choice((1, -1)), rng.randrange(97)
+            p = Limit(sign, residue, 97)
+            if (p.sign, p.residue, p.modulus) != (sign, residue, 97) or hash(p) != hash((sign, residue, 97)):
+                wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(typespace._LIMITS) <= 16

@@ -32,7 +32,7 @@ from .defsets import (
     translate,
     union,
 )
-from .typespace import LevelError, LevelTypeSpace, Limit, Realized, acting_set, apply_group, contains, limit_of, restrict
+from .typespace import LevelError, Limit, Realized, acting_set, apply_group, contains, is_closed_invariant, limit_points, restrict, witness
 from .ellis import find_idempotents, right_translation, star, star_via_schema
 
 __all__ = [
@@ -58,14 +58,15 @@ __all__ = [
     "translate",
     "union",
     "LevelError",
-    "LevelTypeSpace",
     "Limit",
     "Realized",
     "acting_set",
     "apply_group",
     "contains",
-    "limit_of",
+    "is_closed_invariant",
+    "limit_points",
     "restrict",
+    "witness",
     "find_idempotents",
     "right_translation",
     "star",

@@ -30,7 +30,7 @@ from .defsets import (
 )
 from .flows import FiniteFlowPresentation, minimal_subflows, minimal_subflows_of_flow
 from .groups import FiniteGroup, Group, IntegerGroup, Subgroup
-from .typespace import LevelError, LevelTypeSpace, Limit, Realized, apply_group, contains
+from .typespace import LevelError, Limit, Realized, apply_group, contains, limit_points
 
 
 _ZERO = Fraction(0)
@@ -125,8 +125,7 @@ def fixed_points(ctx: Group, level: int) -> list:
         if ctx.order == 1:
             return [Realized(ctx.identity)]
         return []
-    space = LevelTypeSpace(ctx, level)
-    return [p for p in space.limit_points() if apply_group(ctx, 1, p) == p]
+    return [p for p in limit_points(ctx, level) if apply_group(ctx, 1, p) == p]
 
 
 def fixed_points_of_flow(F: FiniteFlowPresentation) -> list[int]:
@@ -339,8 +338,7 @@ def measure_definability_check(
     if not isinstance(ctx, IntegerGroup):
         # over a finite backend every subset is definable, so separation is free
         return MeasureDefinabilityReport(True, [{"backend": "finite", "separable": True}])
-    space = LevelTypeSpace(ctx, level)
-    limit_points = space.limit_points()
+    points = limit_points(ctx, level)
     entries = []
     ok = True
     for Y in generated_family(ctx, max_modulus):
@@ -350,7 +348,7 @@ def measure_definability_check(
         for g in range(level):
             gy = translate(g, Y)
             values[g] = sum(
-                (mu.weight(p) for p in limit_points if contains(p, gy)), _ZERO
+                (mu.weight(p) for p in points if contains(p, gy)), _ZERO
             )
         distinct = sorted(set(values.values()))
         separable = True

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsets import FiniteSubset, congruence_set
-from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, cyclic_group, first_failing_pair
-from .typespace import LevelError
+from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, cyclic_group, first_failing_pair
+from .typespace import TYPE_SPACE_BACKENDS, LevelError
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,8 @@ def g00_at_level(ctx: Group, level: int) -> Subgroup:
         raise ValueError("level must be positive")
     if isinstance(ctx, FiniteGroup):
         return Subgroup.of_elements({ctx.identity})
+    if not isinstance(ctx, IntegerGroup):
+        raise BackendMismatch(TYPE_SPACE_BACKENDS)
     return Subgroup.congruence(level)
 
 

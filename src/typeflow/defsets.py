@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 
 from .groups import (
     BackendMismatch,
@@ -34,10 +34,6 @@ from .groups import (
     IntegerGroup,
     ProductGroup,
 )
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _divisors(n: int) -> list[int]:
@@ -517,7 +513,7 @@ def _membership(Y: IntegerSet, lo: int, width: int) -> int:
 def _combine_integer(A: IntegerSet, B: IntegerSet, op) -> IntegerSet:
     """Apply a bitwise operator to both patterns lifted to the lcm period and
     to both membership masks over the joint window."""
-    period = _lcm(A.period, B.period)
+    period = lcm(A.period, B.period)
     up = op(_extend(A.up_mask, A.period, 0, period), _extend(B.up_mask, B.period, 0, period))
     down = op(_extend(A.down_mask, A.period, 0, period), _extend(B.down_mask, B.period, 0, period))
     lo = min(A.lo, B.lo)
@@ -714,7 +710,7 @@ def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     if win_a and win_b:
         marks += [win_a[0] - win_b[-1], win_a[-1] - win_b[0]]
 
-    period = _lcm(pa, pb)
+    period = lcm(pa, pb)
     marks += [v for _, _, v in plus_rays]
     marks += [v for _, _, v in minus_rays]
     lo = min(marks) - period

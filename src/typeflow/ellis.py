@@ -16,7 +16,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import _LIMITS, LevelError, LevelTypeSpace, Limit, Realized, acting_set, apply_group, contains, limit_of
+from .typespace import _LIMITS, LevelError, Limit, Realized, acting_set, apply_group, contains, limit_points, witness
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -110,8 +110,7 @@ class RightTranslation:
         return star(self.ctx, p, self.q)
 
     def limit_images(self) -> dict:
-        space = LevelTypeSpace(self.ctx, self.level)
-        return {p: self(p) for p in space.limit_points()}
+        return {p: self(p) for p in limit_points(self.ctx, self.level)}
 
     def certify(self, realized_samples=None) -> dict:
         """Checks backing uniqueness: base point lands on q, realized points
@@ -127,9 +126,8 @@ class RightTranslation:
         )
         continuity_ok = True
         if isinstance(self.ctx, IntegerGroup):
-            for p in LevelTypeSpace(self.ctx, self.level).limit_points():
-                _, witness = limit_of(p.sign, p.residue, p.modulus)
-                tail = [self(Realized(a)) for a in witness(count=3, start=4)]
+            for p in limit_points(self.ctx, self.level):
+                tail = [self(Realized(a)) for a in witness(p, count=3, start=4)]
                 limit_image = self(p)
                 if isinstance(limit_image, Limit) and any(
                     t != limit_image for t in tail
@@ -156,5 +154,4 @@ def find_idempotents(ctx: Group, level: int) -> list:
     """
     if isinstance(ctx, FiniteGroup):
         return [Realized(ctx.identity)]
-    space = LevelTypeSpace(ctx, level)
-    return [p for p in space.limit_points() if star(ctx, p, p) == p]
+    return [p for p in limit_points(ctx, level) if star(ctx, p, p) == p]

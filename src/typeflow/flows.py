@@ -11,19 +11,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .defsets import json_int, json_ints
 from .ellis import star
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, first_failing_pair
 from .typespace import (
+    TYPE_SPACE_BACKENDS,
     LevelError,
-    LevelTypeSpace,
     Limit,
     Realized,
     apply_group,
-    limit_of,
+    limit_points,
     point_key,
+    witness,
 )
 
 
@@ -84,20 +85,16 @@ class FiniteFlowPresentation:
         if base is not None and not 0 <= base < size:
             raise ValueError("base point outside the carrier")
         self.base = base
-        self._order = None
 
     def _pi_order(self) -> int:
-        if self._order is None:
-            order = 1
-            seen: set[int] = set()
-            for x in range(self.size):
-                if x in seen:
-                    continue
+        seen: set[int] = set()
+        lengths = []
+        for x in range(self.size):
+            if x not in seen:
                 cycle = _orbit_cycle(self.pi, x)
                 seen.update(cycle)
-                order = order * len(cycle) // gcd(order, len(cycle))
-            self._order = order
-        return self._order
+                lengths.append(len(cycle))
+        return lcm(*lengths)
 
     def __repr__(self):
         kind = "integer" if self.pi is not None else "finite"
@@ -172,13 +169,10 @@ def minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     Over a finite backend the space is the group acting on itself, a
     single orbit.
     """
-    space = LevelTypeSpace(ctx, level if isinstance(ctx, IntegerGroup) else 1)
     if isinstance(ctx, FiniteGroup):
-        return [frozenset(space.realized_points())]
-    n = space.modulus
-    plus = frozenset(Limit(1, r, n) for r in range(n))
-    minus = frozenset(Limit(-1, r, n) for r in range(n))
-    return [plus, minus]
+        return [frozenset(Realized(g) for g in ctx.elements())]
+    pts = limit_points(ctx, level)
+    return [frozenset(pts[:level]), frozenset(pts[level:])]
 
 
 def is_left_ideal(ctx: Group, level: int, points) -> bool:
@@ -190,22 +184,26 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     and can never sit inside a finite descriptor. The members are distinct
     points of one level, so a sign circle is full exactly when the set
     holds `level` members of that sign. That count is decided before the
-    2 * level left factors are built.
+    2 * level left factors are built. Every limit member's level is checked
+    before any verdict, so neither the answer nor the error hangs on
+    iteration order.
     """
+    if not isinstance(ctx, (FiniteGroup, IntegerGroup)):
+        raise BackendMismatch(TYPE_SPACE_BACKENDS)
     S = frozenset(points)
     if not S:
         return False
     if isinstance(ctx, FiniteGroup):
         whole = frozenset(Realized(g) for g in ctx.elements())
         return S == whole
-    for p in S:
-        if isinstance(p, Realized):
-            return False
-        if p.modulus != level:
-            raise LevelError(f"point at level {p.modulus} in a level-{level} check")
+    wrong = {p.modulus for p in S if not isinstance(p, Realized)} - {level}
+    if wrong:
+        raise LevelError(f"point at level {min(wrong)} in a level-{level} check")
+    if any(isinstance(p, Realized) for p in S):
+        return False
     if any(count != level for count in Counter(p.sign for p in S).values()):
         return False
-    left_factors = LevelTypeSpace(ctx, level).limit_points()
+    left_factors = limit_points(ctx, level)
     for l in S:
         for s in left_factors:
             if star(ctx, s, l) not in S:
@@ -255,8 +253,7 @@ class AmbitMorphism:
                     equivariant = False
             stable = True
             for p in self.limit_images:
-                _, witness = limit_of(p.sign, p.residue, p.modulus)
-                values = {self.apply(Realized(a)) for a in witness(count=4, start=3)}
+                values = {self.apply(Realized(a)) for a in witness(p, count=4, start=3)}
                 if values != {self.limit_images[p]}:
                     stable = False
             checks["equivariant"] = equivariant
@@ -295,7 +292,7 @@ def universal_ambit_morphism(level: int, F: FiniteFlowPresentation) -> AmbitMorp
             raise LevelError(f"level too coarse: orbit period {d} does not divide level {level}")
         realized = tuple(cycle[r % d] for r in range(d))
         limits = {}
-        for p in LevelTypeSpace(ctx, level).limit_points():
+        for p in limit_points(ctx, level):
             limits[p] = cycle[p.residue % d]
         return AmbitMorphism(F, level, d, realized, limits)
     realized = tuple(F.action[g][F.base] for g in ctx.elements())
@@ -422,8 +419,8 @@ class ExtendedMap:
         stable = True
         for r in range(self.level):
             for sign in (1, -1):
-                p, witness = limit_of(sign, r, self.level)
-                seen = {self.base.at(a) for a in witness(count=4, start=escape)}
+                p = Limit(sign, r, self.level)
+                seen = {self.base.at(a) for a in witness(p, count=4, start=escape)}
                 if seen != {self.apply(p)}:
                     stable = False
         return {"singleton_limits": stable}
@@ -443,6 +440,8 @@ def kernel_of_action(ctx: Group, level: int) -> Subgroup:
     """Elements acting as the identity on the level minimal subflows."""
     if isinstance(ctx, FiniteGroup):
         return Subgroup.of_elements({ctx.identity})
+    if not isinstance(ctx, IntegerGroup):
+        raise BackendMismatch(TYPE_SPACE_BACKENDS)
     return Subgroup.congruence(level)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, Group
-from .typespace import LevelTypeSpace, Limit, Realized, apply_group, point_key
+from .typespace import Limit, Realized, apply_group, limit_points, point_key
 
 EXHAUSTION_LEVEL_BOUND = 8
 
@@ -194,7 +194,7 @@ def _require_small(level: int):
 def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     """All minimal invariant subsets of the limit part, by trying every subset."""
     _require_small(level)
-    pts = LevelTypeSpace(ctx, level).limit_points()
+    pts = limit_points(ctx, level)
     n = len(pts)
     index = {p: i for i, p in enumerate(pts)}
     perm = [index[apply_group(ctx, 1, p)] for p in pts]
@@ -233,7 +233,7 @@ def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
 
 def oracle_idempotents(ctx: Group, level: int) -> list:
     _require_small(level)
-    pts = LevelTypeSpace(ctx, level).limit_points()
+    pts = limit_points(ctx, level)
     return [p for p in pts if oracle_star(ctx, p, p, level) == p]
 
 

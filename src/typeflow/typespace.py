@@ -11,8 +11,11 @@ its direction within its residue class.
 
 from __future__ import annotations
 
-from .defsets import IntegerSet, _Mask, _rotate, congruence_set, json_int, member, right_translate
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
+from .defsets import IntegerSet, _Mask, _rotate, json_int, member, right_translate
+from .groups import INTEGERS, BackendMismatch, FiniteGroup, Group, IntegerGroup
+
+# the one message of every level-space task over a backend without type spaces
+TYPE_SPACE_BACKENDS = "type spaces are provided for integer and finite backends"
 
 
 class LevelError(ValueError):
@@ -182,89 +185,47 @@ def acting_set(ctx: Group, p, Y):
     return IntegerSet(Y.period, up=pattern, down=pattern)
 
 
-def limit_of(sign: int, residue: int, modulus: int):
-    """A limit point together with a witness sequence converging to it.
+def limit_points(ctx: Group, level: int) -> list[Limit]:
+    """The limit part of the type space at a congruence level: the + circle,
+    then the - circle, residues ascending.
 
-    The witness terms are residue + sign * k * modulus for k = 0, 1, ...;
+    The limit part is {+,-} x Z/n over the integers and empty over finite
+    backends, which only have the trivial level 1. The realized part is
+    left out: any closed invariant set containing a realized point is the
+    whole space, so subflow machinery works on the limit part.
+    """
+    if level < 1:
+        raise ValueError("level modulus must be at least 1")
+    if isinstance(ctx, FiniteGroup):
+        if level != 1:
+            raise LevelError("finite backends have only the trivial level 1")
+        return []
+    if not isinstance(ctx, IntegerGroup):
+        raise BackendMismatch(TYPE_SPACE_BACKENDS)
+    return [Limit(1, r, level) for r in range(level)] + [Limit(-1, r, level) for r in range(level)]
+
+
+def witness(p: Limit, count: int = 8, start: int = 0) -> list[int]:
+    """Terms of a sequence converging to the limit point p.
+
+    The terms are residue + sign * k * modulus for k = start, start + 1, ...;
     they stay in the residue class and escape in the sign direction, hence
     converge in the level topology.
     """
-    point = Limit(sign, residue % modulus, modulus)
-
-    def witness(count: int = 8, start: int = 0):
-        return [point.residue + sign * k * modulus for k in range(start, start + count)]
-
-    return point, witness
+    return [p.residue + p.sign * k * p.modulus for k in range(start, start + count)]
 
 
-class LevelTypeSpace:
-    """The type space truncated at a congruence level.
+def is_closed_invariant(points) -> bool:
+    """Is a set of integer level points closed and invariant?
 
-    The finite limit part is {+,-} x Z/n for the integers and empty for
-    finite backends (which only have the trivial level 1). The realized
-    part is kept symbolic. Any closed invariant set containing a realized
-    point is the whole space, so subflow machinery works on the limit part.
+    Every subset of the limit part is closed, so this is invariance under
+    the generator 1. A finite set holding a realized point is never
+    invariant.
     """
-
-    def __init__(self, ctx: Group, modulus: int = 1):
-        if modulus < 1:
-            raise ValueError("level modulus must be at least 1")
-        if isinstance(ctx, FiniteGroup) and modulus != 1:
-            raise LevelError("finite backends have only the trivial level 1")
-        if not isinstance(ctx, (FiniteGroup, IntegerGroup)):
-            raise BackendMismatch("type spaces are provided for integer and finite backends")
-        self.ctx = ctx
-        self.modulus = modulus
-
-    def limit_points(self) -> list[Limit]:
-        if isinstance(self.ctx, FiniteGroup):
-            return []
-        n = self.modulus
-        return [Limit(1, r, n) for r in range(n)] + [Limit(-1, r, n) for r in range(n)]
-
-    def realized_points(self) -> list[Realized]:
-        """The realized part; only enumerable for finite backends."""
-        if isinstance(self.ctx, FiniteGroup):
-            return [Realized(g) for g in self.ctx.elements()]
-        raise ValueError("the realized part over the integers is infinite")
-
-    def is_invariant(self, points) -> bool:
-        """Invariance of a limit-part subset under the group action."""
-        pts = frozenset(points)
-        if isinstance(self.ctx, FiniteGroup):
-            moved = {apply_group(self.ctx, g, p) for g in self.ctx.elements() for p in pts}
-            return moved <= pts
-        moved = {apply_group(self.ctx, 1, p) for p in pts}
-        return moved <= pts
-
-    def is_closed_invariant(self, points) -> bool:
-        pts = frozenset(points)
-        if isinstance(self.ctx, FiniteGroup):
-            # discrete space: closedness is free
-            return self.is_invariant(pts)
-        # over the integers every limit-part subset is closed, while a finite
-        # descriptor holding a realized point can never be invariant
-        if any(isinstance(p, Realized) for p in pts):
-            return False
-        return self.is_invariant(pts)
-
-    def standard_family(self) -> list[IntegerSet]:
-        """A probe family of definable sets whose periods divide the level."""
-        if isinstance(self.ctx, FiniteGroup):
-            raise ValueError("probe family is for the integer backend")
-        n = self.modulus
-        family = []
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for r in range(d):
-                family.append(congruence_set(d, [r]))
-        family.append(IntegerSet(1, up=[0], down=(), lo=0, hi=-1, bits=()))
-        family.append(IntegerSet(1, up=(), down=[0], lo=1, hi=0, bits=()))
-        return family
-
-    def __repr__(self):
-        return f"LevelTypeSpace({self.ctx!r}, modulus={self.modulus})"
+    pts = frozenset(points)
+    if any(isinstance(p, Realized) for p in pts):
+        return False
+    return {apply_group(INTEGERS, 1, p) for p in pts} <= pts
 
 
 def point_to_json(p):

@@ -51,7 +51,7 @@ from typeflow.oracle import (
     oracle_minimal_subflows,
     oracle_star,
 )
-from typeflow.typespace import LevelError, LevelTypeSpace, Limit, Realized, restrict
+from typeflow.typespace import LevelError, Limit, Realized, is_closed_invariant, limit_points, restrict
 
 LEVELS = range(1, 13)
 
@@ -80,7 +80,7 @@ def random_integer_set(rng, max_period=6, span=6):
 def test_criterion_01_semigroup_associativity():
     failures = 0
     for n in LEVELS:
-        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        pts = limit_points(INTEGERS, n)
         for p in pts:
             for q in pts:
                 for r in pts:
@@ -100,7 +100,7 @@ def test_criterion_01_semigroup_associativity():
 def test_criterion_02_heir_coheir_duality():
     disagreements = 0
     for n in LEVELS:
-        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        pts = limit_points(INTEGERS, n)
         for p in pts:
             for q in pts:
                 direct = star(INTEGERS, p, q)
@@ -125,11 +125,10 @@ def test_criterion_03_ideal_and_idempotent_claims():
     ok = True
     # left ideals coincide with closed invariant subsets: exhaustive at n <= 4
     for n in (1, 2, 3, 4):
-        space = LevelTypeSpace(INTEGERS, n)
-        pts = space.limit_points()
+        pts = limit_points(INTEGERS, n)
         for mask in range(1, 1 << len(pts)):
             S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-            if is_left_ideal(INTEGERS, n, S) != space.is_closed_invariant(S):
+            if is_left_ideal(INTEGERS, n, S) != is_closed_invariant(S):
                 ok = False
     # each minimal subflow holds exactly one idempotent, absorbing on the right
     for n in (1, 2, 3, 4, 6, 8):
@@ -183,7 +182,7 @@ def test_criterion_05_universal_ambit_morphisms():
                     if n % m or m % d:
                         continue
                     hm = universal_ambit_morphism(m, flow)
-                    for p in LevelTypeSpace(INTEGERS, n).limit_points():
+                    for p in limit_points(INTEGERS, n):
                         if hm.apply(restrict(p, m)) != h.apply(p):
                             ok = False
             else:

@@ -34,7 +34,7 @@ from typeflow.defsets import (
 )
 from typeflow.flows import FiniteFlowPresentation, kernel_of_action
 from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
-from typeflow.typespace import LevelTypeSpace, Limit, Realized, apply_group
+from typeflow.typespace import Limit, Realized, apply_group, limit_points
 
 
 def test_canonical_level_measure():
@@ -58,7 +58,7 @@ def test_flow_measures():
 def test_measure_invariance_exhaustive_subsets():
     for n in (1, 2, 4, 8):
         mu = invariant_measure(INTEGERS, n)
-        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        pts = limit_points(INTEGERS, n)
         for mask in range(1 << len(pts)):
             subset = [p for i, p in enumerate(pts) if mask >> i & 1]
             moved = [apply_group(INTEGERS, 1, p) for p in subset]

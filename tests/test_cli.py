@@ -240,6 +240,28 @@ def test_product_backend_scenario():
     assert result["generic"] and result["note"] == "relative to the rectangle algebra"
 
 
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"op": "idempotents"},
+        {"op": "minimal-subflows"},
+        {"op": "fixed-points"},
+        {"op": "invariant-measure"},
+        {"op": "universal-minimal-flow"},
+        {"op": "g00"},
+        {"op": "kernel-of-action"},
+        {"op": "is-left-ideal", "points": [{"kind": "realized", "value": [0, 0]}]},
+    ],
+    ids=lambda task: task["op"],
+)
+@pytest.mark.parametrize("right", [{"kind": "integers"}, {"kind": "cyclic", "order": 3}], ids=["c2xZ", "c2xc3"])
+def test_type_space_tasks_fail_over_a_product(task, right):
+    group = {"kind": "product", "left": {"kind": "cyclic", "order": 2}, "right": right}
+    report, code = run_scenario({"group": group, "level": 3, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == "BackendMismatch: type spaces are provided for integer and finite backends"
+
+
 @pytest.mark.parametrize("rectangles", [[[[0]]], 5, [[[0], [1], [0]]], [{"left": [0], "right": [1]}]])
 def test_malformed_rectangles_are_a_task_error(rectangles):
     group = {"kind": "product", "left": {"kind": "cyclic", "order": 2}, "right": {"kind": "cyclic", "order": 2}}

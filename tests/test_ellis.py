@@ -11,7 +11,7 @@ from typeflow.ellis import (
 )
 from typeflow.groups import INTEGERS, cyclic_group
 from typeflow.oracle import oracle_star
-from typeflow.typespace import LevelTypeSpace, Limit, Realized, apply_group, limit_of, restrict
+from typeflow.typespace import Limit, Realized, apply_group, limit_points, restrict, witness
 
 
 def mixed_points(level, rng, count):
@@ -42,7 +42,7 @@ def test_star_on_finite_backend_is_group_law():
 
 def test_star_via_schema_equals_star_exhaustive():
     for n in (1, 2, 3, 4, 6):
-        pts = LevelTypeSpace(INTEGERS, n).limit_points() + [
+        pts = limit_points(INTEGERS, n) + [
             Realized(v) for v in (-7, -1, 0, 2, 9)
         ]
         for p in pts:
@@ -58,7 +58,7 @@ def test_schema_examples():
 
 def test_associativity_small_levels_and_random():
     for n in (1, 2, 3, 4):
-        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        pts = limit_points(INTEGERS, n)
         for p in pts:
             for q in pts:
                 for r in pts:
@@ -73,16 +73,15 @@ def test_associativity_small_levels_and_random():
 
 
 def test_star_extends_group_action():
-    space = LevelTypeSpace(INTEGERS, 6)
     for g in range(-8, 9):
-        for q in space.limit_points():
+        for q in limit_points(INTEGERS, 6):
             assert star(INTEGERS, Realized(g), q) == apply_group(INTEGERS, g, q)
 
 
 def test_left_continuity_at_level():
     # restriction commutes with the product along every divisor
     n = 12
-    pts = LevelTypeSpace(INTEGERS, n).limit_points()
+    pts = limit_points(INTEGERS, n)
     for m in (1, 2, 3, 4, 6, 12):
         for p in pts:
             for q in pts:
@@ -91,10 +90,9 @@ def test_left_continuity_at_level():
                 )
     # witness sequences converge to the product from the left
     for p in pts:
-        _, witness = limit_of(p.sign, p.residue, p.modulus)
         for q in pts:
             target = star(INTEGERS, p, q)
-            for a in witness(count=3, start=5):
+            for a in witness(p, count=3, start=5):
                 assert star(INTEGERS, Realized(a), q) == target
 
 
@@ -104,8 +102,7 @@ def test_right_continuity_fails_where_it_should():
     q = Limit(-1, 0, 2)
     target = star(INTEGERS, p, q)
     assert target.sign == -1
-    _, witness = limit_of(q.sign, q.residue, q.modulus)
-    approximations = [star(INTEGERS, p, Realized(b)) for b in witness(count=3, start=5)]
+    approximations = [star(INTEGERS, p, Realized(b)) for b in witness(q, count=3, start=5)]
     assert all(a.sign == 1 for a in approximations)
 
 
@@ -125,7 +122,7 @@ def test_mixed_level_products_at_gcd():
 
 
 def all_points(levels):
-    return [p for n in levels for p in LevelTypeSpace(INTEGERS, n).limit_points()]
+    return [p for n in levels for p in limit_points(INTEGERS, n)]
 
 
 def test_mixed_level_products_agree_three_ways():
@@ -145,15 +142,14 @@ def test_finer_left_factor_restricts_to_the_product():
         for p in all_points(range(1, 7)):
             coarse = star(INTEGERS, p, q)
             for k in (2, 3):
-                for finer in LevelTypeSpace(INTEGERS, k * p.modulus).limit_points():
+                for finer in limit_points(INTEGERS, k * p.modulus):
                     if restrict(finer, p.modulus) == p:
                         assert restrict(star(INTEGERS, finer, q), coarse.modulus) == coarse
 
 
 def test_right_translation():
     rq = right_translation(INTEGERS, Realized(0), 4)
-    space = LevelTypeSpace(INTEGERS, 4)
-    for p in space.limit_points():
+    for p in limit_points(INTEGERS, 4):
         assert rq(p) == p
     q = Limit(1, 0, 2)
     rq = right_translation(INTEGERS, q, 2)

@@ -22,7 +22,7 @@ from typeflow.flows import (
 )
 from typeflow.groups import INTEGERS, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_equivariant_maps, oracle_minimal_subflows
-from typeflow.typespace import LevelError, LevelTypeSpace, Limit, Realized, apply_group, restrict
+from typeflow.typespace import LevelError, Limit, Realized, apply_group, is_closed_invariant, limit_points, restrict
 
 
 def rotation(n, base=0):
@@ -90,6 +90,8 @@ def test_minimal_subflows_level_and_oracle():
 
     ones = minimal_subflows(INTEGERS, 1)
     assert [len(f) for f in ones] == [1, 1]
+    # a finite backend is one orbit: the group acting on itself
+    assert minimal_subflows(cyclic_group(3), 1) == [frozenset(Realized(g) for g in range(3))]
 
 
 def test_minimal_subflows_of_flows():
@@ -121,16 +123,15 @@ def test_is_left_ideal_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_left_ideals_are_closed_invariant_sets_exhaustive(n):
-    space = LevelTypeSpace(INTEGERS, n)
-    pts = space.limit_points()
+    pts = limit_points(INTEGERS, n)
     for mask in range(1, 1 << len(pts)):
         S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-        assert is_left_ideal(INTEGERS, n, S) == space.is_closed_invariant(S)
+        assert is_left_ideal(INTEGERS, n, S) == is_closed_invariant(S)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_left_ideal_matches_the_literal_definition(n):
-    pts = LevelTypeSpace(INTEGERS, n).limit_points()
+    pts = limit_points(INTEGERS, n)
     left_factors = pts + [Realized(r) for r in range(n)]
     for mask in range(1, 1 << len(pts)):
         S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
@@ -156,10 +157,10 @@ def test_left_ideal_star_calls(monkeypatch):
 
 
 def test_left_ideal_counts_circles_before_building_left_factors(monkeypatch):
-    def no_left_factors(self):
+    def no_left_factors(ctx, level):
         raise AssertionError("left factors built for a set with a partial circle")
 
-    monkeypatch.setattr(LevelTypeSpace, "limit_points", no_left_factors)
+    monkeypatch.setattr(flows, "limit_points", no_left_factors)
     n = 1000
     plus = frozenset(Limit(1, r, n) for r in range(n))
     assert not is_left_ideal(INTEGERS, n, {Limit(1, 0, n)})
@@ -170,16 +171,28 @@ def test_left_ideal_counts_circles_before_building_left_factors(monkeypatch):
         is_left_ideal(INTEGERS, n, plus)
 
 
+def test_left_ideal_checks_every_level_before_a_realized_verdict():
+    # a realized member alone gives False, but a limit member at another
+    # level is an error whichever member the set yields first
+    for a in range(40):
+        for r in range(5):
+            with pytest.raises(LevelError):
+                is_left_ideal(INTEGERS, 4, {Realized(a), Limit(1, r, 5)})
+    # the error names the least wrong level
+    for points in ({Limit(1, 0, 6), Limit(1, 0, 5)}, {Limit(-1, 5, 7), Realized(0), Limit(1, 3, 5)}):
+        with pytest.raises(LevelError, match="^point at level 5 in a level-4 check$"):
+            is_left_ideal(INTEGERS, 4, points)
+
+
 def test_left_ideal_randomized_larger_levels():
     rng = random.Random(31)
     for _ in range(120):
         n = rng.choice([6, 8, 12])
-        space = LevelTypeSpace(INTEGERS, n)
-        pts = space.limit_points()
+        pts = limit_points(INTEGERS, n)
         S = frozenset(p for p in pts if rng.random() < 0.5)
         if not S:
             continue
-        assert is_left_ideal(INTEGERS, n, S) == space.is_closed_invariant(S)
+        assert is_left_ideal(INTEGERS, n, S) == is_closed_invariant(S)
 
 
 def test_universal_minimal_flow_isomorphism():
@@ -236,7 +249,7 @@ def test_extend_definable_map_examples():
 
     constant = EventuallyPeriodicMap(1, ["a"], ["a"])
     ext = extend_definable_map(constant, 4)
-    assert {ext.apply(p) for p in LevelTypeSpace(INTEGERS, 4).limit_points()} == {"a"}
+    assert {ext.apply(p) for p in limit_points(INTEGERS, 4)} == {"a"}
 
     spiked = EventuallyPeriodicMap(1, [5], [5], {0: 9})
     ext = extend_definable_map(spiked, 1)

@@ -1,5 +1,6 @@
 """Every name a typeflow module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
+every public one without a caller in the package is on a short list,
 only tables that are groups by construction skip the group checks, and
 only the `Limit` constructor writes the table of interned limit points.
 
@@ -71,6 +72,64 @@ def test_the_guard_sees_an_unused_private_function():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes that no code of `sources`
+    mentions, as a name or an attribute, outside their own definition."""
+    defined, uses = [], []
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name
+                if not owner.startswith("_"):
+                    defined.append((name, owner))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    uses.append((name, owner, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    uses.append((name, owner, sub.attr))
+    return sorted(
+        f"{name}:{d}"
+        for name, d in defined
+        if not any(used == d and (where, owner) != (name, d) for where, owner, used in uses)
+    )
+
+
+def test_the_guard_sees_an_unused_public_function():
+    sources = {
+        "a.py": (
+            "def used():\n    pass\n\n\ndef recursive(n):\n    return recursive(n - 1)\n\n\n"
+            "class Lonely:\n    def make(self):\n        return Lonely()\n\n\ndef _private():\n    pass\n"
+        ),
+        "b.py": "from . import a\n\n\ndef caller():\n    return a.used()\n",
+    }
+    assert unreferenced_public_names(sources) == ["a.py:Lonely", "a.py:recursive", "b.py:caller"]
+
+
+# Public names that only tests and the package exports use: serialisers kept
+# beside their readers, oracles and reference checks that tests compare the
+# fast paths against, and level-tower checks that no task runs yet. A name
+# leaves this list once code in the package calls it.
+TEST_ONLY_PUBLIC_NAMES = [
+    "amenability.py:pestov_fixed_point_consistency",
+    "amenability.py:pushforward_measure",
+    "defsets.py:translates_cover",
+    "ellis.py:right_translation",
+    "flows.py:flow_to_json",
+    "groups.py:group_to_json",
+    "oracle.py:oracle_equivariant_maps",
+    "oracle.py:oracle_equivariant_maps_brute",
+    "typespace.py:is_closed_invariant",
+    "typespace.py:restrict",
+]
+
+
+def test_every_public_name_without_a_caller_is_listed():
+    # the package's re-exports in __init__.py are not callers
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_public_names(sources) == TEST_ONLY_PUBLIC_NAMES
 
 
 def enclosing_functions(sources: dict[str, str], matches) -> list[str]:

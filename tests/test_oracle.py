@@ -27,7 +27,7 @@ from typeflow.oracle import (
     oracle_star,
     sufficient_radius,
 )
-from typeflow.typespace import LevelTypeSpace, Limit, apply_group
+from typeflow.typespace import Limit, apply_group, limit_points
 
 EVENS = congruence_set(2, [0])
 # needs five translates within +-24 on the radius-160 window
@@ -137,8 +137,7 @@ def test_oracle_exhaustion_bound():
 
 def test_brute_maps_certify_propagation():
     for n in (1, 2, 3, 4, 5):
-        space = LevelTypeSpace(INTEGERS, n)
-        plus = frozenset(p for p in space.limit_points() if p.sign > 0)
+        plus = frozenset(p for p in limit_points(INTEGERS, n) if p.sign > 0)
         fast = oracle_equivariant_maps(INTEGERS, n, plus, plus)
         brute = oracle_equivariant_maps_brute(INTEGERS, n, plus, plus)
         as_sets = lambda maps: {tuple(sorted(((k.residue, v.residue) for k, v in f.items()))) for f in maps}
@@ -147,7 +146,7 @@ def test_brute_maps_certify_propagation():
 
 def test_oracle_agreement_with_structured_star():
     for n in (1, 2, 3, 4, 6, 8):
-        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        pts = limit_points(INTEGERS, n)
         for p in pts:
             for q in pts:
                 assert oracle_star(INTEGERS, p, q, n) == star(INTEGERS, p, q)
@@ -210,7 +209,7 @@ def test_oracle_minimal_subflows_levels_1_to_8():
         assert set(oracle_minimal_subflows(INTEGERS, n)) == set(minimal_subflows(INTEGERS, n))
     # the definition over sets of points, through one and two image tables
     for n in range(1, 7):
-        pts = LevelTypeSpace(INTEGERS, n).limit_points()
+        pts = limit_points(INTEGERS, n)
         subsets = [frozenset(c) for k in range(1, len(pts) + 1) for c in combinations(pts, k)]
         invariant = [S for S in subsets if {apply_group(INTEGERS, 1, p) for p in S} == S]
         minimal = {S for S in invariant if not any(T < S for T in invariant)}

@@ -11,22 +11,31 @@ from hypothesis import strategies as st
 from typeflow import typespace
 from typeflow.defsets import IntegerSet, complement, congruence_set, integer_ray, member, union
 from typeflow.ellis import star
-from typeflow.groups import INTEGERS, cyclic_group
+from typeflow.groups import INTEGERS, BackendMismatch, ProductGroup, cyclic_group
 from typeflow.typespace import (
     LevelError,
-    LevelTypeSpace,
     Limit,
     Realized,
     acting_set,
     apply_group,
     contains,
-    limit_of,
+    is_closed_invariant,
+    limit_points,
     point_from_json,
     point_to_json,
     restrict,
+    witness,
 )
 
 EVENS = congruence_set(2, [0])
+
+
+def standard_family(level: int) -> list[IntegerSet]:
+    """A probe family of definable sets whose periods divide the level."""
+    family = [congruence_set(d, [r]) for d in range(1, level + 1) if level % d == 0 for r in range(d)]
+    family.append(IntegerSet(1, up=[0], down=(), lo=0, hi=-1, bits=()))
+    family.append(IntegerSet(1, up=(), down=[0], lo=1, hi=0, bits=()))
+    return family
 
 
 def test_contains_examples():
@@ -58,8 +67,7 @@ def test_apply_group_examples():
 
 
 def test_apply_group_is_level_bijection_commuting_with_restrict():
-    space = LevelTypeSpace(INTEGERS, 12)
-    pts = space.limit_points()
+    pts = limit_points(INTEGERS, 12)
     for g in (-5, 1, 7):
         images = [apply_group(INTEGERS, g, p) for p in pts]
         assert sorted(images, key=str) == sorted(pts, key=str)
@@ -107,31 +115,30 @@ def test_acting_set_finite_backend():
     assert expected == [0, 2]
 
 
-def test_limit_of_examples():
-    point, witness = limit_of(1, 1, 4)
-    assert point == Limit(1, 1, 4)
-    assert witness(count=3) == [1, 5, 9]
-    point, _ = limit_of(-1, 0, 1)
-    assert point == Limit(-1, 0, 1)
-    coarse, _ = limit_of(1, 5, 6)
-    assert restrict(coarse, 2) == limit_of(1, 1, 2)[0]
+def test_witness_examples():
+    assert witness(Limit(1, 1, 4), count=3) == [1, 5, 9]
+    assert witness(Limit(-1, 3, 4), count=3) == [3, -1, -5]
+    assert witness(Limit(1, 2, 5), count=2, start=3) == [17, 22]
+    assert witness(Limit(-1, 2, 5), count=2, start=3) == [-13, -18]
+    assert witness(Limit(-1, 0, 1)) == [0, -1, -2, -3, -4, -5, -6, -7]
+    coarse = Limit(1, 5, 6)
+    assert restrict(coarse, 2) == Limit(1, 1, 2)
+    # the witness of a point also converges to its restriction
+    assert all(a % 2 == 1 for a in witness(coarse, count=4))
 
 
 def test_witness_sequences_converge():
-    space = LevelTypeSpace(INTEGERS, 6)
-    family = space.standard_family()
-    for p in space.limit_points():
-        _, witness = limit_of(p.sign, p.residue, p.modulus)
+    family = standard_family(6)
+    for p in limit_points(INTEGERS, 6):
         for Y in family:
-            tail = witness(count=4, start=3)
+            tail = witness(p, count=4, start=3)
             assert all(contains(Realized(a), Y) == contains(p, Y) for a in tail)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
 def test_ultrafilter_laws_exhaustive(n):
-    space = LevelTypeSpace(INTEGERS, n)
-    family = space.standard_family()
-    for p in space.limit_points():
+    family = standard_family(n)
+    for p in limit_points(INTEGERS, n):
         for A in family:
             assert contains(p, complement(A)) == (not contains(p, A))
             for B in family:
@@ -139,17 +146,39 @@ def test_ultrafilter_laws_exhaustive(n):
 
 
 def test_level_space_shape():
-    space = LevelTypeSpace(INTEGERS, 4)
-    assert len(space.limit_points()) == 8
-    assert space.is_closed_invariant({Limit(1, r, 4) for r in range(4)})
-    assert not space.is_closed_invariant({Limit(1, 0, 4)})
-    assert not space.is_closed_invariant({Realized(0)})
+    assert len(limit_points(INTEGERS, 4)) == 8
+    assert is_closed_invariant({Limit(1, r, 4) for r in range(4)})
+    assert not is_closed_invariant({Limit(1, 0, 4)})
+    assert not is_closed_invariant({Realized(0)})
     c3 = cyclic_group(3)
-    trivial = LevelTypeSpace(c3, 1)
-    assert trivial.limit_points() == []
-    assert len(trivial.realized_points()) == 3
+    assert limit_points(c3, 1) == []
     with pytest.raises(LevelError):
-        LevelTypeSpace(c3, 2)
+        limit_points(c3, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_limit_points_are_the_plus_circle_then_the_minus_circle(n):
+    assert limit_points(INTEGERS, n) == [Limit(1, r, n) for r in range(n)] + [Limit(-1, r, n) for r in range(n)]
+
+
+@pytest.mark.parametrize(
+    "ctx, level, error, message",
+    [
+        # the level is checked first, over every backend
+        (INTEGERS, 0, ValueError, "level modulus must be at least 1"),
+        (cyclic_group(3), 0, ValueError, "level modulus must be at least 1"),
+        (ProductGroup(cyclic_group(2), INTEGERS), 0, ValueError, "level modulus must be at least 1"),
+        # then a finite backend's trivial level
+        (cyclic_group(3), 2, LevelError, "finite backends have only the trivial level 1"),
+        # then every other backend
+        (ProductGroup(cyclic_group(2), INTEGERS), 1, BackendMismatch, "type spaces are provided for integer and finite backends"),
+        (ProductGroup(cyclic_group(2), cyclic_group(3)), 3, BackendMismatch, "type spaces are provided for integer and finite backends"),
+    ],
+)
+def test_limit_points_rejects_in_a_fixed_order(ctx, level, error, message):
+    with pytest.raises(error) as excinfo:
+        limit_points(ctx, level)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 def test_point_json_round_trip():
@@ -187,7 +216,7 @@ def test_points_equal_only_points_of_their_class():
     assert Limit(1, 0, 6) not in {(1, 0, 6)}
     assert Realized(0) == Realized(0)
     assert Realized(0) != (0,)
-    for p in LevelTypeSpace(INTEGERS, 1).limit_points():
+    for p in limit_points(INTEGERS, 1):
         assert Realized(0) != p and p != Realized(0)
 
 

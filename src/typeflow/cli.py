@@ -501,6 +501,8 @@ def validate_scenario(scenario) -> Group:
     level = scenario.get("level", 1)
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise SchemaError("level must be a positive integer")
+    if isinstance(ctx, FiniteGroup) and level != 1:
+        raise SchemaError("finite backends have only the trivial level 1")
     tasks = scenario.get("tasks", [])
     if not isinstance(tasks, list):
         raise SchemaError("tasks must be a list")

@@ -186,7 +186,8 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     holds `level` members of that sign. That count is decided before the
     2 * level left factors are built. Every limit member's level is checked
     before any verdict, so neither the answer nor the error hangs on
-    iteration order.
+    iteration order. A finite backend has no limit points, so there any
+    limit member is a backend mismatch, as in `contains`.
     """
     if not isinstance(ctx, (FiniteGroup, IntegerGroup)):
         raise BackendMismatch(TYPE_SPACE_BACKENDS)
@@ -194,6 +195,8 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     if not S:
         return False
     if isinstance(ctx, FiniteGroup):
+        if not all(isinstance(p, Realized) for p in S):
+            raise BackendMismatch("limit points live over the integers")
         whole = frozenset(Realized(g) for g in ctx.elements())
         return S == whole
     wrong = {p.modulus for p in S if not isinstance(p, Realized)} - {level}

@@ -11,6 +11,7 @@ from one membership pass, so every kernel reads its input only through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .groups import FiniteGroup, Group
 from .typespace import Limit, Realized, apply_group, limit_points, point_key
@@ -45,9 +46,14 @@ class WindowUniverse:
             )
 
 
+# membership answers (False/True as bytes) to binary digits, and back
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _membership_mask(Y, lo: int, hi: int) -> int:
-    """Bit j is set iff lo + j is in Y."""
-    return int("".join("1" if b else "0" for b in map(Y.member, range(hi, lo - 1, -1))), 2)
+    """Bit j is set iff lo + j is in Y; the window [lo, hi] is not empty."""
+    return int(bytes(map(Y.member, range(hi, lo - 1, -1))).translate(_TO_DIGITS), 2)
 
 
 def _reversed(mask: int, width: int) -> int:
@@ -56,8 +62,8 @@ def _reversed(mask: int, width: int) -> int:
 
 
 def _bits(mask: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    return [i for i, c in enumerate(reversed(format(mask, "b"))) if c == "1"]
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    return list(compress(count(), format(mask, "b").encode()[::-1].translate(_FROM_DIGITS)))
 
 
 def oracle_difference_set(Y, universe: WindowUniverse) -> list[int]:
@@ -192,12 +198,27 @@ def _require_small(level: int):
 
 
 def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
-    """All minimal invariant subsets of the limit part, by trying every subset."""
+    """All minimal invariant subsets of the limit part; every subset is
+    decided exactly.
+
+    A subset is a bitmask over the limit points, invariant iff its image
+    under the generator is itself. Split a mask as (high << 8) | v, with v
+    its low byte. The generator permutes the points, so the images of the
+    disjoint parts v and high << 8 are disjoint, and the image of the mask
+    is image(v) ^ image(high << 8). The mask is (high << 8) ^ v as well, so
+    it is invariant iff image(v) ^ v == (high << 8) ^ image(high << 8): a
+    key of the low byte alone equals a key of the high part alone. Every
+    low byte is indexed by its key once, and each high part then finds all
+    invariant masks of its block of low bytes with one lookup. The premise
+    that the action permutes the points is checked, not assumed.
+    """
     _require_small(level)
     pts = limit_points(ctx, level)
     n = len(pts)
     index = {p: i for i, p in enumerate(pts)}
     perm = [index[apply_group(ctx, 1, p)] for p in pts]
+    if sorted(perm) != list(range(n)):
+        raise AssertionError("the group action does not permute the limit points")
     # images[b][v] is the image under perm of the byte v at bit offset 8b
     images = []
     for base in range(0, n, 8):
@@ -206,10 +227,11 @@ def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
             low = v & -v
             table[v] = table[v ^ low] | 1 << perm[base + low.bit_length() - 1]
         images.append(table)
-    # a mask is invariant iff its image is itself; the image of the low
-    # byte is looked up inside the comprehension, that of the rest once
-    # per 256 masks
     low_table, high_tables = images[0], images[1:]
+    # the low bytes of each key, ascending, so masks come out ascending
+    low_bytes: dict[int, list[int]] = {}
+    for v, image in enumerate(low_table):
+        low_bytes.setdefault(image ^ v, []).append(v)
     invariant = []
     for high in range(1 << max(0, n - 8)):
         moved = 0
@@ -218,7 +240,7 @@ def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
             moved |= table[m & 255]
             m >>= 8
         base = high << 8
-        invariant.extend(base | v for v, image in enumerate(low_table) if image | moved == base | v)
+        invariant.extend(base | v for v in low_bytes.get(base ^ moved, ()))
     del invariant[0]  # the empty set
     minimal_masks = [
         m

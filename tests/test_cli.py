@@ -186,6 +186,41 @@ def test_finite_group_scenario():
     assert report["results"][1]["result"]["fixed_points"] == []
 
 
+@pytest.mark.parametrize("group", [{"kind": "cyclic", "order": 3}, {"kind": "bundled", "name": "s3"}])
+@pytest.mark.parametrize("level", [2, 6])
+def test_a_finite_backend_at_a_nontrivial_level_exits_2(group, level, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": group, "level": level, "tasks": [{"op": "idempotents"}]}))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: finite backends have only the trivial level 1\n"
+    # the trivial level, given or implied, runs
+    for scenario in ({"group": group, "level": 1, "tasks": []}, {"group": group, "tasks": []}):
+        assert run_scenario(scenario)[1] == 0
+
+
+def test_a_limit_point_in_a_finite_left_ideal_check_exits_3(tmp_path, capsys):
+    elements = [{"kind": "realized", "value": g} for g in range(3)]
+    limit = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": {"kind": "cyclic", "order": 3},
+                "tasks": [
+                    {"op": "is-left-ideal", "points": elements + [limit]},
+                    {"op": "is-left-ideal", "points": elements},
+                ],
+            }
+        )
+    )
+    assert main(["--scenario", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"][0]["error"] == "BackendMismatch: limit points live over the integers"
+    assert report["results"][1]["result"] == {"left_ideal": True}
+
+
 def test_raw_table_group_scenario():
     scenario = {
         "group": {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},

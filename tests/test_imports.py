@@ -1,8 +1,9 @@
 """Every name a typeflow module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every public one without a caller in the package is on a short list,
-only tables that are groups by construction skip the group checks, and
-only the `Limit` constructor writes the table of interned limit points.
+only tables that are groups by construction skip the group checks,
+only the `Limit` constructor writes the table of interned limit points,
+and the oracle imports none of the modules it certifies.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -219,3 +220,38 @@ def test_only_the_limit_constructor_writes_the_intern_table():
     # every other module reads the table or calls Limit(...), which validates
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert limit_table_writers(sources) == ["typespace.py:<module>", "typespace.py:__new__"]
+
+
+# the modules whose answers oracle.py cross-checks; it may share only
+# membership and the type-space basics with them
+CERTIFIED = {"amenability", "compactify", "defsets", "ellis", "flows"}
+
+
+def certified_imports(source: str) -> list[str]:
+    """The modules of CERTIFIED that `source` imports, in any import form,
+    sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        paths = []
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            paths = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        for path in paths:
+            found.update(part for part in path.split(".") if part in CERTIFIED)
+    return sorted(found)
+
+
+def test_the_guard_sees_an_import_of_a_certified_module():
+    source = (
+        "from .flows import minimal_subflows\nfrom . import ellis\nimport typeflow.amenability\n"
+        "from typeflow import compactify as c\nfrom .typespace import Limit\nfrom .groups import Group\n"
+    )
+    assert certified_imports(source) == ["amenability", "compactify", "ellis", "flows"]
+    assert certified_imports("from typeflow.defsets import member\n") == ["defsets"]
+
+
+def test_the_oracle_imports_no_module_it_certifies():
+    assert CERTIFIED <= {p.stem for p in MODULES}
+    assert certified_imports((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == []

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from typeflow import oracle
 from typeflow.defsets import (
     FiniteSubset,
     IntegerSet,
@@ -18,6 +19,8 @@ from typeflow.flows import minimal_subflows
 from typeflow.groups import INTEGERS, cyclic_group
 from typeflow.oracle import (
     WindowUniverse,
+    _bits,
+    _membership_mask,
     oracle_difference_set,
     oracle_equivariant_maps,
     oracle_equivariant_maps_brute,
@@ -214,3 +217,36 @@ def test_oracle_minimal_subflows_levels_1_to_8():
         invariant = [S for S in subsets if {apply_group(INTEGERS, 1, p) for p in S} == S]
         minimal = {S for S in invariant if not any(T < S for T in invariant)}
         assert set(oracle_minimal_subflows(INTEGERS, n)) == minimal
+
+
+def test_oracle_minimal_subflows_needs_a_permutation(monkeypatch):
+    # an action that forgets the sign maps both circles onto the + circle
+    def forget_sign(ctx, g, p):
+        return Limit(1, (p.residue + g) % p.modulus, p.modulus)
+
+    monkeypatch.setattr(oracle, "apply_group", forget_sign)
+    for n in (3, 8):
+        with pytest.raises(AssertionError, match="does not permute the limit points"):
+            oracle_minimal_subflows(INTEGERS, n)
+
+
+def test_bits_lists_the_set_bits():
+    rng = random.Random(23)
+    masks = [0, 1, 1 << 500] + [rng.getrandbits(rng.randint(1, 700)) for _ in range(300)]
+    for m in masks:
+        w = m.bit_length() + 2
+        assert _bits(m) == [i for i in range(w) if m >> i & 1]
+    assert _bits(0) == [] and _bits(1 << 500) == [500]
+
+
+def test_membership_mask_matches_a_per_point_loop():
+    rng = random.Random(29)
+    empty_windows = 0
+    for _ in range(400):
+        Y = random_small_set(rng)
+        empty_windows += Y.hi < Y.lo
+        lo = rng.randint(-60, 20)
+        hi = lo + rng.randint(0, 80)
+        expected = sum(1 << j for j, x in enumerate(range(lo, hi + 1)) if member(Y, x))
+        assert _membership_mask(Y, lo, hi) == expected
+    assert empty_windows > 0

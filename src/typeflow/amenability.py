@@ -28,9 +28,9 @@ from .defsets import (
     is_left_generic,
     translate,
 )
-from .flows import FiniteFlowPresentation, minimal_subflows, minimal_subflows_of_flow
+from .flows import FiniteFlowPresentation, minimal_subflows
 from .groups import FiniteGroup, Group, IntegerGroup, Subgroup
-from .typespace import LevelError, Limit, Realized, apply_group, contains, limit_points
+from .typespace import Limit, apply_group, contains, limit_points, restrict
 
 
 _ZERO = Fraction(0)
@@ -67,27 +67,27 @@ class InvariantMeasure:
         return f"InvariantMeasure({len(self.weights)} atoms)"
 
 
-def invariant_measure(ctx: Group, level: int) -> InvariantMeasure:
-    """Canonical invariant measure on the level space: equal weight on each
-    minimal subflow, uniform inside each."""
-    flows = minimal_subflows(ctx, level)
-    share = Fraction(1, len(flows))
-    weights = {}
-    for flow in flows:
-        per_point = share / len(flow)
-        for p in flow:
-            weights[p] = per_point
-    return InvariantMeasure(weights)
-
-
-def invariant_measure_of_flow(F: FiniteFlowPresentation) -> InvariantMeasure:
-    orbits = minimal_subflows_of_flow(F)
+def _uniform(orbits) -> InvariantMeasure:
+    """Equal weight on each minimal subflow, uniform inside each."""
     share = Fraction(1, len(orbits))
     weights = {}
     for orbit in orbits:
-        for x in orbit:
-            weights[x] = share / len(orbit)
+        weights.update(dict.fromkeys(orbit, share / len(orbit)))
     return InvariantMeasure(weights)
+
+
+def _one_point(orbits) -> list:
+    """The fixed points: the members of the one-point minimal subflows."""
+    return [p for orbit in orbits if len(orbit) == 1 for p in orbit]
+
+
+def invariant_measure(ctx: Group, level: int) -> InvariantMeasure:
+    """Canonical invariant measure on the level space."""
+    return _uniform(minimal_subflows(ctx, level))
+
+
+def invariant_measure_of_flow(F: FiniteFlowPresentation) -> InvariantMeasure:
+    return _uniform(F.orbits)
 
 
 def verify_invariance(ctx: Group, level: int, mu: InvariantMeasure) -> bool:
@@ -112,30 +112,18 @@ def pushforward_measure(ctx: Group, mu: InvariantMeasure, target_level: int) -> 
     for p, w in mu.weights.items():
         if not isinstance(p, Limit):
             raise ValueError("pushforward is for level measures")
-        if p.modulus % target_level != 0:
-            raise LevelError(f"{target_level} does not divide level {p.modulus}")
-        q = Limit(p.sign, p.residue % target_level, target_level)
+        q = restrict(p, target_level)
         out[q] = out.get(q, _ZERO) + w
     return InvariantMeasure(out)
 
 
 def fixed_points(ctx: Group, level: int) -> list:
     """Points of the level space fixed by the whole group."""
-    if isinstance(ctx, FiniteGroup):
-        if ctx.order == 1:
-            return [Realized(ctx.identity)]
-        return []
-    return [p for p in limit_points(ctx, level) if apply_group(ctx, 1, p) == p]
+    return _one_point(minimal_subflows(ctx, level))
 
 
 def fixed_points_of_flow(F: FiniteFlowPresentation) -> list[int]:
-    if F.pi is not None:
-        return [x for x in range(F.size) if F.pi[x] == x]
-    return [
-        x
-        for x in range(F.size)
-        if all(F.action[g][x] == x for g in F.ctx.elements())
-    ]
+    return _one_point(F.orbits)
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,10 @@ class RightTranslation:
     def limit_images(self) -> dict:
         return {p: self(p) for p in limit_points(self.ctx, self.level)}
 
-    def certify(self, realized_samples=None) -> dict:
+    def certify(self) -> dict:
         """Checks backing uniqueness: base point lands on q, realized points
         follow the group action, limit points are limits of realized images."""
-        if realized_samples is None:
-            realized_samples = (
-                self.ctx.elements() if isinstance(self.ctx, FiniteGroup) else range(-6, 7)
-            )
+        realized_samples = self.ctx.elements() if isinstance(self.ctx, FiniteGroup) else range(-6, 7)
         base_ok = self(Realized(self.ctx.identity)) == self.q
         action_ok = all(
             self(Realized(g)) == apply_group(self.ctx, g, self.q)

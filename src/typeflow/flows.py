@@ -28,33 +28,45 @@ from .typespace import (
 )
 
 
-def _is_permutation(seq, size: int) -> bool:
-    return len(seq) == size and sorted(seq) == list(range(size))
-
-
 def _perm_compose(p, q):
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _orbit_cycle(pi, start: int) -> list[int]:
     cycle = [start]
     x = pi[start]
     while x != start:
-        if len(cycle) > len(pi):
-            raise ValueError("map is not a bijection: orbit does not close")
         cycle.append(x)
         x = pi[x]
     return cycle
 
 
+def _orbits(size: int, orbit_of) -> tuple[frozenset[int], ...]:
+    # scanning upward, the first point of each new orbit is its least
+    seen = bytearray(size)
+    out = []
+    for x in range(size):
+        if not seen[x]:
+            orbit = frozenset(orbit_of(x))
+            for y in orbit:
+                seen[y] = 1
+            out.append(orbit)
+    return tuple(out)
+
+
 class FiniteFlowPresentation:
-    """A finite carrier with a group action and an optional base point.
+    """A finite flow: a carrier with a group action and an optional base point.
 
     Over the integers the action is generated by a single map ``pi`` (the
     action of 1); over a finite backend a permutation is supplied for every
     group element. Entries are integers (`flow_from_json` checks that for
-    JSON input). Construction checks shapes only; `check_definable_flow`
-    performs the axiom checks.
+    JSON input). A presentation is a flow by construction: the constructor
+    checks the shape, the base point, that every map is a bijection, that
+    the identity acts trivially and, on the generators (`first_failing_pair`),
+    that the action is a homomorphism, and raises ValueError on the first
+    failure. So every task that reads a flow rejects a non-flow with the
+    message `check-flow` gives. The orbits, which are the minimal subflows,
+    are stored once as `orbits`, in order of each orbit's least point.
     """
 
     def __init__(self, ctx: Group, size: int, pi=None, action=None, base=None):
@@ -68,8 +80,6 @@ class FiniteFlowPresentation:
             pi = tuple(pi)
             if len(pi) != size or any(not 0 <= x < size for x in pi):
                 raise ValueError("pi is not a map of the carrier")
-            self.pi = pi
-            self.action = None
         elif isinstance(ctx, FiniteGroup):
             if action is None or pi is not None:
                 raise ValueError("finite-backend flows are given by one permutation per element")
@@ -78,23 +88,31 @@ class FiniteFlowPresentation:
                 len(row) != size or any(not 0 <= x < size for x in row) for row in action
             ):
                 raise ValueError("action table has the wrong shape")
-            self.action = action
-            self.pi = None
         else:
             raise BackendMismatch("flows are provided for integer and finite backends")
         if base is not None and not 0 <= base < size:
             raise ValueError("base point outside the carrier")
+        self.pi = pi
+        self.action = action
         self.base = base
-
-    def _pi_order(self) -> int:
-        seen: set[int] = set()
-        lengths = []
-        for x in range(self.size):
-            if x not in seen:
-                cycle = _orbit_cycle(self.pi, x)
-                seen.update(cycle)
-                lengths.append(len(cycle))
-        return lcm(*lengths)
+        # every entry lies in the carrier, so a map is a bijection iff its entries are distinct
+        if pi is not None:
+            if len(set(pi)) != size:
+                raise ValueError("generator is not a bijection of the carrier")
+            self.orbits = _orbits(size, lambda x: _orbit_cycle(pi, x))
+            return
+        for g, row in enumerate(action):
+            if len(set(row)) != size:
+                raise ValueError(f"element {g} does not act by a bijection")
+        if action[ctx.identity] != tuple(range(size)):
+            raise ValueError("identity element does not act trivially")
+        table = ctx.table
+        failure = first_failing_pair(
+            ctx, lambda g, h: action[table[g][h]] == _perm_compose(action[g], action[h])
+        )
+        if failure is not None:
+            raise ValueError("action is not a homomorphism at ({},{})".format(*failure))
+        self.orbits = _orbits(size, lambda x: [row[x] for row in action])
 
     def __repr__(self):
         kind = "integer" if self.pi is not None else "finite"
@@ -109,56 +127,23 @@ class FlowVerdict:
 
 
 def check_definable_flow(F: FiniteFlowPresentation) -> FlowVerdict:
-    """Verify the flow axioms and report orbit periods.
+    """Report the orbit periods and, for a pointed flow, the ambit condition.
 
-    Raises ValueError for a non-bijective generator or a homomorphism
-    violation. A present base point with a non-dense orbit is a valid flow
-    that fails the ambit condition, reported in the verdict.
+    The flow axioms were checked when F was built, so the verdict is always
+    valid. A present base point with a non-dense orbit is a valid flow that
+    fails the ambit condition, reported in the verdict.
     """
-    if F.pi is not None:
-        if not _is_permutation(F.pi, F.size):
-            raise ValueError("generator is not a bijection of the carrier")
-        periods = tuple(len(_orbit_cycle(F.pi, x)) for x in range(F.size))
-    else:
-        ctx = F.ctx
-        for g, row in enumerate(F.action):
-            if not _is_permutation(row, F.size):
-                raise ValueError(f"element {g} does not act by a bijection")
-        ident = tuple(range(F.size))
-        if F.action[ctx.identity] != ident:
-            raise ValueError("identity element does not act trivially")
-        action, table = F.action, ctx.table
-        failure = first_failing_pair(
-            ctx, lambda g, h: action[table[g][h]] == _perm_compose(action[g], action[h])
-        )
-        if failure is not None:
-            g, h = failure
-            raise ValueError(f"action is not a homomorphism at ({g},{h})")
-        periods = tuple(len({F.action[g][x] for g in ctx.elements()}) for x in range(F.size))
-    ambit = None
-    if F.base is not None:
-        orbit = _flow_orbit(F, F.base)
-        ambit = len(orbit) == F.size
-    return FlowVerdict(valid=True, ambit=ambit, orbit_periods=periods)
-
-
-def _flow_orbit(F: FiniteFlowPresentation, x: int) -> set[int]:
-    if F.pi is not None:
-        return set(_orbit_cycle(F.pi, x))
-    return {F.action[g][x] for g in F.ctx.elements()}
+    periods = [0] * F.size
+    for orbit in F.orbits:
+        for x in orbit:
+            periods[x] = len(orbit)
+    ambit = None if F.base is None else len(F.orbits) == 1
+    return FlowVerdict(valid=True, ambit=ambit, orbit_periods=tuple(periods))
 
 
 def minimal_subflows_of_flow(F: FiniteFlowPresentation) -> list[frozenset[int]]:
     """Minimal closed invariant subsets of a finite flow: its orbits."""
-    seen: set[int] = set()
-    out = []
-    for x in range(F.size):
-        if x in seen:
-            continue
-        orbit = _flow_orbit(F, x)
-        seen.update(orbit)
-        out.append(frozenset(orbit))
-    return sorted(out, key=min)
+    return list(F.orbits)
 
 
 def minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
@@ -242,8 +227,9 @@ class AmbitMorphism:
 
         Over a finite group, realized[gh] = g·realized[h] is checked for h in
         the generators (`first_failing_pair`). That is exact because the
-        action is a homomorphism (`check_definable_flow`): the h that pass
-        are closed under products, as realized[g·hk] = (gh)·realized[k].
+        action is a homomorphism, which the flow's constructor checked when
+        the flow was read: the h that pass are closed under products, as
+        realized[g·hk] = (gh)·realized[k].
         """
         F = self.flow
         ctx = F.ctx
@@ -277,15 +263,14 @@ class AmbitMorphism:
 def universal_ambit_morphism(level: int, F: FiniteFlowPresentation) -> AmbitMorphism:
     """Build the unique base-point-preserving map of the level space onto F.
 
-    Requires F to be a valid pointed flow with dense orbit. Over the
+    Requires F to be pointed, with a dense base orbit. Over the
     integers the orbit period of the base must divide the level, otherwise
     the limit values do not stabilize and a "level too coarse" error is
     raised.
     """
     if F.base is None:
         raise ValueError("a pointed flow is required")
-    verdict = check_definable_flow(F)
-    if not verdict.ambit:
+    if len(F.orbits) != 1:
         raise ValueError("base point orbit is not dense in the carrier")
     ctx = F.ctx
     if isinstance(ctx, IntegerGroup):
@@ -450,7 +435,7 @@ def kernel_of_action(ctx: Group, level: int) -> Subgroup:
 
 def kernel_of_flow(F: FiniteFlowPresentation) -> Subgroup:
     if F.pi is not None:
-        return Subgroup.congruence(F._pi_order())
+        return Subgroup.congruence(lcm(*map(len, F.orbits)))
     ident = tuple(range(F.size))
     return Subgroup.of_elements(g for g in F.ctx.elements() if F.action[g] == ident)
 

@@ -164,7 +164,7 @@ def oracle_generic(
     return tuple(sorted(chosen))
 
 
-def oracle_star(ctx: Group, p, q, level: int, base_magnitude: int = 1000):
+def oracle_star(ctx: Group, p, q, level: int):
     """The semigroup product by numeric realization.
 
     Realize the left factor at moderate magnitude and the right factor a
@@ -180,6 +180,7 @@ def oracle_star(ctx: Group, p, q, level: int, base_magnitude: int = 1000):
             return point.value
         return point.sign * magnitude * point.modulus + point.residue
 
+    base_magnitude = 1000
     # a limit left factor must outgrow any fixed realized right factor
     left_magnitude = base_magnitude
     if isinstance(q, Realized):

@@ -357,6 +357,30 @@ def cataloged_task_params():
     }
 
 
+def optional_parameter_variants():
+    """Valid tasks over the integers at level 4 that give the optional
+    parameters `cataloged_task_params` leaves out, as (op, params) pairs."""
+    flow = {"carrier": 4, "pi": [1, 0, 2, 3]}
+    return [
+        ("kernel-of-action", {"flow": flow}),
+        ("fixed-points", {"flow": flow}),
+        ("invariant-measure", {"flow": flow}),
+        ("g00", {"level": 2}),
+        ("check-homomorphism", {**cataloged_task_params()["check-homomorphism"], "level": 4}),
+    ]
+
+
+def test_every_optional_parameter_variant_runs():
+    variants = optional_parameter_variants()
+    scenario = {"group": {"kind": "integers"}, "level": 4, "tasks": [{"op": op, **params} for op, params in variants]}
+    report, code = run_scenario(scenario)
+    assert code == 0 and all(r["ok"] for r in report["results"])
+    given = {(op, name) for op, params in [*cataloged_task_params().items(), *variants] for name in params}
+    cataloged = {(op, name) for op, (_, params, _) in cli.TASKS.items() for name in params}
+    # partition blocks are read over finite backends only; these tasks run over the integers
+    assert cataloged - given == {("logic-quotient", "blocks")}
+
+
 def test_every_cataloged_task_runs():
     per_task_params = cataloged_task_params()
     catalog = [t["op"] for t in list_capabilities()["tasks"]]
@@ -427,7 +451,7 @@ def test_a_type_swapped_parameter_never_escapes_run_scenario():
     # every task parameter, at any depth, replaced by a value of the wrong
     # type or sign gives a report (exit 0 or 3), never an uncaught exception
     escapes = []
-    for op, params in cataloged_task_params().items():
+    for op, params in [*cataloged_task_params().items(), *optional_parameter_variants()]:
         for path in parameter_paths(params):
             for replacement in (None, True, 1.5, "x", [], {}, [None], 0, -1):
                 task = {"op": op, **with_swapped(params, path, replacement)}
@@ -439,6 +463,26 @@ def test_a_type_swapped_parameter_never_escapes_run_scenario():
                 except Exception as exc:  # listed, so that one run names every escape
                     escapes.append((op, path, replacement, f"{type(exc).__name__}: {exc}"))
     assert escapes == []
+
+
+@pytest.mark.parametrize(
+    "group, flow, error",
+    [
+        ({"kind": "integers"}, {"carrier": 2, "pi": [0, 0]}, "generator is not a bijection of the carrier"),
+        ({"kind": "cyclic", "order": 2}, {"carrier": 2, "action": [[1, 0], [1, 0]]}, "identity element does not act trivially"),
+        ({"kind": "cyclic", "order": 2}, {"carrier": 2, "action": [[0, 0], [0, 0]]}, "element 0 does not act by a bijection"),
+        ({"kind": "cyclic", "order": 2}, {"carrier": 3, "action": [[0, 1, 2], [1, 2, 0]]}, "action is not a homomorphism at (1,1)"),
+    ],
+    ids=["pi-not-bijective", "identity-moves", "rows-not-bijective", "not-a-homomorphism"],
+)
+@pytest.mark.parametrize("op", ["fixed-points", "invariant-measure", "kernel-of-action"])
+def test_a_task_given_a_non_flow_fails_as_check_flow_does(group, flow, error, op):
+    tasks = [{"op": "check-flow", "flow": flow}, {"op": op, "flow": flow}]
+    report, code = run_scenario({"group": group, "tasks": tasks})
+    assert code == 3
+    check, task = report["results"]
+    assert not check["ok"] and not task["ok"]
+    assert task["error"] == check["error"] == f"ValueError: {error}"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typeflow import flows
+from typeflow.amenability import fixed_points_of_flow, invariant_measure_of_flow
 from typeflow.ellis import find_idempotents, star
 from typeflow.flows import (
     AmbitMorphism,
@@ -38,12 +41,10 @@ def test_check_definable_flow_examples():
     assert verdict.valid and verdict.ambit is False
 
     c3 = cyclic_group(3)
-    broken = FiniteFlowPresentation(c3, 3, action=[[0, 1, 2], [1, 2, 0], [1, 2, 0]])
     with pytest.raises(ValueError):
-        check_definable_flow(broken)
-    not_bijective = FiniteFlowPresentation(INTEGERS, 3, pi=[0, 0, 1])
+        check_definable_flow(FiniteFlowPresentation(c3, 3, action=[[0, 1, 2], [1, 2, 0], [1, 2, 0]]))
     with pytest.raises(ValueError):
-        check_definable_flow(not_bijective)
+        check_definable_flow(FiniteFlowPresentation(INTEGERS, 3, pi=[0, 0, 1]))
 
 
 def test_finite_backend_flow():
@@ -316,3 +317,58 @@ def test_ambit_equivariance_on_generators_agrees_with_all_pairs():
             assert verdict == literal, (G.name, images)
             seen.add(literal)
     assert seen == {True, False}
+
+
+@st.composite
+def valid_flows(draw):
+    """An integer flow given by a random permutation pi, or a bundled group
+    acting on the cosets of a cyclic subgroup, with fixed points added and
+    the carrier relabelled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        return FiniteFlowPresentation(INTEGERS, n, pi=draw(st.permutations(range(n))))
+    G = draw(st.sampled_from(bundled_small_groups()))
+    h = draw(st.sampled_from(G.elements()))
+    H = {G.identity}
+    x = h
+    while x != G.identity:
+        H.add(x)
+        x = G.compose(x, h)
+    cosets = sorted({frozenset(G.compose(g, k) for k in H) for g in G.elements()}, key=min)
+    index = {c: i for i, c in enumerate(cosets)}
+    size = len(cosets) + draw(st.integers(0, 3))
+    label = draw(st.permutations(range(size)))
+    action = []
+    for g in G.elements():
+        moved = [index[frozenset(G.compose(g, y) for y in c)] for c in cosets] + list(range(len(cosets), size))
+        row = [0] * size
+        for x, y in enumerate(moved):
+            row[label[x]] = label[y]
+        action.append(row)
+    return FiniteFlowPresentation(G, size, action=action)
+
+
+def literal_action(F):
+    """Every permutation by which some group element acts."""
+    if F.pi is None:
+        return list(F.action)
+    identity = tuple(range(F.size))
+    powers, p = [identity], F.pi
+    while p != identity:
+        powers.append(p)
+        p = tuple(F.pi[x] for x in p)
+    return powers
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(valid_flows())
+def test_orbit_answers_agree_with_their_definitions(F):
+    perms = literal_action(F)
+    periods = tuple(len({p[x] for p in perms}) for x in range(F.size))
+    assert check_definable_flow(F).orbit_periods == periods
+    assert fixed_points_of_flow(F) == [x for x in range(F.size) if all(p[x] == x for p in perms)]
+    if F.pi is not None:
+        # the powers pi^0, ..., pi^(k-1) are distinct and pi^k = id
+        assert kernel_of_flow(F) == Subgroup.congruence(len(perms))
+    mu = invariant_measure_of_flow(F)
+    assert all(mu.weight(p[x]) == mu.weight(x) for p in perms for x in range(F.size))

@@ -332,12 +332,11 @@ def test_generator_law_checks_agree_with_all_pairs(case):
         assert not verdict.valid and verdict.reason == "not a homomorphism at ({},{})".format(*failure)
 
     failure = literal_first_failure(G, action_law)
-    flow = FiniteFlowPresentation(G, Q.order, action=action)
     if failure is None:
-        assert check_definable_flow(flow).valid
+        assert check_definable_flow(FiniteFlowPresentation(G, Q.order, action=action)).valid
     else:
         with pytest.raises(ValueError, match=re.escape("action is not a homomorphism at ({},{})".format(*failure))):
-            check_definable_flow(flow)
+            check_definable_flow(FiniteFlowPresentation(G, Q.order, action=action))
 
 
 def test_first_failing_pair_may_have_a_non_generator_second_entry():

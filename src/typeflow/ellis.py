@@ -16,7 +16,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import _LIMITS, LevelError, Limit, Realized, acting_set, apply_group, contains, limit_points, witness
+from .typespace import LevelError, Limit, Realized, _interned, acting_set, apply_group, contains, limit_points, witness
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -26,14 +26,17 @@ def _product_level(ctx: Group, p, q) -> int:
     """The level at which p * q is determined when p or q is a limit point.
 
     A realized factor is exact, so the product keeps the limit factor's
-    level. Limit points at levels m and n fix a + b only modulo
-    gcd(m, n), so no result is finer than an input.
+    level; its value must be an element of ctx, as the group law requires
+    of two realized factors. Limit points at levels m and n fix a + b only
+    modulo gcd(m, n), so no result is finer than an input.
     """
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
     if isinstance(p, Realized):
+        ctx.check_element(p.value)
         return q.modulus
     if isinstance(q, Realized):
+        ctx.check_element(q.value)
         return p.modulus
     return gcd(p.modulus, q.modulus)
 
@@ -46,17 +49,22 @@ def star(ctx: Group, p, q):
     direction wins while residues add. The rule extends the group action
     and is continuous in the left argument. The result lies at
     `_product_level`: the limit factor's own level, or gcd(levels).
+
+    Two limit points, the case of every hot caller, are tested first. At
+    equal exact-int levels no gcd is taken, and a result with exact-int
+    fields is read from the intern table, as `Limit(...)` would return it.
     """
-    if isinstance(p, Limit) and isinstance(q, Limit):
-        # the case of every hot caller, tested first
+    if p.__class__ is Limit is q.__class__:
         if not isinstance(ctx, IntegerGroup):
             raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
-        level = gcd(p.modulus, q.modulus)
+        level = p.modulus
+        modulus = q.modulus
+        if modulus != level or type(level) is not int or type(modulus) is not int:
+            level = gcd(level, modulus)
         residue = (p.residue + q.residue) % level
         sign = q.sign
-        # the interned point when every field is an exact int, as in Limit()
         if type(sign) is int and type(residue) is int:
-            point = _LIMITS.get((sign, residue, level))
+            point = _interned((sign, residue, level))
             if point is not None:
                 return point
         return Limit(sign, residue, level)

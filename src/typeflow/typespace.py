@@ -49,11 +49,16 @@ class Realized:
 
 
 # The interned limit points, keyed by their (sign, residue, modulus) tuple of
-# exact ints. Written only by `Limit.__new__`; read directly by `star`. A write
-# that takes it past _LIMITS_CAP points clears it, so between constructor
-# calls it never holds more, even when threads build points at once.
+# exact ints. Written only by `Limit.__new__`. A write that takes it past
+# _LIMITS_CAP points clears it, so between constructor calls it never holds
+# more, even when threads build points at once. It is cleared in place and
+# never rebound, so `_interned`, its bound `get`, always reads the live table.
+# The readers are `Limit.__new__` and the level-point kernels `apply_group`,
+# `limit_points` and `ellis.star`, which look up an exact-int result directly
+# and call `Limit(...)` only on a miss or for other field types.
 _LIMITS: dict = {}
 _LIMITS_CAP = 1 << 16
+_interned = _LIMITS.get
 
 
 class Limit:
@@ -78,7 +83,7 @@ class Limit:
         key = (sign, residue, modulus)
         exact = type(sign) is int and type(residue) is int and type(modulus) is int
         if exact:
-            point = _LIMITS.get(key)
+            point = _interned(key)
             if point is not None:
                 return point
         if sign not in (1, -1):
@@ -155,7 +160,22 @@ def restrict(p, m: int):
 
 
 def apply_group(ctx: Group, g, p):
-    """The group action on type points, a level-preserving bijection."""
+    """The group action on type points, a level-preserving bijection.
+
+    An exact `Limit` moved by an int over the exact integer backend, the
+    case of every hot caller, is answered first: a result with exact-int
+    fields is read from the intern table. Every other input takes the
+    checked path below.
+    """
+    if p.__class__ is Limit and ctx.__class__ is IntegerGroup and g.__class__ is int:
+        sign = p.sign
+        modulus = p.modulus
+        residue = (p.residue + g) % modulus
+        if type(sign) is int and type(modulus) is int and type(residue) is int:
+            point = _interned((sign, residue, modulus))
+            if point is not None:
+                return point
+        return Limit(sign, residue, modulus)
     ctx.check_element(g)
     if isinstance(p, Realized):
         return Realized(ctx.compose(g, p.value))
@@ -192,7 +212,9 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
     The limit part is {+,-} x Z/n over the integers and empty over finite
     backends, which only have the trivial level 1. The realized part is
     left out: any closed invariant set containing a realized point is the
-    whole space, so subflow machinery works on the limit part.
+    whole space, so subflow machinery works on the limit part. At an
+    exact-int level the points are read from the intern table, and built
+    only when missing.
     """
     if level < 1:
         raise ValueError("level modulus must be at least 1")
@@ -202,6 +224,8 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
         return []
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch(TYPE_SPACE_BACKENDS)
+    if type(level) is int:
+        return [_interned((sign, r, level)) or Limit(sign, r, level) for sign in (1, -1) for r in range(level)]
     return [Limit(1, r, level) for r in range(level)] + [Limit(-1, r, level) for r in range(level)]
 
 

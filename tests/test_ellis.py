@@ -9,7 +9,7 @@ from typeflow.ellis import (
     star,
     star_via_schema,
 )
-from typeflow.groups import INTEGERS, cyclic_group
+from typeflow.groups import INTEGERS, BackendMismatch, cyclic_group
 from typeflow.oracle import oracle_star
 from typeflow.typespace import Limit, Realized, apply_group, limit_points, restrict, witness
 
@@ -173,6 +173,24 @@ def test_star_restricted_on_product_backends():
         star(prod, Limit(1, 0, 2), Limit(-1, 1, 2))
     with pytest.raises(BackendMismatch):
         star(cyclic_group(3), Limit(1, 0, 1), Limit(1, 0, 1))
+
+
+@pytest.mark.parametrize("value", [1.5, True, (1, 2)])
+def test_a_realized_factor_must_be_an_integer(value):
+    # every product and the action reject a non-element with one message,
+    # whichever factor it is realized in; True is not the integer 1
+    message = f"{value!r} is not an element of IntegerGroup()"
+    p = Limit(1, 0, 4)
+    calls = [
+        (product, (INTEGERS, a, b))
+        for product in (star, star_via_schema)
+        for a, b in ((Realized(value), p), (p, Realized(value)), (Realized(value), Realized(2)))
+    ]
+    calls.append((apply_group, (INTEGERS, value, p)))
+    for kernel, args in calls:
+        with pytest.raises(BackendMismatch) as excinfo:
+            kernel(*args)
+        assert str(excinfo.value) == message
 
 
 def test_find_idempotents():

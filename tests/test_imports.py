@@ -3,7 +3,8 @@ module-level private function or class is used somewhere in the package,
 every public one without a caller in the package is on a short list,
 only tables that are groups by construction skip the group checks,
 only the `Limit` constructor writes the table of interned limit points,
-and the oracle imports none of the modules it certifies.
+only the constructor and the level-point kernels read it, and the oracle
+imports none of the modules it certifies.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.
@@ -220,6 +221,52 @@ def test_only_the_limit_constructor_writes_the_intern_table():
     # every other module reads the table or calls Limit(...), which validates
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert limit_table_writers(sources) == ["typespace.py:<module>", "typespace.py:__new__"]
+
+
+# the table and its bound get, the one handle the kernels read it through
+TABLE_NAMES = {"_LIMITS", "_interned"}
+
+
+def _reads_limits(node) -> bool:
+    """A mention of the table or of its bound get, as a name, an attribute
+    or an imported name, other than a write."""
+    if isinstance(node, ast.alias):
+        return node.name in TABLE_NAMES
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        return name in TABLE_NAMES and isinstance(node.ctx, ast.Load)
+    return False
+
+
+def limit_table_readers(sources: dict[str, str]) -> list[str]:
+    return enclosing_functions(sources, _reads_limits)
+
+
+def test_the_guard_sees_a_stray_read_of_the_intern_table():
+    sources = {
+        "a.py": "_LIMITS: dict = {}\n_interned = _LIMITS.get\n",
+        "b.py": (
+            "from .a import _interned as find\n\n\n"
+            "def peek(k):\n    return typespace._LIMITS.get(k)\n\n\n"
+            "def size():\n    return len(_LIMITS)\n\n\n"
+            "def lookup(k):\n    return _interned(k)\n\n\n"
+            "def build(s, r, m):\n    return Limit(s, r, m)\n"
+        ),
+    }
+    assert limit_table_readers(sources) == ["a.py:<module>", "b.py:<module>", "b.py:lookup", "b.py:peek", "b.py:size"]
+
+
+def test_only_the_constructor_and_the_level_point_kernels_read_the_intern_table():
+    # a change to the cap or the clear policy must hold for each of these
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert limit_table_readers(sources) == [
+        "ellis.py:<module>",
+        "ellis.py:star",
+        "typespace.py:<module>",
+        "typespace.py:__new__",
+        "typespace.py:apply_group",
+        "typespace.py:limit_points",
+    ]
 
 
 # the modules whose answers oracle.py cross-checks; it may share only

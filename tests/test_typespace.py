@@ -3,15 +3,16 @@ import pickle
 import random
 import sys
 import threading
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeflow import typespace
 from typeflow.defsets import IntegerSet, complement, congruence_set, integer_ray, member, union
 from typeflow.ellis import star
-from typeflow.groups import INTEGERS, BackendMismatch, ProductGroup, cyclic_group
+from typeflow.groups import INTEGERS, BackendMismatch, IntegerGroup, ProductGroup, cyclic_group
 from typeflow.typespace import (
     LevelError,
     Limit,
@@ -319,3 +320,155 @@ def test_threads_building_points_keep_the_table_bounded(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert len(typespace._LIMITS) <= 16
+
+
+# ---------------------------------------------------------------------------
+# the level-point kernels against a literal reference
+#
+# star, apply_group and limit_points read an exact-int result from the intern
+# table and skip the constructor. The references below build every point with
+# Limit(...) and take every level with math.gcd, so the fast paths must agree
+# with them on value, on field types, and on which results are the interned
+# point: exactly those whose fields are all exact ints.
+
+
+class SubIntegers(IntegerGroup):
+    """A subclass of the integer backend, which the kernels still accept."""
+
+
+KERNEL_PROPERTIES = settings(derandomize=True, deadline=None, max_examples=200)
+CONTEXTS = (INTEGERS, SubIntegers(), cyclic_group(3), ProductGroup(cyclic_group(2), INTEGERS))
+
+
+def reference_star(ctx, p, q):
+    if not isinstance(ctx, IntegerGroup):
+        raise BackendMismatch("the semigroup product on limit points is provided for the integer backend")
+    level = gcd(p.modulus, q.modulus)
+    return Limit(q.sign, (p.residue + q.residue) % level, level)
+
+
+def reference_apply_group(ctx, g, p):
+    ctx.check_element(g)
+    if not isinstance(ctx, IntegerGroup):
+        raise BackendMismatch("limit points live over the integers")
+    return Limit(p.sign, (p.residue + g) % p.modulus, p.modulus)
+
+
+def reference_limit_points(level):
+    return [Limit(1, r, level) for r in range(level)] + [Limit(-1, r, level) for r in range(level)]
+
+
+def outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except Exception as exc:  # the kernel's error is compared with the reference's
+        return exc
+
+
+def fields_of(p):
+    return (p.sign, p.residue, p.modulus)
+
+
+def assert_same_point(got, want):
+    assert got.__class__ is Limit and got == want and hash(got) == hash(want)
+    assert tuple(map(type, fields_of(got))) == tuple(map(type, fields_of(want)))
+    exact = all(type(f) is int for f in fields_of(want))
+    assert (got is Limit(*map(int, fields_of(want)))) == exact
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_point(g, w)
+    else:
+        assert_same_point(got, want)
+
+
+def spelled(value: int):
+    """An int field as an int or a float, and as a bool when it is 0 or 1."""
+    return st.sampled_from([value, float(value)] + ([bool(value)] if value in (0, 1) else []))
+
+
+@st.composite
+def point_at(draw, level: int):
+    """A point at the level; half of them with exact-int fields only."""
+    sign = draw(st.sampled_from((1, -1)))
+    residue = draw(st.integers(min_value=0, max_value=level - 1))
+    if draw(st.booleans()):
+        return Limit(sign, residue, level)
+    return Limit(draw(spelled(sign)), draw(spelled(residue)), draw(spelled(level)))
+
+
+@st.composite
+def level_pairs(draw):
+    """Equal, unequal, coprime and modulus-1 levels all come up."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    return m, draw(st.one_of(st.just(m), st.just(1), st.integers(min_value=1, max_value=12)))
+
+
+@KERNEL_PROPERTIES
+@given(st.data(), level_pairs())
+def test_star_of_limit_points_matches_the_reference(data, levels):
+    m, n = levels
+    # the table holds every point at both levels, as it does for the hot callers
+    limit_points(INTEGERS, m), limit_points(INTEGERS, n)
+    p, q = data.draw(point_at(m)), data.draw(point_at(n))
+    for ctx in CONTEXTS:
+        assert_same_outcome(outcome(star, ctx, p, q), outcome(reference_star, ctx, p, q))
+
+
+@KERNEL_PROPERTIES
+@given(st.data(), st.integers(min_value=1, max_value=12), st.integers(min_value=-30, max_value=30))
+def test_apply_group_on_limit_points_matches_the_reference(data, level, g):
+    limit_points(INTEGERS, level)
+    p = data.draw(point_at(level))
+    for ctx in CONTEXTS:
+        for h in (g, True, g + 0.5, float(g), (g, 0)):
+            assert_same_outcome(outcome(apply_group, ctx, h, p), outcome(reference_apply_group, ctx, h, p))
+
+
+@KERNEL_PROPERTIES
+@given(st.integers(min_value=1, max_value=12).flatmap(spelled))
+def test_limit_points_match_the_reference(level):
+    assert_same_outcome(outcome(limit_points, INTEGERS, level), outcome(reference_limit_points, level))
+
+
+@settings(KERNEL_PROPERTIES, max_examples=60)
+@given(st.data(), level_pairs(), st.integers(min_value=-30, max_value=30))
+def test_a_point_built_after_the_table_was_cleared_equals_its_later_twin(data, levels, g):
+    m, n = levels
+    p = Limit(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, m - 1)), m)
+    q = Limit(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, n - 1)), n)
+    kernels = [
+        lambda: [star(INTEGERS, p, q)],
+        lambda: [apply_group(INTEGERS, g, p)],
+        lambda: limit_points(INTEGERS, m),
+    ]
+    for kernel in kernels:
+        before = kernel()
+        typespace._LIMITS.clear()
+        # built afresh on a miss, then interned and shared from then on
+        after = kernel()
+        assert after == before and list(map(hash, after)) == list(map(hash, before))
+        assert all(a is not b for a, b in zip(after, before))
+        assert all(a is b for a, b in zip(after, kernel()))
+
+
+@pytest.mark.parametrize(
+    "kernel, args, error, message",
+    [
+        (star, (cyclic_group(3), Limit(1, 0, 1), Limit(1, 0, 1)), BackendMismatch,
+         "the semigroup product on limit points is provided for the integer backend"),
+        (star, (ProductGroup(cyclic_group(2), INTEGERS), Limit(1, 0, 2), Limit(-1, 1, 2)), BackendMismatch,
+         "the semigroup product on limit points is provided for the integer backend"),
+        (apply_group, (INTEGERS, True, Limit(1, 0, 6)), BackendMismatch, "True is not an element of IntegerGroup()"),
+        (limit_points, (INTEGERS, 0), ValueError, "level modulus must be at least 1"),
+    ],
+)
+def test_the_kernels_keep_their_errors(kernel, args, error, message):
+    with pytest.raises(error) as excinfo:
+        kernel(*args)
+    assert type(excinfo.value) is error and str(excinfo.value) == message

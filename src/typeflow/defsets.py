@@ -350,10 +350,11 @@ class RectangleSet:
     set in turn, inside before outside. Each atom carries its signature, a
     bitmask of the rectangles whose left set contains it, so its fiber is
     the union of the right sets that the signature names, and atoms with
-    equal fibers merge into one column. An atom is intersected with the
-    complement only when the rectangle splits it. For k rectangles and m
-    final atoms this costs k complements, at most 2·k·m intersections and
-    at most k·m fiber unions, with no second pass over atoms and rectangles.
+    equal fibers merge into one column. The refinement runs on plain ints
+    in one bit frame per axis (see ``_frame``): for k rectangles and m
+    final atoms it costs k lifts per axis, at most 2·k·m bit operations to
+    split the atoms and k·m to OR their fibers, and one canonical build
+    per final column and per final fiber.
     """
 
     __slots__ = ("group", "columns")
@@ -361,46 +362,44 @@ class RectangleSet:
     def __init__(self, group: ProductGroup, rectangles):
         if not isinstance(group, ProductGroup):
             raise BackendMismatch("RectangleSet needs a product context")
-        rects = [
-            (a, b)
-            for a, b in rectangles
-            if not a.is_empty and not b.is_empty
-        ]
-        for a, b in rects:
+        rects = []
+        for a, b in rectangles:
             _check_backend(group.left, a)
             _check_backend(group.right, b)
+            if not (a.is_empty or b.is_empty):
+                rects.append((a, b))
+        lift, full, build_column = _frame(group.left, [a for a, _ in rects])
+        lift_right, _, build_fiber = _frame(group.right, [b for _, b in rects])
         # (atom, signature): bit i is set when atom lies inside rects[i]'s left set
-        atoms = [(full_set(group.left), 0)]
+        atoms = [(full, 0)]
         for i, (a, _) in enumerate(rects):
-            outside_a = complement(a)
+            a = lift(a)
             refined = []
             for atom, signature in atoms:
-                inside = intersect(atom, a)
-                if inside.is_empty:
+                inside = atom & a
+                if not inside:
                     refined.append((atom, signature))
                 elif inside == atom:
                     refined.append((atom, signature | 1 << i))
                 else:
                     refined.append((inside, signature | 1 << i))
-                    refined.append((intersect(atom, outside_a), signature))
+                    refined.append((atom & ~a, signature))
             atoms = refined
+        rights = [lift_right(b) for _, b in rects]
         by_fiber = {}
         for atom, signature in atoms:
-            fiber = empty_set(group.right)
-            for i, (_, b) in enumerate(rects):
+            fiber = 0
+            for i, b in enumerate(rights):
                 if signature >> i & 1:
-                    fiber = union(fiber, b)
-            if fiber.is_empty:
-                continue
-            key = fiber._key()
-            if key in by_fiber:
-                col, fib = by_fiber[key]
-                by_fiber[key] = (union(col, atom), fib)
-            else:
-                by_fiber[key] = (atom, fiber)
+                    fiber |= b
+            if fiber:
+                by_fiber[fiber] = by_fiber.get(fiber, 0) | atom
         self.group = group
         self.columns = tuple(
-            sorted(by_fiber.values(), key=lambda cf: cf[0]._key())
+            sorted(
+                ((build_column(col), build_fiber(fib)) for fib, col in by_fiber.items()),
+                key=lambda cf: cf[0]._key(),
+            )
         )
 
     def member(self, x) -> bool:
@@ -508,6 +507,45 @@ def _membership(Y: IntegerSet, lo: int, width: int) -> int:
         | Y.window_mask << below
         | _extend(Y.up_mask, Y.period, Y.hi + 1, width - above) << above
     )
+
+
+def _frame(axis: Group, sets):
+    """One bit frame for sets of one product axis: (lift, full, build).
+
+    ``lift`` maps each of the sets to a plain int, ``full`` is the lift of
+    the whole axis and ``build`` turns a lift back into a canonical set. On
+    a finite axis the lift is the set's mask. On the integers the frame is
+    the period L, the lcm of the sets' periods, and the window [lo, hi],
+    from their least lo to their greatest hi. A set lifts to the triple
+    (up, down, window): its up and down patterns read at period L and its
+    membership over the window, packed into one int as
+    up | down << L | window << 2L.
+
+    Within one frame the triple determines the set: a point x above hi
+    reads up at x mod L, a point inside the window reads the window, and a
+    point below lo reads down at x mod L, and every bit is read by some
+    point. So bit operations on lifts are the Boolean operations on the
+    sets, a lift is 0 exactly when its set is empty, and two lifts are
+    equal exactly when their sets are.
+    """
+    if not isinstance(axis, IntegerGroup):
+        return operator.attrgetter("mask"), (1 << axis.order) - 1, lambda m: FiniteSubset(axis, mask=m)
+    period = lcm(*(a.period for a in sets))
+    lo = min((a.lo for a in sets), default=0)
+    hi = max((a.hi for a in sets), default=-1)
+    width = hi - lo + 1
+    ones = (1 << period) - 1
+
+    def lift(a):
+        up = _extend(a.up_mask, a.period, 0, period)
+        down = _extend(a.down_mask, a.period, 0, period)
+        return up | down << period | _membership(a, lo, width) << 2 * period
+
+    def build(m):
+        window = _Mask(m >> 2 * period, width)
+        return IntegerSet(period, _Mask(m & ones, period), _Mask(m >> period & ones, period), lo, hi, window)
+
+    return lift, (1 << 2 * period + width) - 1, build
 
 
 def _combine_integer(A: IntegerSet, B: IntegerSet, op) -> IntegerSet:

@@ -30,7 +30,7 @@ from typeflow.defsets import (
     translates_cover,
     union,
 )
-from typeflow.groups import BackendMismatch, INTEGERS, ProductGroup, cyclic_group
+from typeflow.groups import BackendMismatch, INTEGERS, ProductGroup, cyclic_group, symmetric_group_3
 
 EVENS = congruence_set(2, [0])
 ODDS = congruence_set(2, [1])
@@ -299,6 +299,96 @@ def test_rectangle_columns_match_their_input_rectangles():
             fibers = [f for _, f in Y.columns]
             assert all(intersect(c, d).is_empty for i, c in enumerate(cols) for d in cols[i + 1 :])
             assert all(not f.is_empty for f in fibers) and len(set(fibers)) == len(fibers)
+
+
+def reference_columns(group, rectangles):
+    """The column decomposition by the generic refinement: every split,
+    fiber and merge is a canonical set operation."""
+    rects = [(a, b) for a, b in rectangles if not a.is_empty and not b.is_empty]
+    atoms = [(full_set(group.left), 0)]
+    for i, (a, _) in enumerate(rects):
+        refined = []
+        for atom, signature in atoms:
+            inside = intersect(atom, a)
+            if inside.is_empty:
+                refined.append((atom, signature))
+            elif inside == atom:
+                refined.append((atom, signature | 1 << i))
+            else:
+                refined.append((inside, signature | 1 << i))
+                refined.append((intersect(atom, complement(a)), signature))
+        atoms = refined
+    by_fiber = {}
+    for atom, signature in atoms:
+        fiber = empty_set(group.right)
+        for i, (_, b) in enumerate(rects):
+            if signature >> i & 1:
+                fiber = union(fiber, b)
+        if not fiber.is_empty:
+            col = by_fiber.get(fiber)
+            by_fiber[fiber] = atom if col is None else union(col, atom)
+    return tuple(sorted(((col, fib) for fib, col in by_fiber.items()), key=lambda cf: cf[0]._key()))
+
+
+# integer sides on which the bit frame's period, window and tails each matter
+INTEGER_EDGE_CASES = {
+    "coprime periods": [
+        congruence_set(2, [1]),
+        IntegerSet(3, up=[0, 2], down=[1], lo=-2, hi=1, bits=[1, 0, 0, 1]),
+        IntegerSet(5, up=[4], down=[0, 3]),
+    ],
+    "empty windows": [integer_ray(1, 3), integer_ray(-1, -2), IntegerSet(2, up=[1], down=[0], lo=7, hi=6)],
+    "a window above another": [
+        integers_from([-6, -4, -3]),
+        IntegerSet(2, up=[0], down=[1], lo=10, hi=13, bits=[1, 1, 0, 1]),
+    ],
+    "one-sided": [integer_ray(1, 0), integers_from([0, 2])],
+}
+
+
+def edge_case_rectangles(ctx, random_left, random_right):
+    cases = [[], [(random_left(), empty_set(ctx.right))], [(empty_set(ctx.left), random_right())]]
+    for sets in INTEGER_EDGE_CASES.values():
+        if INTEGERS == ctx.left:
+            cases.append([(s, random_right()) for s in sets])
+        if INTEGERS == ctx.right:
+            cases.append([(random_left(), s) for s in sets])
+    return cases
+
+
+def test_rectangle_columns_equal_the_generic_refinement():
+    rng = random.Random(23)
+    c3, c4, s3 = cyclic_group(3), cyclic_group(4), symmetric_group_3()
+    integers = (INTEGERS, lambda: random_integer_set(rng))
+    sides = {
+        "Zxc3": (integers, (c3, lambda: random_finite_subset(rng, c3))),
+        "s3xZ": ((s3, lambda: random_finite_subset(rng, s3)), integers),
+        "ZxZ": (integers, integers),
+        "c4xc3": ((c4, lambda: random_finite_subset(rng, c4)), (c3, lambda: random_finite_subset(rng, c3))),
+    }
+    for name, (left, right) in sides.items():
+        ctx = ProductGroup(left[0], right[0])
+        cases = edge_case_rectangles(ctx, left[1], right[1])
+        cases += [[(left[1](), right[1]()) for _ in range(rng.randint(1, 5))] for _ in range(40)]
+        for rects in cases:
+            expected = reference_columns(ctx, rects)
+            Y = RectangleSet(ctx, rects)
+            assert Y.columns == expected, (name, rects)
+            assert set_to_json(Y) == {"rectangles": [[set_to_json(c), set_to_json(f)] for c, f in expected]}
+    assert RectangleSet(ProductGroup(INTEGERS, c3), []).columns == ()
+
+
+def test_empty_rectangles_are_checked_against_the_backend():
+    c3, c4, c5 = cyclic_group(3), cyclic_group(4), cyclic_group(5)
+    ctx = ProductGroup(INTEGERS, c3)
+    for left, right in [
+        (FiniteSubset(c4, mask=0), FiniteSubset(c3, [1])),
+        (FiniteSubset(c4, [0]), FiniteSubset(c3, [1])),
+        (EVENS, FiniteSubset(c5, mask=0)),
+        (EVENS, FiniteSubset(c5, [0])),
+    ]:
+        with pytest.raises(BackendMismatch):
+            RectangleSet(ctx, [(left, right)])
 
 
 def test_product_genericity_and_certificates():

@@ -70,6 +70,7 @@ from .oracle import (
     oracle_minimal_subflows,
     oracle_star,
     sufficient_radius,
+    window_members,
 )
 from .typespace import (
     Limit,
@@ -330,7 +331,7 @@ def _task_difference_set(ctx, level, params, opts):
         )
         listed = oracle_difference_set(Y, universe)
         half = universe.radius // 2
-        out["oracle_agrees"] = listed == list(filter(diff.member, range(-half, half + 1)))
+        out["oracle_agrees"] = listed == window_members(diff, -half, half)
     return out
 
 

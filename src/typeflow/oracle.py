@@ -4,8 +4,11 @@ Everything here is exact and bounded: enumerate, realize with concrete big
 integers, or search all candidates. None of it shares algorithmic code with
 the implementations it certifies; membership evaluation is the only common
 ground truth. Sets over a window are Python ints used as bitsets, built
-from one membership pass, so every kernel reads its input only through
-`member`.
+by `_membership_mask`, so every kernel reads its input only through
+`member`. That reader calls `member` on the set's own window and on one
+period of points on each side of it, and repeats those answers over the
+rest of the requested window: beyond its window an integer set is periodic
+with its `period`, which `sufficient_radius` relies on as well.
 """
 
 from __future__ import annotations
@@ -51,9 +54,40 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _tiled(Y, start: int, stop: int) -> bytes:
+    """Membership of range(start, stop), a range lying wholly above or
+    wholly below Y's window, read at no more than one period of points;
+    empty when stop <= start."""
+    n = max(0, stop - start)
+    first = bytes(map(Y.member, range(start, start + min(n, Y.period))))
+    return (first * (n // Y.period + 1))[:n]
+
+
 def _membership_mask(Y, lo: int, hi: int) -> int:
-    """Bit j is set iff lo + j is in Y; the window [lo, hi] is not empty."""
-    return int(bytes(map(Y.member, range(hi, lo - 1, -1))).translate(_TO_DIGITS), 2)
+    """Bit j is set iff lo + j is in Y; the range [lo, hi] is not empty.
+
+    `member` is called only on Y's window and on at most one period of
+    points on each side of it. Beyond the window `member(x)` reads one
+    pattern bit of `x % Y.period`, above and below alike, so on each side
+    the answers repeat with period `Y.period` and the first period of a
+    side's points gives all of them: the tiled bytes equal the per-point
+    answers exactly, on every point. `sufficient_radius` rests on the same
+    periodicity.
+    """
+    below = min(hi + 1, Y.lo)
+    above = max(lo, Y.hi + 1)
+    answers = (
+        _tiled(Y, lo, below)
+        + bytes(map(Y.member, range(max(lo, Y.lo), min(hi, Y.hi) + 1)))
+        + _tiled(Y, above, hi + 1)
+    )
+    return int(answers[::-1].translate(_TO_DIGITS), 2)
+
+
+def window_members(Y, lo: int, hi: int) -> list[int]:
+    """The members of Y in [lo, hi], ascending, read as `_membership_mask`
+    reads them; the range [lo, hi] is not empty."""
+    return [lo + j for j in _bits(_membership_mask(Y, lo, hi))]
 
 
 def _reversed(mask: int, width: int) -> int:

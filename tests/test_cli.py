@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from typeflow import cli
 from typeflow.cli import SchemaError, list_capabilities, main, render_json, render_text, run_scenario
-from typeflow.defsets import congruence_set, set_from_json
+from typeflow.defsets import IntegerSet, complement, congruence_set, intersect, set_from_json
 from typeflow.groups import INTEGERS, FiniteGroup
 from typeflow.typespace import point_from_json
 
@@ -140,6 +141,41 @@ def test_with_oracle_flag():
     assert code == 0
     assert all(r["result"].get("oracle_agrees", True) for r in report["results"])
     assert report["results"][0]["result"]["oracle_agrees"] is True
+
+
+def oracle_verdicts(tasks):
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
+    assert code == 0 and all(r["ok"] for r in report["results"])
+    return [r["result"]["oracle_agrees"] for r in report["results"]]
+
+
+def test_oracle_disagrees_with_a_difference_set_missing_a_member(monkeypatch):
+    sets = ("evens", "odds", "all", {"mod": 3, "up": [0], "down": [0]})
+    tasks = [{"op": "difference-set", "set": s} for s in sets]
+    assert oracle_verdicts(tasks) == [True] * 4
+    structured = cli.difference_set
+
+    def one_member_dropped(Y):
+        D = structured(Y)
+        dropped = IntegerSet(1, lo=6, hi=6, bits=[1])
+        assert intersect(D, dropped) == dropped
+        return intersect(D, complement(dropped))
+
+    monkeypatch.setattr(cli, "difference_set", one_member_dropped)
+    assert oracle_verdicts(tasks) == [False] * 4
+
+
+def test_oracle_disagrees_with_a_flipped_genericity_verdict(monkeypatch):
+    tasks = [{"op": "is-generic", "set": s} for s in ("evens", "nonneg")]
+    assert oracle_verdicts(tasks) == [True, True]
+    structured = cli.is_left_generic
+
+    def flipped(ctx, Y):
+        verdict = structured(ctx, Y)
+        return dataclasses.replace(verdict, generic=not verdict.generic)
+
+    monkeypatch.setattr(cli, "is_left_generic", flipped)
+    assert oracle_verdicts(tasks) == [False, False]
 
 
 def test_main_exit_codes(tmp_path, capsys):

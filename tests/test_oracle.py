@@ -29,6 +29,7 @@ from typeflow.oracle import (
     oracle_minimal_subflows,
     oracle_star,
     sufficient_radius,
+    window_members,
 )
 from typeflow.typespace import Limit, apply_group, limit_points
 
@@ -239,14 +240,85 @@ def test_bits_lists_the_set_bits():
     assert _bits(0) == [] and _bits(1 << 500) == [500]
 
 
+def random_periodic_set(rng):
+    """A set of period at most 12 whose window may be empty."""
+    period = rng.randint(1, 12)
+    lo = rng.randint(-20, 5)
+    hi = lo + rng.randint(-1, 15)
+    return IntegerSet(
+        period,
+        up=[r for r in range(period) if rng.random() < 0.4],
+        down=[r for r in range(period) if rng.random() < 0.4],
+        lo=lo,
+        hi=hi,
+        bits=[rng.random() < 0.4 for _ in range(hi - lo + 1)],
+    )
+
+
 def test_membership_mask_matches_a_per_point_loop():
     rng = random.Random(29)
-    empty_windows = 0
-    for _ in range(400):
-        Y = random_small_set(rng)
-        empty_windows += Y.hi < Y.lo
-        lo = rng.randint(-60, 20)
-        hi = lo + rng.randint(0, 80)
-        expected = sum(1 << j for j, x in enumerate(range(lo, hi + 1)) if member(Y, x))
-        assert _membership_mask(Y, lo, hi) == expected
-    assert empty_windows > 0
+    empty, full = IntegerSet(1), IntegerSet(1, up=[0], down=[0])
+    sets = [empty, full, congruence_set(12, [0, 5]), IntegerSet(11, up=[3], down=[4, 9])]
+    sets += [random_periodic_set(rng) for _ in range(250)]
+    kinds = dict.fromkeys(("below", "above", "inside", "short", "across"), 0)
+    for Y in sets:
+        p = Y.period
+        ranges = []
+        end = Y.lo - rng.randint(1, 30)
+        ranges.append(("below", end - rng.randint(0, 3 * p), end))
+        start = Y.hi + rng.randint(1, 30)
+        ranges.append(("above", start, start + rng.randint(0, 3 * p)))
+        if Y.lo <= Y.hi:
+            a = rng.randint(Y.lo, Y.hi)
+            ranges.append(("inside", a, rng.randint(a, Y.hi)))
+        a = rng.randint(Y.lo - 2 * p, Y.hi + 2 * p)
+        ranges.append(("short", a, a + rng.randint(0, p - 1)))
+        ranges.append(("across", Y.lo - rng.randint(0, 40), Y.hi + rng.randint(0, 40)))
+        for kind, lo, hi in ranges:
+            kinds[kind] += 1
+            expected = sum(1 << j for j, x in enumerate(range(lo, hi + 1)) if member(Y, x))
+            assert _membership_mask(Y, lo, hi) == expected, (Y, kind, lo, hi)
+            assert window_members(Y, lo, hi) == [x for x in range(lo, hi + 1) if member(Y, x)]
+    assert empty.is_empty and _membership_mask(empty, -500, 500) == 0
+    assert _membership_mask(full, -500, 500) == (1 << 1001) - 1
+    assert max(Y.period for Y in sets) == 12
+    assert sum(Y.hi < Y.lo for Y in sets) > 10
+    assert min(kinds.values()) > 100
+
+
+# the two large-window sets of the genericity oracle's slowest inputs
+LARGE_WINDOW_SETS = [
+    IntegerSet(150, up=[0], down=[0], lo=-20, hi=20, bits=[1] + [0] * 39 + [1]),
+    IntegerSet(60, up=[0], down=[0], lo=-30, hi=30, bits=[1, 0, 0] * 20 + [1]),
+]
+
+
+def test_membership_mask_reads_the_window_and_one_period_per_side(monkeypatch):
+    calls = []
+    per_point = IntegerSet.member
+
+    def counted(self, x):
+        calls.append(x)
+        return per_point(self, x)
+
+    monkeypatch.setattr(IntegerSet, "member", counted)
+    reads = []
+    reader = oracle._membership_mask
+
+    def counted_reader(Y, lo, hi):
+        before = len(calls)
+        mask = reader(Y, lo, hi)
+        reads.append((Y, len(calls) - before))
+        return mask
+
+    monkeypatch.setattr(oracle, "_membership_mask", counted_reader)
+    for Y in LARGE_WINDOW_SETS:
+        universe = WindowUniverse(sufficient_radius(Y))
+        assert universe.radius in (12_000, 7_200)
+        oracle_difference_set(Y, universe)
+        oracle_generic(Y, max_translates=2 * Y.period + 4, shift_bound=Y.period + 50, universe=universe)
+        for radius in (0, Y.period, 10**6):
+            counted_reader(Y, -radius - 5, radius)
+    assert len(reads) == 10
+    for Y, made in reads:
+        assert made <= (Y.hi - Y.lo + 1) + 2 * Y.period

@@ -387,8 +387,10 @@ def _task_contains(ctx, level, params, opts):
 def _task_logic_quotient(ctx, level, params, opts):
     if "modulus" in params:
         quotient = logic_quotient(ctx, CongruenceEquivalence(_positive_int(params, "modulus", None)))
-    else:
+    elif "blocks" in params:
         quotient = logic_quotient(ctx, PartitionEquivalence(tuple(params["blocks"])))
+    else:
+        raise ValueError("logic-quotient needs a modulus (integers) or blocks (finite)")
     return {
         "size": quotient.size,
         "is_group": quotient.group is not None,

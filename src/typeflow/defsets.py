@@ -5,13 +5,16 @@ residue pattern the set eventually matches toward +infinity (``up``) and
 toward -infinity (``down``), and an explicit finite window of bits in
 between. Each of the three is stored as a Python int used as a bit
 vector (bit r is residue r, bit i is the point lo + i), and the integer
-kernels (canonicalisation, Boolean combination, translation and quotient
-sets) work on these ints: a period lift or a window extension is a
-rotation followed by doubling shifts, a minimal period is a rotation
-test, and window trimming reads ``bit_length``. Finite group subsets are
-bitmasks. Product sets are stored as a column decomposition into disjoint
-left-hand classes with distinct fibers. Every constructor canonicalizes,
-so structural equality decides set equality, and all operations are pure.
+kernels (canonicalisation, translation and quotient sets) work on these
+ints: a period lift or a window extension is a rotation followed by
+doubling shifts, a minimal period is a rotation test, and window trimming
+reads ``bit_length``. Finite group subsets are bitmasks. The Boolean
+algebra has one lift, ``_frame``: sets of one backend lift to plain ints
+in a common frame, where union, intersection and complement are single
+bit operations. Product sets are stored as a column decomposition into
+disjoint left-hand classes with distinct fibers. Every constructor
+canonicalizes, so structural equality decides set equality, and all
+operations are pure.
 
 Product backends carry only the rectangle algebra (finite unions of
 rectangles), a proper subalgebra of all definable subsets of the product
@@ -139,7 +142,9 @@ def _residue_mask(residues, period: int) -> int:
         return residues.value
     flags = bytearray(period)
     for r in residues:
-        flags[int(r) % period] = 1
+        if type(r) is not int:
+            raise TypeError(f"residues must be ints, got {r!r}")
+        flags[r % period] = 1
     return _mask_of_flags(flags)
 
 
@@ -218,16 +223,18 @@ class IntegerSet:
     residue r, bit i of ``window_mask`` is the point lo + i. ``up`` and
     ``down`` (frozensets of residues) and ``bits`` (a tuple of bools, one
     per point of [lo, hi]) are read-only views built from them on access.
+    The period, lo, hi and every residue must be exact ints (a bool, float
+    or string raises ``TypeError``); window bits are read as truth values.
     """
 
     __slots__ = ("period", "lo", "hi", "up_mask", "down_mask", "window_mask")
     group = INTEGERS
 
     def __init__(self, period, up=(), down=(), lo=0, hi=-1, bits=()):
-        period = int(period)
+        if not (type(period) is int and type(lo) is int and type(hi) is int):
+            raise TypeError(f"period, lo and hi must be ints, got {period!r}, {lo!r} and {hi!r}")
         if period < 1:
             raise ValueError("period must be at least 1")
-        lo, hi = int(lo), int(hi)
         if not isinstance(bits, _Mask):
             flags = bytes(map(bool, bits))
             bits = _Mask(_mask_of_flags(flags), len(flags))
@@ -449,23 +456,17 @@ def member(Y, x) -> bool:
 
 
 def empty_set(ctx: Group):
-    if isinstance(ctx, IntegerGroup):
-        return IntegerSet(1)
-    if isinstance(ctx, FiniteGroup):
-        return FiniteSubset(ctx, mask=0)
     if isinstance(ctx, ProductGroup):
         return RectangleSet(ctx, [])
-    raise BackendMismatch(f"unknown context {ctx!r}")
+    _, _, build = _frame(ctx, ())
+    return build(0)
 
 
 def full_set(ctx: Group):
-    if isinstance(ctx, IntegerGroup):
-        return IntegerSet(1, up=[0], down=[0])
-    if isinstance(ctx, FiniteGroup):
-        return FiniteSubset(ctx, mask=(1 << ctx.order) - 1)
     if isinstance(ctx, ProductGroup):
         return RectangleSet(ctx, [(full_set(ctx.left), full_set(ctx.right))])
-    raise BackendMismatch(f"unknown context {ctx!r}")
+    _, full, build = _frame(ctx, ())
+    return build(full)
 
 
 def congruence_set(modulus: int, residues) -> IntegerSet:
@@ -498,28 +499,21 @@ def integers_from(elems) -> IntegerSet:
     return IntegerSet(1, lo=lo, hi=hi, bits=flags)
 
 
-def _membership(Y: IntegerSet, lo: int, width: int) -> int:
-    """Bit i is the membership of lo + i in Y; [lo, lo + width) must cover Y's window."""
-    below = Y.lo - lo
-    above = Y.hi + 1 - lo
-    return (
-        _extend(Y.down_mask, Y.period, lo, below)
-        | Y.window_mask << below
-        | _extend(Y.up_mask, Y.period, Y.hi + 1, width - above) << above
-    )
+_MASK = operator.attrgetter("mask")
 
 
 def _frame(axis: Group, sets):
-    """One bit frame for sets of one product axis: (lift, full, build).
+    """One bit frame for sets of one backend: (lift, full, build).
 
+    The frame is the one lift of the Boolean algebra: union, intersection,
+    complement and rectangle refinement are bit operations on lifts.
     ``lift`` maps each of the sets to a plain int, ``full`` is the lift of
-    the whole axis and ``build`` turns a lift back into a canonical set. On
-    a finite axis the lift is the set's mask. On the integers the frame is
-    the period L, the lcm of the sets' periods, and the window [lo, hi],
+    the whole backend and ``build`` turns a lift back into a canonical set.
+    On a finite group the lift is the set's mask. On the integers the frame
+    is the period L, the lcm of the sets' periods, and the window [lo, hi],
     from their least lo to their greatest hi. A set lifts to the triple
     (up, down, window): its up and down patterns read at period L and its
-    membership over the window, packed into one int as
-    up | down << L | window << 2L.
+    membership over the window, packed as up | down << L | window << 2L.
 
     Within one frame the triple determines the set: a point x above hi
     reads up at x mod L, a point inside the window reads the window, and a
@@ -528,18 +522,25 @@ def _frame(axis: Group, sets):
     sets, a lift is 0 exactly when its set is empty, and two lifts are
     equal exactly when their sets are.
     """
+    if isinstance(axis, FiniteGroup):
+        return _MASK, (1 << axis.order) - 1, lambda m: FiniteSubset(axis, mask=m)
     if not isinstance(axis, IntegerGroup):
-        return operator.attrgetter("mask"), (1 << axis.order) - 1, lambda m: FiniteSubset(axis, mask=m)
-    period = lcm(*(a.period for a in sets))
-    lo = min((a.lo for a in sets), default=0)
-    hi = max((a.hi for a in sets), default=-1)
+        raise BackendMismatch(f"unknown context {axis!r}")
+    # a plain loop: min, max and lcm over generators cost more than the bit work
+    period, (lo, hi) = 1, (sets[0].lo, sets[0].hi) if sets else (0, -1)
+    for a in sets:
+        period = lcm(period, a.period)
+        lo = a.lo if a.lo < lo else lo
+        hi = a.hi if a.hi > hi else hi
     width = hi - lo + 1
     ones = (1 << period) - 1
 
     def lift(a):
-        up = _extend(a.up_mask, a.period, 0, period)
-        down = _extend(a.down_mask, a.period, 0, period)
-        return up | down << period | _membership(a, lo, width) << 2 * period
+        p, below, above = a.period, a.lo - lo, a.hi + 1 - lo
+        # a's down pattern below its window, its window bits, its up pattern above
+        window = _extend(a.down_mask, p, lo, below) | a.window_mask << below
+        window |= _extend(a.up_mask, p, a.hi + 1, width - above) << above
+        return _extend(a.up_mask, p, 0, period) | _extend(a.down_mask, p, 0, period) << period | window << 2 * period
 
     def build(m):
         window = _Mask(m >> 2 * period, width)
@@ -548,67 +549,41 @@ def _frame(axis: Group, sets):
     return lift, (1 << 2 * period + width) - 1, build
 
 
-def _combine_integer(A: IntegerSet, B: IntegerSet, op) -> IntegerSet:
-    """Apply a bitwise operator to both patterns lifted to the lcm period and
-    to both membership masks over the joint window."""
-    period = lcm(A.period, B.period)
-    up = op(_extend(A.up_mask, A.period, 0, period), _extend(B.up_mask, B.period, 0, period))
-    down = op(_extend(A.down_mask, A.period, 0, period), _extend(B.down_mask, B.period, 0, period))
-    lo = min(A.lo, B.lo)
-    hi = max(A.hi, B.hi)
-    width = hi - lo + 1
-    bits = op(_membership(A, lo, width), _membership(B, lo, width))
-    return IntegerSet(period, _Mask(up, period), _Mask(down, period), lo, hi, _Mask(bits, width))
-
-
 def union(A, B):
     _same_backend(A, B)
-    if isinstance(A, IntegerSet):
-        return _combine_integer(A, B, operator.or_)
-    if isinstance(A, FiniteSubset):
-        return FiniteSubset(A.group, mask=A.mask | B.mask)
-    return RectangleSet(A.group, list(A.columns) + list(B.columns))
+    if isinstance(A, RectangleSet):
+        return RectangleSet(A.group, list(A.columns) + list(B.columns))
+    lift, _, build = _frame(A.group, (A, B))
+    return build(lift(A) | lift(B))
 
 
 def intersect(A, B):
     _same_backend(A, B)
-    if isinstance(A, IntegerSet):
-        return _combine_integer(A, B, operator.and_)
-    if isinstance(A, FiniteSubset):
-        return FiniteSubset(A.group, mask=A.mask & B.mask)
-    rects = []
-    for ca, fa in A.columns:
-        for cb, fb in B.columns:
-            rects.append((intersect(ca, cb), intersect(fa, fb)))
-    return RectangleSet(A.group, rects)
+    if isinstance(A, RectangleSet):
+        rects = [(intersect(ca, cb), intersect(fa, fb)) for ca, fa in A.columns for cb, fb in B.columns]
+        return RectangleSet(A.group, rects)
+    lift, _, build = _frame(A.group, (A, B))
+    return build(lift(A) & lift(B))
 
 
 def complement(A):
-    if isinstance(A, IntegerSet):
-        full = (1 << A.period) - 1
-        width = A.hi - A.lo + 1
-        return IntegerSet(
-            A.period,
-            _Mask(A.up_mask ^ full, A.period),
-            _Mask(A.down_mask ^ full, A.period),
-            A.lo,
-            A.hi,
-            _Mask(A.window_mask ^ ((1 << width) - 1), width),
-        )
-    if isinstance(A, FiniteSubset):
-        return FiniteSubset(A.group, mask=((1 << A.group.order) - 1) ^ A.mask)
+    if not isinstance(A, _SET_KINDS):
+        raise BackendMismatch(f"not a definable set: {A!r}")
     if isinstance(A, RectangleSet):
-        rects = [(col, complement(fib)) for col, fib in A.columns]
-        covered = empty_set(A.group.left)
+        lift, uncovered, build = _frame(A.group.left, [col for col, _ in A.columns])
         for col, _ in A.columns:
-            covered = union(covered, col)
-        rects.append((complement(covered), full_set(A.group.right)))
+            uncovered &= ~lift(col)
+        rects = [(col, complement(fib)) for col, fib in A.columns]
+        rects.append((build(uncovered), full_set(A.group.right)))
         return RectangleSet(A.group, rects)
-    raise BackendMismatch(f"not a definable set: {A!r}")
+    lift, full, build = _frame(A.group, (A,))
+    return build(full ^ lift(A))
 
 
 def boolean_op(kind: str, A, B=None):
     """Single entry point for the Boolean algebra: union, intersection, complement."""
+    if kind in ("union", "intersection") and B is None:
+        raise ValueError(f"{kind} needs a second set b")
     if kind == "union":
         return union(A, B)
     if kind == "intersection":

@@ -51,23 +51,17 @@ def star(ctx: Group, p, q):
     `_product_level`: the limit factor's own level, or gcd(levels).
 
     Two limit points, the case of every hot caller, are tested first. At
-    equal exact-int levels no gcd is taken, and a result with exact-int
-    fields is read from the intern table, as `Limit(...)` would return it.
+    equal levels no gcd is taken, and the result is read from the intern
+    table, as `Limit(...)` would return it.
     """
     if p.__class__ is Limit is q.__class__:
         if not isinstance(ctx, IntegerGroup):
             raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
         level = p.modulus
-        modulus = q.modulus
-        if modulus != level or type(level) is not int or type(modulus) is not int:
-            level = gcd(level, modulus)
-        residue = (p.residue + q.residue) % level
-        sign = q.sign
-        if type(sign) is int and type(residue) is int:
-            point = _interned((sign, residue, level))
-            if point is not None:
-                return point
-        return Limit(sign, residue, level)
+        if q.modulus != level:
+            level = gcd(level, q.modulus)
+        key = (q.sign, (p.residue + q.residue) % level, level)
+        return _interned(key) or Limit(*key)
     if isinstance(p, Realized) and isinstance(q, Realized):
         return Realized(ctx.compose(p.value, q.value))
     level = _product_level(ctx, p, q)

@@ -67,25 +67,26 @@ class Limit:
     A value like `Realized`: never assigned after construction, with the
     hash of ``(sign, residue, modulus)`` computed in the constructor.
 
-    Limit points are interned: a point whose three fields are exact ints
-    is built once and then shared, so ``Limit(1, 5, 120)`` returns the same
-    object to every caller and a set of points matches a product by
-    identity before it calls `__eq__`. Fields of any other type (a bool,
-    a float) are validated and built afresh on every call and never
-    returned in place of an int point. Interning is only a fast path:
-    equality and hashing stay by value, so a point built while the bounded
-    table was full or just cleared still equals its interned twin.
+    The three fields must be exact ints: a bool, float or any other type
+    raises ``TypeError`` before the intern table is read, since ``True``
+    and ``6.0`` hash and compare equal to the ints 1 and 6. Limit points
+    are interned: each is built once and then shared, so
+    ``Limit(1, 5, 120)`` returns the same object to every caller and a set
+    of points matches a product by identity before it calls `__eq__`.
+    Interning is only a fast path: equality and hashing stay by value, so
+    a point built while the bounded table was full or just cleared still
+    equals its interned twin.
     """
 
     __slots__ = ("sign", "residue", "modulus", "_hash")
 
     def __new__(cls, sign: int, residue: int, modulus: int):
+        if not (type(sign) is int and type(residue) is int and type(modulus) is int):
+            raise TypeError(f"limit point fields must be ints, got {sign!r}, {residue!r} and {modulus!r}")
         key = (sign, residue, modulus)
-        exact = type(sign) is int and type(residue) is int and type(modulus) is int
-        if exact:
-            point = _interned(key)
-            if point is not None:
-                return point
+        point = _interned(key)
+        if point is not None:
+            return point
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if modulus < 1:
@@ -97,10 +98,9 @@ class Limit:
         point.residue = residue
         point.modulus = modulus
         point._hash = hash(key)
-        if exact:
-            _LIMITS[key] = point
-            if len(_LIMITS) > _LIMITS_CAP:
-                _LIMITS.clear()
+        _LIMITS[key] = point
+        if len(_LIMITS) > _LIMITS_CAP:
+            _LIMITS.clear()
         return point
 
     def __reduce__(self):
@@ -163,19 +163,12 @@ def apply_group(ctx: Group, g, p):
     """The group action on type points, a level-preserving bijection.
 
     An exact `Limit` moved by an int over the exact integer backend, the
-    case of every hot caller, is answered first: a result with exact-int
-    fields is read from the intern table. Every other input takes the
-    checked path below.
+    case of every hot caller, is answered first: the result is read from
+    the intern table. Every other input takes the checked path below.
     """
     if p.__class__ is Limit and ctx.__class__ is IntegerGroup and g.__class__ is int:
-        sign = p.sign
-        modulus = p.modulus
-        residue = (p.residue + g) % modulus
-        if type(sign) is int and type(modulus) is int and type(residue) is int:
-            point = _interned((sign, residue, modulus))
-            if point is not None:
-                return point
-        return Limit(sign, residue, modulus)
+        key = (p.sign, (p.residue + g) % p.modulus, p.modulus)
+        return _interned(key) or Limit(*key)
     ctx.check_element(g)
     if isinstance(p, Realized):
         return Realized(ctx.compose(g, p.value))
@@ -212,10 +205,12 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
     The limit part is {+,-} x Z/n over the integers and empty over finite
     backends, which only have the trivial level 1. The realized part is
     left out: any closed invariant set containing a realized point is the
-    whole space, so subflow machinery works on the limit part. At an
-    exact-int level the points are read from the intern table, and built
-    only when missing.
+    whole space, so subflow machinery works on the limit part. The level
+    must be an exact int; the points are read from the intern table, and
+    built only when missing.
     """
+    if type(level) is not int:
+        raise TypeError(f"level must be an int, got {level!r}")
     if level < 1:
         raise ValueError("level modulus must be at least 1")
     if isinstance(ctx, FiniteGroup):
@@ -224,9 +219,7 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
         return []
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch(TYPE_SPACE_BACKENDS)
-    if type(level) is int:
-        return [_interned((sign, r, level)) or Limit(sign, r, level) for sign in (1, -1) for r in range(level)]
-    return [Limit(1, r, level) for r in range(level)] + [Limit(-1, r, level) for r in range(level)]
+    return [_interned((sign, r, level)) or Limit(sign, r, level) for sign in (1, -1) for r in range(level)]
 
 
 def witness(p: Limit, count: int = 8, start: int = 0) -> list[int]:

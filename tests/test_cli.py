@@ -434,21 +434,27 @@ def test_every_cataloged_task_runs():
 
 def test_a_missing_parameter_is_a_schema_error_only_when_always_read():
     dropped = {}
+    errors = {}
     for op, params in cataloged_task_params().items():
         for name in params:
             task = {"op": op, **{k: v for k, v in params.items() if k != name}}
             scenario = {"group": {"kind": "integers"}, "level": 4, "tasks": [task]}
             try:
-                _, code = run_scenario(scenario)
+                report, code = run_scenario(scenario)
             except SchemaError as exc:
                 assert str(exc) == f"task {op!r} lacks required parameter {name!r}"
                 dropped[op, name] = "schema"
             else:
                 dropped[op, name] = code
+                errors[op, name] = report["results"][0].get("error")
     schema = sorted(key for key, outcome in dropped.items() if outcome == "schema")
     assert schema == sorted((op, name) for op, (_, _, required) in cli.TASKS.items() for name in required)
     # parameters that only some cases read stay task errors
     assert dropped["boolean", "b"] == 3 and dropped["logic-quotient", "modulus"] == 3
+    assert errors["boolean", "b"] == "ValueError: union needs a second set b"
+    assert errors["logic-quotient", "modulus"] == (
+        "ValueError: logic-quotient needs a modulus (integers) or blocks (finite)"
+    )
     assert dropped["pestov-check", "max_modulus"] == 0
 
 

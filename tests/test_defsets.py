@@ -30,7 +30,7 @@ from typeflow.defsets import (
     translates_cover,
     union,
 )
-from typeflow.groups import BackendMismatch, INTEGERS, ProductGroup, cyclic_group, symmetric_group_3
+from typeflow.groups import BackendMismatch, INTEGERS, Group, ProductGroup, cyclic_group, symmetric_group_3
 
 EVENS = congruence_set(2, [0])
 ODDS = congruence_set(2, [1])
@@ -55,6 +55,9 @@ def test_boolean_examples():
     assert boolean_op("union", EVENS, ODDS) == full_set(INTEGERS)
     with pytest.raises(ValueError):
         boolean_op("complement", EVENS, ODDS)
+    for kind in ("union", "intersection"):
+        with pytest.raises(ValueError, match=f"^{kind} needs a second set b$"):
+            boolean_op(kind, EVENS)
 
 
 def test_translate_examples():
@@ -433,17 +436,77 @@ def random_rectangle_set(rng, ctx, right_elems=2):
 
 def test_product_boolean_laws_randomized():
     rng = random.Random(17)
-    ctx = ProductGroup(INTEGERS, cyclic_group(2))
-    samples = [(x, y) for x in range(-40, 41, 3) for y in (0, 1)]
-    for _ in range(60):
-        A = random_rectangle_set(rng, ctx)
-        B = random_rectangle_set(rng, ctx)
-        assert complement(union(A, B)) == intersect(complement(A), complement(B))
-        assert complement(complement(A)) == A
-        U, I = union(A, B), intersect(A, B)
-        for pt in samples:
-            assert member(U, pt) == (member(A, pt) or member(B, pt))
-            assert member(I, pt) == (member(A, pt) and member(B, pt))
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    # random integer sides have windows inside [-4, 3] and periods up to 3
+    integers = (lambda: random_integer_set(rng, max_period=3, span=3), range(-12, 13))
+    backends = [
+        (ProductGroup(INTEGERS, c2), integers, (lambda: random_finite_subset(rng, c2), c2.elements())),
+        (ProductGroup(c3, INTEGERS), (lambda: random_finite_subset(rng, c3), c3.elements()), integers),
+        (ProductGroup(INTEGERS, INTEGERS), integers, integers),
+    ]
+    for ctx, (random_left, xs), (random_right, ys) in backends:
+        samples = [(x, y) for x in xs for y in ys]
+        for _ in range(40):
+            A, B = (
+                RectangleSet(ctx, [(random_left(), random_right()) for _ in range(rng.randint(1, 3))])
+                for _ in range(2)
+            )
+            assert complement(union(A, B)) == intersect(complement(A), complement(B))
+            assert complement(complement(A)) == A
+            U, I, C = union(A, B), intersect(A, B), complement(A)
+            for pt in samples:
+                assert member(U, pt) == (member(A, pt) or member(B, pt))
+                assert member(I, pt) == (member(A, pt) and member(B, pt))
+                assert member(C, pt) != member(A, pt)
+
+
+@pytest.mark.parametrize("G", [symmetric_group_3(), cyclic_group(1)], ids=["s3", "c1"])
+def test_finite_boolean_operations_match_python_sets(G):
+    subsets = [FiniteSubset(G, mask=m) for m in range(1 << G.order)]
+    everything = set(G.elements())
+    for A in subsets:
+        assert set(complement(A).elements()) == everything - set(A.elements())
+        for B in subsets:
+            assert set(union(A, B).elements()) == set(A.elements()) | set(B.elements())
+            assert set(intersect(A, B).elements()) == set(A.elements()) & set(B.elements())
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [INTEGERS, cyclic_group(1), symmetric_group_3(), ProductGroup(INTEGERS, cyclic_group(2)), ProductGroup(INTEGERS, INTEGERS)],
+    ids=["Z", "c1", "s3", "Zxc2", "ZxZ"],
+)
+def test_empty_and_full_sets_are_each_others_complement(ctx):
+    empty, full = empty_set(ctx), full_set(ctx)
+    assert empty.is_empty and not full.is_empty
+    assert complement(empty) == full and complement(full) == empty
+    if ctx == INTEGERS:
+        assert empty == set_from_json(ctx, "empty") and full == set_from_json(ctx, "all")
+
+
+def test_empty_and_full_sets_need_a_known_backend():
+    for make in (empty_set, full_set):
+        with pytest.raises(BackendMismatch, match="^unknown context "):
+            make(Group())
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((2.5,), {"up": [1], "down": [1]}),
+        ((True,), {"up": [0]}),
+        (("4",), {"up": [1]}),
+        ((1,), {"lo": 0.9, "hi": 1.7, "bits": [1, 1]}),
+        ((1,), {"lo": False, "hi": 0, "bits": [1]}),
+        ((2,), {"up": [1.0]}),
+        ((2,), {"down": [True]}),
+        ((2,), {"up": ["1"]}),
+    ],
+    ids=["float period", "bool period", "str period", "float window", "bool lo", "float up", "bool down", "str up"],
+)
+def test_integer_set_fields_must_be_exact_ints(args, kwargs):
+    with pytest.raises(TypeError, match="must be ints, got "):
+        IntegerSet(*args, **kwargs)
 
 
 def test_product_quotient_against_enumeration():

@@ -258,30 +258,19 @@ def test_equal_int_fields_give_one_shared_point(fields):
 
 @pytest.mark.parametrize("fields", [(True, 0, 6), (1, False, 6), (1, True, 6), (1.0, 0, 6), (1, 0.0, 6), (1, 0, 6.0)])
 def test_bool_and_float_fields_never_alias_an_int_point(fields):
-    ints = tuple(int(f) for f in fields)
-    before = Limit(*ints)
-    odd = Limit(*fields)
-    assert odd is not before and odd is not Limit(*fields)
-    assert odd == before and hash(odd) == hash(before)
-    assert tuple(map(type, (odd.sign, odd.residue, odd.modulus))) == tuple(map(type, fields))
-    # the reverse order: an odd point built first is never handed out for ints
-    assert Limit(*ints) is before
-    assert type(Limit(*ints).sign) is int
+    # each field hashes and compares equal to an int: a miss and a hit on the int key both raise
+    typespace._LIMITS.clear()
+    for _ in range(2):
+        with pytest.raises(TypeError, match="^limit point fields must be ints, got "):
+            Limit(*fields)
+        Limit(*map(int, fields))
 
 
-def test_star_keeps_a_bool_sign_like_the_constructor():
-    product = star(INTEGERS, Limit(1, 2, 6), Limit(True, 1, 6))
-    assert product == Limit(1, 3, 6) and type(product.sign) is bool
-    assert star(INTEGERS, Limit(1, 2, 6), Limit(-1, 1, 6)) is Limit(-1, 3, 6)
-
-
-@pytest.mark.parametrize("fields", [(1, 5, 120), (-1, 0, 1), (True, 0, 6), (1, 0.0, 6)])
+@pytest.mark.parametrize("fields", [(1, 5, 120), (-1, 0, 1), (1, 0, 6), (-1, 3, 10**12)])
 def test_copies_and_pickles_rebuild_through_the_constructor(fields):
     p = Limit(*fields)
-    exact = all(type(f) is int for f in fields)
     for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert clone == p and repr(clone) == repr(p)
-        assert (clone is p) == exact
+        assert clone is p
 
 
 def test_the_intern_table_stays_bounded():
@@ -325,11 +314,10 @@ def test_threads_building_points_keep_the_table_bounded(monkeypatch):
 # ---------------------------------------------------------------------------
 # the level-point kernels against a literal reference
 #
-# star, apply_group and limit_points read an exact-int result from the intern
-# table and skip the constructor. The references below build every point with
+# star, apply_group and limit_points read their result from the intern table
+# and skip the constructor. The references below build every point with
 # Limit(...) and take every level with math.gcd, so the fast paths must agree
-# with them on value, on field types, and on which results are the interned
-# point: exactly those whose fields are all exact ints.
+# with them on value, and every result must be the interned point.
 
 
 class SubIntegers(IntegerGroup):
@@ -371,9 +359,7 @@ def fields_of(p):
 
 def assert_same_point(got, want):
     assert got.__class__ is Limit and got == want and hash(got) == hash(want)
-    assert tuple(map(type, fields_of(got))) == tuple(map(type, fields_of(want)))
-    exact = all(type(f) is int for f in fields_of(want))
-    assert (got is Limit(*map(int, fields_of(want)))) == exact
+    assert got is Limit(*fields_of(want))
 
 
 def assert_same_outcome(got, want):
@@ -387,19 +373,9 @@ def assert_same_outcome(got, want):
         assert_same_point(got, want)
 
 
-def spelled(value: int):
-    """An int field as an int or a float, and as a bool when it is 0 or 1."""
-    return st.sampled_from([value, float(value)] + ([bool(value)] if value in (0, 1) else []))
-
-
 @st.composite
 def point_at(draw, level: int):
-    """A point at the level; half of them with exact-int fields only."""
-    sign = draw(st.sampled_from((1, -1)))
-    residue = draw(st.integers(min_value=0, max_value=level - 1))
-    if draw(st.booleans()):
-        return Limit(sign, residue, level)
-    return Limit(draw(spelled(sign)), draw(spelled(residue)), draw(spelled(level)))
+    return Limit(draw(st.sampled_from((1, -1))), draw(st.integers(min_value=0, max_value=level - 1)), level)
 
 
 @st.composite
@@ -431,9 +407,16 @@ def test_apply_group_on_limit_points_matches_the_reference(data, level, g):
 
 
 @KERNEL_PROPERTIES
-@given(st.integers(min_value=1, max_value=12).flatmap(spelled))
+@given(st.integers(min_value=1, max_value=12))
 def test_limit_points_match_the_reference(level):
     assert_same_outcome(outcome(limit_points, INTEGERS, level), outcome(reference_limit_points, level))
+
+
+@pytest.mark.parametrize("level", [True, 1.0, 6.0])
+def test_a_bool_or_float_level_raises_whatever_the_table_holds(level):
+    limit_points(INTEGERS, int(level))
+    with pytest.raises(TypeError, match=f"^level must be an int, got {level!r}$"):
+        limit_points(INTEGERS, level)
 
 
 @settings(KERNEL_PROPERTIES, max_examples=60)

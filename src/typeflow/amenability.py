@@ -95,14 +95,10 @@ def verify_invariance(ctx: Group, level: int, mu: InvariantMeasure) -> bool:
 
     Weights are nonnegative, so a permutation that keeps each atom's weight
     keeps every point's; such permutations are closed under products."""
-    if isinstance(ctx, FiniteGroup):
-        return all(
-            mu.weight(apply_group(ctx, g, p)) == w
-            for g in ctx.generators
-            for p, w in mu.weights.items()
-        )
     return all(
-        mu.weight(apply_group(ctx, 1, p)) == w for p, w in mu.weights.items()
+        mu.weight(apply_group(ctx, g, p)) == w
+        for g in ctx.generators
+        for p, w in mu.weights.items()
     )
 
 

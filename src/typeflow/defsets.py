@@ -470,12 +470,18 @@ def full_set(ctx: Group):
 
 
 def congruence_set(modulus: int, residues) -> IntegerSet:
-    """The set of integers congruent to one of the residues."""
+    """The set of integers congruent to one of the residues.
+
+    The modulus and every residue must be exact ints, as in `IntegerSet`."""
+    if type(modulus) is not int:
+        raise TypeError(f"modulus must be an int, got {modulus!r}")
     if modulus < 1:
         raise ValueError("period must be at least 1")
     mask = 0
     for r in residues:
-        mask |= 1 << int(r) % modulus
+        if type(r) is not int:
+            raise TypeError(f"residues must be ints, got {r!r}")
+        mask |= 1 << r % modulus
     pattern = _Mask(mask, modulus)
     return IntegerSet(modulus, up=pattern, down=pattern)
 
@@ -488,8 +494,12 @@ def integer_ray(sign: int, bound: int) -> IntegerSet:
 
 
 def integers_from(elems) -> IntegerSet:
-    """Finite set of integers."""
-    present = set(int(x) for x in elems)
+    """Finite set of integers; every element must be an exact int."""
+    present = set()
+    for x in elems:
+        if type(x) is not int:
+            raise TypeError(f"elements must be ints, got {x!r}")
+        present.add(x)
     if not present:
         return IntegerSet(1)
     lo, hi = min(present), max(present)

@@ -9,8 +9,8 @@ minimal flow.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 
 from .defsets import json_int, json_ints
@@ -141,11 +141,6 @@ def check_definable_flow(F: FiniteFlowPresentation) -> FlowVerdict:
     return FlowVerdict(valid=True, ambit=ambit, orbit_periods=tuple(periods))
 
 
-def minimal_subflows_of_flow(F: FiniteFlowPresentation) -> list[frozenset[int]]:
-    """Minimal closed invariant subsets of a finite flow: its orbits."""
-    return list(F.orbits)
-
-
 def minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     """Minimal subflows of the level type space.
 
@@ -160,36 +155,48 @@ def minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     return [frozenset(pts[:level]), frozenset(pts[level:])]
 
 
+def _equivariant(ctx: Group, points, f, act) -> bool:
+    """Does f(g.p) == act(g, f(p)) hold for every point p and generator g?
+
+    When `act` is an action and the group maps the points into themselves,
+    that is equivariance under the whole group: the g that pass are closed
+    under products, as f(gh.p) = act(g, f(h.p)) = act(g, act(h, f(p))).
+    Over the integers they are closed under inverses too, since 1 permutes
+    a finite set that it maps into itself.
+    """
+    return all(f(apply_group(ctx, g, p)) == act(g, f(p)) for g in ctx.generators for p in points)
+
+
+def _idempotent(ctx: Group, points):
+    """The least point p of the set, in point order, with p * p = p."""
+    for p in sorted(points, key=point_key):
+        if star(ctx, p, p) == p:
+            return p
+    raise ValueError("the set holds no idempotent")
+
+
 def is_left_ideal(ctx: Group, level: int, points) -> bool:
     """Is the set closed under left star multiplication by the whole space?
 
-    Limit left factors are checked exhaustively; realized left factors act
-    through the group action, so they require the full sign circle of each
-    member. A realized member forces unboundedly many realized products
-    and can never sit inside a finite descriptor. The members are distinct
-    points of one level, so a sign circle is full exactly when the set
-    holds `level` members of that sign. That count is decided before the
-    2 * level left factors are built. Every limit member's level is checked
-    before any verdict, so neither the answer nor the error hangs on
-    iteration order. A finite backend has no limit points, so there any
-    limit member is a backend mismatch, as in `contains`.
+    Realized left factors act through the group action, so the set must be
+    closed under the generators; only then are the 2 * level limit left
+    factors built and checked exhaustively (a table has none). A finite set
+    holding a realized integer is never closed under 1. Every member is
+    moved, by the identity for the trivial group, and every limit member's
+    level is checked before any verdict, so a limit member over a table is
+    a backend mismatch (as in `contains`) and neither the answer nor the
+    error hangs on iteration order.
     """
     if not isinstance(ctx, (FiniteGroup, IntegerGroup)):
         raise BackendMismatch(TYPE_SPACE_BACKENDS)
     S = frozenset(points)
     if not S:
         return False
-    if isinstance(ctx, FiniteGroup):
-        if not all(isinstance(p, Realized) for p in S):
-            raise BackendMismatch("limit points live over the integers")
-        whole = frozenset(Realized(g) for g in ctx.elements())
-        return S == whole
+    images = [set(map(partial(apply_group, ctx, g), S)) for g in ctx.generators or (ctx.identity,)]
     wrong = {p.modulus for p in S if not isinstance(p, Realized)} - {level}
     if wrong:
         raise LevelError(f"point at level {min(wrong)} in a level-{level} check")
-    if any(isinstance(p, Realized) for p in S):
-        return False
-    if any(count != level for count in Counter(p.sign for p in S).values()):
+    if not all(image <= S for image in images):
         return False
     left_factors = limit_points(ctx, level)
     for l in S:
@@ -225,38 +232,30 @@ class AmbitMorphism:
     def certify(self) -> dict:
         """Surjectivity, equivariance and, over the integers, limit stability.
 
-        Over a finite group, realized[gh] = g·realized[h] is checked for h in
-        the generators (`first_failing_pair`). That is exact because the
-        action is a homomorphism, which the flow's constructor checked when
-        the flow was read: the h that pass are closed under products, as
-        realized[g·hk] = (gh)·realized[k].
+        Equivariance is checked on the generators (`_equivariant`), which
+        act on the flow by ``pi`` over the integers and by their rows of the
+        action table over a finite group. The points are the limit points
+        and one realized point per orbit position, which cover every realized
+        point: `apply` reads a realized value modulo the orbit period, which
+        over a finite group is its order.
         """
         F = self.flow
         ctx = F.ctx
         surjective = set(self.realized_images) | set(self.limit_images.values())
-        checks = {"surjective": surjective >= set(range(F.size))}
+        moves = {1: F.pi} if F.pi is not None else F.action
+        points = list(self.limit_images) + [Realized(v) for v in range(self.orbit_period)]
+        equivariant = _equivariant(ctx, points, self.apply, lambda g, x: moves[g][x])
+        checks = {"surjective": surjective >= set(range(F.size)), "equivariant": equivariant}
+        stable = True
         if isinstance(ctx, IntegerGroup):
-            equivariant = True
-            for p in list(self.limit_images) + [Realized(v) for v in range(-8, 9)]:
-                if self.apply(apply_group(ctx, 1, p)) != F.pi[self.apply(p)]:
-                    equivariant = False
-            stable = True
             for p in self.limit_images:
                 values = {self.apply(Realized(a)) for a in witness(p, count=4, start=3)}
                 if values != {self.limit_images[p]}:
                     stable = False
-            checks["equivariant"] = equivariant
             checks["limits_stable_on_witnesses"] = stable
-            # realized values are forced by equivariance from the base point,
-            # and limit values by continuity, so agreement there is uniqueness
-            checks["unique"] = equivariant and stable
-        else:
-            realized, action, table = self.realized_images, F.action, ctx.table
-            equivariant = first_failing_pair(
-                ctx, lambda g, h: realized[table[g][h]] == action[g][realized[h]]
-            ) is None
-            checks["equivariant"] = equivariant
-            checks["unique"] = equivariant
+        # realized values are forced by equivariance from the base point,
+        # and limit values by continuity, so agreement there is uniqueness
+        checks["unique"] = equivariant and stable
         return checks
 
 
@@ -306,15 +305,10 @@ class SubflowIsomorphism:
         ) == len(self.forward)
         round_trip = all(self.backward[self.forward[p]] == p for p in self.source)
         round_trip_back = all(self.forward[self.backward[q]] == q for q in self.target)
-        equivariant = True
-        if isinstance(ctx, IntegerGroup):
-            for p in self.source:
-                if self.forward[apply_group(ctx, 1, p)] != apply_group(ctx, 1, self.forward[p]):
-                    equivariant = False
         return {
             "bijective": fwd_bijective,
             "mutually_inverse": round_trip and round_trip_back,
-            "equivariant": equivariant,
+            "equivariant": _equivariant(ctx, self.source, self.forward.__getitem__, partial(apply_group, ctx)),
         }
 
 
@@ -323,9 +317,10 @@ class UniversalMinimalFlow:
     """One minimal subflow of the level space with an isomorphism builder.
 
     Any other minimal subflow is isomorphic to it through a right
-    translation: pick t in the other subflow, find s here with t * s equal
-    to this subflow's idempotent, and the two right translations invert
-    each other.
+    translation: take t to be the other subflow's idempotent, find s here
+    with t * s equal to this subflow's idempotent, and the two right
+    translations invert each other. Over a finite backend the one subflow
+    is the group and both maps are the identity.
     """
 
     ctx: Group
@@ -335,12 +330,7 @@ class UniversalMinimalFlow:
 
     def isomorphism_to(self, other) -> SubflowIsomorphism:
         other = frozenset(other)
-        if isinstance(self.ctx, FiniteGroup):
-            if other != self.subflow:
-                raise ValueError("a finite backend has a single minimal subflow")
-            ident = {p: p for p in self.subflow}
-            return SubflowIsomorphism(self.subflow, other, self.idempotent, self.idempotent, ident, dict(ident))
-        t = min(other, key=point_key)
+        t = _idempotent(self.ctx, other)
         s = None
         for cand in sorted(self.subflow, key=point_key):
             if star(self.ctx, t, cand) == self.idempotent:
@@ -354,12 +344,8 @@ class UniversalMinimalFlow:
 
 
 def universal_minimal_flow(ctx: Group, level: int) -> UniversalMinimalFlow:
-    flows = minimal_subflows(ctx, level)
-    subflow = flows[0]
-    if isinstance(ctx, FiniteGroup):
-        return UniversalMinimalFlow(ctx, 1, subflow, Realized(ctx.identity))
-    idem = Limit(1, 0, level)
-    return UniversalMinimalFlow(ctx, level, subflow, idem)
+    subflow = minimal_subflows(ctx, level)[0]
+    return UniversalMinimalFlow(ctx, level, subflow, _idempotent(ctx, subflow))
 
 
 # ---------------------------------------------------------------------------

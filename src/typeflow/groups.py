@@ -17,7 +17,11 @@ class BackendMismatch(ValueError):
 
 
 class Group:
-    """Common interface for the computable group backends."""
+    """Common interface for the computable group backends.
+
+    A backend with dynamics names the ``generators`` on which invariance,
+    equivariance and closure are checked (`flows._equivariant`).
+    """
 
     identity = None
 
@@ -202,9 +206,10 @@ def first_failing_pair(ctx: FiniteGroup, holds):
 
 
 class IntegerGroup(Group):
-    """The integers under addition."""
+    """The integers under addition, generated by 1."""
 
     identity = 0
+    generators = (1,)
 
     def compose(self, g, h):
         return self.check_element(g) + self.check_element(h)

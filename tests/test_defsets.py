@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from math import gcd
 
 import pytest
@@ -184,6 +185,23 @@ def test_canonical_form_decides_equality():
 def test_congruence_modulus_must_be_positive(modulus, residues):
     with pytest.raises(ValueError, match="period must be at least 1"):
         congruence_set(modulus, residues)
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: congruence_set(2, [1.7]), "1.7"),
+        (lambda: congruence_set(2, [True]), "True"),
+        (lambda: integers_from([1.5, True]), "1.5"),
+        (lambda: integers_from(["3"]), "'3'"),
+        (lambda: congruence_set(2.0, [1]), "2.0"),
+    ],
+    ids=["float-residue", "bool-residue", "float-and-bool-elements", "string-element", "float-modulus"],
+)
+def test_congruence_sets_and_finite_sets_take_exact_ints(build, bad):
+    # int() would truncate 1.7 and read True and "3" as integers
+    with pytest.raises(TypeError, match=f"must be (an )?ints?, got {re.escape(bad)}$"):
+        build()
 
 
 def test_backend_mismatch_raises():

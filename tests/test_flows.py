@@ -11,6 +11,7 @@ from typeflow.flows import (
     AmbitMorphism,
     EventuallyPeriodicMap,
     FiniteFlowPresentation,
+    SubflowIsomorphism,
     check_definable_flow,
     extend_definable_map,
     flow_from_json,
@@ -19,11 +20,10 @@ from typeflow.flows import (
     kernel_of_action,
     kernel_of_flow,
     minimal_subflows,
-    minimal_subflows_of_flow,
     universal_ambit_morphism,
     universal_minimal_flow,
 )
-from typeflow.groups import INTEGERS, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
+from typeflow.groups import INTEGERS, BackendMismatch, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_equivariant_maps, oracle_minimal_subflows
 from typeflow.typespace import LevelError, Limit, Realized, apply_group, is_closed_invariant, limit_points, restrict
 
@@ -96,9 +96,9 @@ def test_minimal_subflows_level_and_oracle():
 
 
 def test_minimal_subflows_of_flows():
-    assert minimal_subflows_of_flow(rotation(6)) == [frozenset(range(6))]
+    assert list(rotation(6).orbits) == [frozenset(range(6))]
     two_orbits = FiniteFlowPresentation(INTEGERS, 5, pi=[1, 2, 0, 4, 3])
-    assert minimal_subflows_of_flow(two_orbits) == [frozenset({0, 1, 2}), frozenset({3, 4})]
+    assert list(two_orbits.orbits) == [frozenset({0, 1, 2}), frozenset({3, 4})]
 
 
 def test_restriction_coherence_of_subflows():
@@ -138,6 +138,38 @@ def test_left_ideal_matches_the_literal_definition(n):
         S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
         literal = all(star(INTEGERS, s, l) in S for l in S for s in left_factors)
         assert is_left_ideal(INTEGERS, n, S) == literal
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_left_ideal_with_a_realized_member_matches_the_literal_definition(n):
+    pts = limit_points(INTEGERS, n)
+    # a realized member a is sent out of a finite set by a + 1 or a - 1
+    left_factors = pts + [Realized(r) for r in range(-n, n + 1)]
+    for mask in range(1 << len(pts)):
+        S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1) | {Realized(n)}
+        literal = all(star(INTEGERS, s, l) in S for l in S for s in left_factors)
+        assert is_left_ideal(INTEGERS, n, S) == literal
+
+
+@pytest.mark.parametrize("G", [cyclic_group(4), symmetric_group_3()], ids=lambda G: G.name)
+def test_finite_left_ideal_matches_the_literal_definition(G):
+    space = [Realized(g) for g in G.elements()]
+    seen = set()
+    for mask in range(1, 1 << G.order):
+        S = frozenset(p for p in space if mask >> p.value & 1)
+        literal = all(star(G, s, l) in S for l in S for s in space)
+        assert is_left_ideal(G, 1, S) == literal
+        seen.add(literal)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("G", [cyclic_group(1), cyclic_group(3)], ids=lambda G: G.name)
+def test_a_limit_member_over_a_table_is_a_backend_mismatch(G):
+    # whichever member fails closure first, and over the trivial group too
+    whole = {Realized(g) for g in G.elements()}
+    for S in (whole | {Limit(1, 0, 1)}, {Realized(0), Limit(-1, 0, 1)}):
+        with pytest.raises(BackendMismatch, match="^limit points live over the integers$"):
+            is_left_ideal(G, 1, S)
 
 
 def test_left_ideal_star_calls(monkeypatch):
@@ -210,6 +242,31 @@ def test_universal_minimal_flow_isomorphism():
     n1 = universal_minimal_flow(INTEGERS, 1)
     iso1 = n1.isomorphism_to(minimal_subflows(INTEGERS, 1)[1])
     assert all(iso1.certify(INTEGERS).values())
+
+
+def test_tampered_finite_subflow_isomorphism_is_not_equivariant():
+    s3 = symmetric_group_3()
+    umf = universal_minimal_flow(s3, 1)
+    for x in s3.elements():
+        # p -> p.x commutes with the action; p -> x.p only for central x
+        for forward, equivariant in (
+            ({p: Realized(s3.compose(p.value, x)) for p in umf.subflow}, True),
+            ({p: Realized(s3.compose(x, p.value)) for p in umf.subflow}, x == s3.identity),
+        ):
+            backward = {q: p for p, q in forward.items()}
+            iso = SubflowIsomorphism(umf.subflow, umf.subflow, umf.idempotent, umf.idempotent, forward, backward)
+            checks = iso.certify(s3)
+            assert checks["bijective"] and checks["mutually_inverse"]
+            assert checks["equivariant"] is equivariant
+
+
+def test_isomorphism_to_a_set_without_idempotent_raises():
+    umf = universal_minimal_flow(INTEGERS, 4)
+    with pytest.raises(ValueError, match="^the set holds no idempotent$"):
+        umf.isomorphism_to({Limit(-1, 1, 4), Limit(-1, 3, 4)})
+    s3 = symmetric_group_3()
+    with pytest.raises(ValueError, match="^the set holds no idempotent$"):
+        universal_minimal_flow(s3, 1).isomorphism_to({Realized(1), Realized(2)})
 
 
 def test_every_equivariant_self_map_is_a_right_translation():

@@ -120,7 +120,6 @@ TEST_ONLY_PUBLIC_NAMES = [
     "defsets.py:translates_cover",
     "ellis.py:right_translation",
     "flows.py:flow_to_json",
-    "flows.py:minimal_subflows_of_flow",
     "groups.py:group_to_json",
     "oracle.py:oracle_equivariant_maps",
     "oracle.py:oracle_equivariant_maps_brute",

@@ -16,7 +16,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import LevelError, Limit, Realized, _interned, acting_set, apply_group, contains, limit_points, witness
+from .typespace import LevelError, Limit, Realized, _interned, acting_set, apply_group, contains, limit_points, minimal_part, witness
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -146,11 +146,9 @@ def right_translation(ctx: Group, q, level: int) -> RightTranslation:
 
 
 def find_idempotents(ctx: Group, level: int) -> list:
-    """All limit-part points p with p * p = p, by brute force over the level.
+    """All points p of the minimal part with p * p = p, by brute force.
 
-    For a finite backend the type space is the group itself and the only
-    idempotent is the identity.
+    Over the integers the minimal part is the limit part; over a finite
+    backend it is the group itself, whose only idempotent is the identity.
     """
-    if isinstance(ctx, FiniteGroup):
-        return [Realized(ctx.identity)]
-    return [p for p in limit_points(ctx, level) if star(ctx, p, p) == p]
+    return [p for p in minimal_part(ctx, level) if star(ctx, p, p) == p]

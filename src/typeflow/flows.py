@@ -23,33 +23,31 @@ from .typespace import (
     Realized,
     apply_group,
     limit_points,
+    minimal_part,
     point_key,
     witness,
 )
 
 
-def _perm_compose(p, q):
-    return tuple(map(p.__getitem__, q))
+def _orbit(x, moves) -> list:
+    """Every point reached from x by the maps, breadth first; with one map, the cycle through x."""
+    orbit, seen = [x], {x}
+    for y in orbit:
+        for move in moves:
+            z = move(y)
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return orbit
 
 
-def _orbit_cycle(pi, start: int) -> list[int]:
-    cycle = [start]
-    x = pi[start]
-    while x != start:
-        cycle.append(x)
-        x = pi[x]
-    return cycle
-
-
-def _orbits(size: int, orbit_of) -> tuple[frozenset[int], ...]:
-    # scanning upward, the first point of each new orbit is its least
-    seen = bytearray(size)
-    out = []
-    for x in range(size):
-        if not seen[x]:
-            orbit = frozenset(orbit_of(x))
-            for y in orbit:
-                seen[y] = 1
+def _orbits(points, moves) -> tuple[frozenset, ...]:
+    """The orbits of the points under the maps, in order of each orbit's first point."""
+    seen, out = set(), []
+    for x in points:
+        if x not in seen:
+            orbit = frozenset(_orbit(x, moves))
+            seen |= orbit
             out.append(orbit)
     return tuple(out)
 
@@ -66,7 +64,8 @@ class FiniteFlowPresentation:
     that the action is a homomorphism, and raises ValueError on the first
     failure. So every task that reads a flow rejects a non-flow with the
     message `check-flow` gives. The orbits, which are the minimal subflows,
-    are stored once as `orbits`, in order of each orbit's least point.
+    are read off the generators' maps once and stored as `orbits`, in order
+    of each orbit's least point.
     """
 
     def __init__(self, ctx: Group, size: int, pi=None, action=None, base=None):
@@ -99,20 +98,21 @@ class FiniteFlowPresentation:
         if pi is not None:
             if len(set(pi)) != size:
                 raise ValueError("generator is not a bijection of the carrier")
-            self.orbits = _orbits(size, lambda x: _orbit_cycle(pi, x))
-            return
-        for g, row in enumerate(action):
-            if len(set(row)) != size:
-                raise ValueError(f"element {g} does not act by a bijection")
-        if action[ctx.identity] != tuple(range(size)):
-            raise ValueError("identity element does not act trivially")
-        table = ctx.table
-        failure = first_failing_pair(
-            ctx, lambda g, h: action[table[g][h]] == _perm_compose(action[g], action[h])
-        )
-        if failure is not None:
-            raise ValueError("action is not a homomorphism at ({},{})".format(*failure))
-        self.orbits = _orbits(size, lambda x: [row[x] for row in action])
+            moves = (pi,)
+        else:
+            for g, row in enumerate(action):
+                if len(set(row)) != size:
+                    raise ValueError(f"element {g} does not act by a bijection")
+            if action[ctx.identity] != tuple(range(size)):
+                raise ValueError("identity element does not act trivially")
+            failure = first_failing_pair(
+                ctx, lambda g, h: action[ctx.table[g][h]] == tuple(map(action[g].__getitem__, action[h]))
+            )
+            if failure is not None:
+                raise ValueError("action is not a homomorphism at ({},{})".format(*failure))
+            # the action is a homomorphism, so the generators' orbits are the group's
+            moves = [action[g] for g in ctx.generators]
+        self.orbits = _orbits(range(size), [move.__getitem__ for move in moves])
 
     def __repr__(self):
         kind = "integer" if self.pi is not None else "finite"
@@ -142,17 +142,15 @@ def check_definable_flow(F: FiniteFlowPresentation) -> FlowVerdict:
 
 
 def minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
-    """Minimal subflows of the level type space.
+    """Minimal subflows of the level space: the orbits of `minimal_part`
+    under the backend's generators, in order of their least points.
 
-    Over the integers these are the two sign circles of the limit part
-    (any closed invariant set touching the realized part is everything).
-    Over a finite backend the space is the group acting on itself, a
-    single orbit.
+    Over the integers these are the two sign circles of the limit part (any
+    closed invariant set touching the realized part is everything); over a
+    finite backend, the one orbit of the group acting on itself.
     """
-    if isinstance(ctx, FiniteGroup):
-        return [frozenset(Realized(g) for g in ctx.elements())]
-    pts = limit_points(ctx, level)
-    return [frozenset(pts[:level]), frozenset(pts[level:])]
+    points = minimal_part(ctx, level)
+    return list(_orbits(points, [partial(apply_group, ctx, g) for g in ctx.generators]))
 
 
 def _equivariant(ctx: Group, points, f, act) -> bool:
@@ -262,28 +260,25 @@ class AmbitMorphism:
 def universal_ambit_morphism(level: int, F: FiniteFlowPresentation) -> AmbitMorphism:
     """Build the unique base-point-preserving map of the level space onto F.
 
-    Requires F to be pointed, with a dense base orbit. Over the
-    integers the orbit period of the base must divide the level, otherwise
-    the limit values do not stabilize and a "level too coarse" error is
-    raised.
+    Requires F to be pointed, with a dense base orbit. A realized point goes
+    to its image of the base (by ``pi``'s cycle or the action rows), and a
+    limit point to that of its residue, so over the integers the orbit
+    period of the base must divide the level, otherwise the limit values do
+    not stabilize and a "level too coarse" error is raised.
     """
     if F.base is None:
         raise ValueError("a pointed flow is required")
     if len(F.orbits) != 1:
         raise ValueError("base point orbit is not dense in the carrier")
-    ctx = F.ctx
-    if isinstance(ctx, IntegerGroup):
-        cycle = _orbit_cycle(F.pi, F.base)
-        d = len(cycle)
-        if level % d != 0:
-            raise LevelError(f"level too coarse: orbit period {d} does not divide level {level}")
-        realized = tuple(cycle[r % d] for r in range(d))
-        limits = {}
-        for p in limit_points(ctx, level):
-            limits[p] = cycle[p.residue % d]
-        return AmbitMorphism(F, level, d, realized, limits)
-    realized = tuple(F.action[g][F.base] for g in ctx.elements())
-    return AmbitMorphism(F, 1, ctx.order, realized, {})
+    if F.pi is not None:
+        realized = tuple(_orbit(F.base, [F.pi.__getitem__]))
+        if level % len(realized) != 0:
+            raise LevelError(f"level too coarse: orbit period {len(realized)} does not divide level {level}")
+    else:
+        realized = tuple(row[F.base] for row in F.action)
+    d = len(realized)
+    limits = {p: realized[p.residue % d] for p in limit_points(F.ctx, level)}
+    return AmbitMorphism(F, level, d, realized, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,9 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
     then the - circle, residues ascending.
 
     The limit part is {+,-} x Z/n over the integers and empty over finite
-    backends, which only have the trivial level 1. The realized part is
-    left out: any closed invariant set containing a realized point is the
-    whole space, so subflow machinery works on the limit part. The level
-    must be an exact int; the points are read from the intern table, and
-    built only when missing.
+    backends, which only have the trivial level 1. The level must be an
+    exact int; the points are read from the intern table, and built only
+    when missing.
     """
     if type(level) is not int:
         raise TypeError(f"level must be an int, got {level!r}")
@@ -220,6 +218,14 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch(TYPE_SPACE_BACKENDS)
     return [_interned((sign, r, level)) or Limit(sign, r, level) for sign in (1, -1) for r in range(level)]
+
+
+def minimal_part(ctx: Group, level: int) -> list:
+    """The union of the minimal subflows at a level, checked as `limit_points`
+    checks it: over the integers the limit part (a closed invariant set
+    holding a realized point is the whole space). A finite table has no
+    limit part; its space is the group acting on itself, one orbit."""
+    return limit_points(ctx, level) or [Realized(g) for g in ctx.elements()]
 
 
 def witness(p: Limit, count: int = 8, start: int = 0) -> list[int]:

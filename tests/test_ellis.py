@@ -9,7 +9,7 @@ from typeflow.ellis import (
     star,
     star_via_schema,
 )
-from typeflow.groups import INTEGERS, BackendMismatch, cyclic_group
+from typeflow.groups import INTEGERS, BackendMismatch, FiniteGroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_star
 from typeflow.typespace import Limit, Realized, apply_group, limit_points, restrict, witness
 
@@ -193,11 +193,18 @@ def test_a_realized_factor_must_be_an_integer(value):
         assert str(excinfo.value) == message
 
 
+def finite_tables():
+    """Every bundled group, and s3 relabelled so that its identity is 3."""
+    t = symmetric_group_3().table
+    s3 = [[(t[(a - 3) % 6][(b - 3) % 6] + 3) % 6 for b in range(6)] for a in range(6)]
+    return bundled_small_groups() + [cyclic_group(1), FiniteGroup(s3, name="s3-relabelled")]
+
+
 def test_find_idempotents():
     assert find_idempotents(INTEGERS, 4) == [Limit(1, 0, 4), Limit(-1, 0, 4)]
     assert find_idempotents(INTEGERS, 1) == [Limit(1, 0, 1), Limit(-1, 0, 1)]
-    c3 = cyclic_group(3)
-    assert find_idempotents(c3, 1) == [Realized(0)]
+    for G in finite_tables():
+        assert find_idempotents(G, 1) == [Realized(G.identity)], G.name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12])

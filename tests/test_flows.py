@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeflow import flows
-from typeflow.amenability import fixed_points_of_flow, invariant_measure_of_flow
+from typeflow.amenability import fixed_points, fixed_points_of_flow, invariant_measure, invariant_measure_of_flow
 from typeflow.ellis import find_idempotents, star
 from typeflow.flows import (
     AmbitMorphism,
@@ -23,7 +23,15 @@ from typeflow.flows import (
     universal_ambit_morphism,
     universal_minimal_flow,
 )
-from typeflow.groups import INTEGERS, BackendMismatch, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
+from typeflow.groups import (
+    INTEGERS,
+    BackendMismatch,
+    FiniteGroup,
+    Subgroup,
+    bundled_small_groups,
+    cyclic_group,
+    symmetric_group_3,
+)
 from typeflow.oracle import oracle_equivariant_maps, oracle_minimal_subflows
 from typeflow.typespace import LevelError, Limit, Realized, apply_group, is_closed_invariant, limit_points, restrict
 
@@ -82,6 +90,13 @@ def test_ambit_requires_dense_orbit():
         universal_ambit_morphism(2, FiniteFlowPresentation(INTEGERS, 2, pi=[1, 0]))
 
 
+def finite_tables():
+    """Every bundled group, and s3 relabelled so that its identity is 3."""
+    t = symmetric_group_3().table
+    s3 = [[(t[(a - 3) % 6][(b - 3) % 6] + 3) % 6 for b in range(6)] for a in range(6)]
+    return bundled_small_groups() + [cyclic_group(1), FiniteGroup(s3, name="s3-relabelled")]
+
+
 def test_minimal_subflows_level_and_oracle():
     flows = minimal_subflows(INTEGERS, 4)
     assert len(flows) == 2
@@ -91,8 +106,37 @@ def test_minimal_subflows_level_and_oracle():
 
     ones = minimal_subflows(INTEGERS, 1)
     assert [len(f) for f in ones] == [1, 1]
+    for n in range(1, 131):
+        # the sign circles: the first and second halves of the limit part
+        pts = limit_points(INTEGERS, n)
+        assert minimal_subflows(INTEGERS, n) == [frozenset(pts[:n]), frozenset(pts[n:])]
     # a finite backend is one orbit: the group acting on itself
-    assert minimal_subflows(cyclic_group(3), 1) == [frozenset(Realized(g) for g in range(3))]
+    for G in finite_tables():
+        assert minimal_subflows(G, 1) == [frozenset(Realized(g) for g in G.elements())], G.name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c3: minimal_subflows(c3, 2),
+        lambda c3: universal_minimal_flow(c3, 5),
+        lambda c3: invariant_measure(c3, 7),
+        lambda c3: fixed_points(c3, 2),
+        lambda c3: find_idempotents(c3, 2),
+        lambda c3: universal_ambit_morphism(5, regular_flow(c3)),
+    ],
+    ids=[
+        "minimal_subflows",
+        "universal_minimal_flow",
+        "invariant_measure",
+        "fixed_points",
+        "find_idempotents",
+        "universal_ambit_morphism",
+    ],
+)
+def test_finite_backend_level_space_needs_level_one(call):
+    with pytest.raises(LevelError, match="finite backends have only the trivial level 1"):
+        call(cyclic_group(3))
 
 
 def test_minimal_subflows_of_flows():
@@ -421,7 +465,10 @@ def literal_action(F):
 @given(valid_flows())
 def test_orbit_answers_agree_with_their_definitions(F):
     perms = literal_action(F)
-    periods = tuple(len({p[x] for p in perms}) for x in range(F.size))
+    orbits = [frozenset(p[x] for p in perms) for x in range(F.size)]
+    # an orbit first shows up at its least point
+    assert F.orbits == tuple(dict.fromkeys(orbits))
+    periods = tuple(map(len, orbits))
     assert check_definable_flow(F).orbit_periods == periods
     assert fixed_points_of_flow(F) == [x for x in range(F.size) if all(p[x] == x for p in perms)]
     if F.pi is not None:

@@ -18,7 +18,7 @@ from .defsets import (
     FiniteSubset,
     IntegerSet,
     _Mask,
-    _divisors,
+    _prime_divisors,
     _rotate,
     complement,
     congruence_set,
@@ -134,12 +134,14 @@ def generated_family(ctx: Group, max_modulus: int = 4):
     A modulus-n mask that a rotation by a proper divisor d of n leaves
     unchanged is a modulus-d set, which the list already holds, so it is
     not built; every other mask is a set of canonical period n, built from
-    the mask itself. Finite backends: every nonempty subset in mask order.
+    the mask itself. The rotations fixing a mask form a subgroup of Z/n, so
+    some proper divisor fixes it exactly when n/q does for some prime q of
+    n. Finite backends: every nonempty subset in mask order.
     """
     if isinstance(ctx, IntegerGroup):
         out = []
         for n in range(1, max_modulus + 1):
-            shifts = _divisors(n)[:-1]
+            shifts = [n // q for q in _prime_divisors(n)]
             for mask in range(1, 1 << n):
                 if any(_rotate(mask, d, n) == mask for d in shifts):
                     continue

@@ -154,13 +154,12 @@ def _task_minimal_subflows(ctx, level, params, opts):
 
 def _task_universal_minimal_flow(ctx, level, params, opts):
     umf = universal_minimal_flow(ctx, level)
-    flows = minimal_subflows(ctx, level)
     out = {
         "subflow": _points_json(umf.subflow),
         "idempotent": point_to_json(umf.idempotent),
         "isomorphisms": [],
     }
-    for other in flows:
+    for other in umf.subflows:
         iso = umf.isomorphism_to(other)
         out["isomorphisms"].append(
             {

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 
 from .groups import (
     BackendMismatch,
@@ -37,19 +37,6 @@ from .groups import (
     IntegerGroup,
     ProductGroup,
 )
-
-
-def _divisors(n: int) -> list[int]:
-    """The divisors of n in increasing order, by trial division up to sqrt(n)."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 @lru_cache(maxsize=256)
@@ -512,6 +499,17 @@ def integers_from(elems) -> IntegerSet:
 _MASK = operator.attrgetter("mask")
 
 
+def _read(a: IntegerSet, lo: int, width: int) -> int:
+    """a's membership over [lo, lo + width) as a mask, bit i for the point lo + i.
+
+    The range must hold a's window: below it a reads its down pattern, and
+    above it its up pattern.
+    """
+    p, below, above = a.period, a.lo - lo, a.hi + 1 - lo
+    window = _extend(a.down_mask, p, lo, below) | a.window_mask << below
+    return window | _extend(a.up_mask, p, a.hi + 1, width - above) << above
+
+
 def _frame(axis: Group, sets):
     """One bit frame for sets of one backend: (lift, full, build).
 
@@ -546,11 +544,8 @@ def _frame(axis: Group, sets):
     ones = (1 << period) - 1
 
     def lift(a):
-        p, below, above = a.period, a.lo - lo, a.hi + 1 - lo
-        # a's down pattern below its window, its window bits, its up pattern above
-        window = _extend(a.down_mask, p, lo, below) | a.window_mask << below
-        window |= _extend(a.up_mask, p, a.hi + 1, width - above) << above
-        return _extend(a.up_mask, p, 0, period) | _extend(a.down_mask, p, 0, period) << period | window << 2 * period
+        p = a.period
+        return _extend(a.up_mask, p, 0, period) | _extend(a.down_mask, p, 0, period) << period | _read(a, lo, width) << 2 * period
 
     def build(m):
         window = _Mask(m >> 2 * period, width)
@@ -651,138 +646,44 @@ def right_translate(g, Y):
 # quotient sets A . B^{-1}
 
 
-def _semigroup_mask(pa: int, pb: int, bound: int) -> int:
-    """Bit k is set for each k = i * pa + j * pb < bound with i, j >= 0."""
-    multiples = _extend(1, pa, 0, bound)
-    mask = 0
-    for offset in range(0, bound, pb):
-        mask |= multiples << offset
-    return mask & ((1 << bound) - 1)
-
-
 def _integer_quotient(A: IntegerSet, B: IntegerSet) -> IntegerSet:
     """Exact {a - b : a in A, b in B} for eventually periodic sets.
 
-    A and B decompose exactly into window elements plus one congruence tail
-    per eventual residue in each direction. Differences of two same-side
-    tails hit every value of a full congruence class; a tail against a
-    window element is an exact arithmetic progression ray; opposite tails
-    give a class-within-ray whose small end has numerical-semigroup gaps,
-    patched below by the semigroup's points up to the Frobenius bound.
+    Let P be the lcm of the periods and D the difference set. Above
+    A.hi - B.lo + P, D is P-periodic: if t = a - b lies there, a is above
+    A's window or b is more than P below B's, and a + P or b - P gives
+    t + P; if t + P = a - b does, a is more than P above A's window or b
+    more than P below B's, and a - P or b + P gives t. Below
+    A.lo - B.hi - P the same holds with the sides swapped.
 
-    Membership over the output window is the OR of masks: one class mask
-    per distinct (modulus, residue), cut at its rays; the semigroup mask
-    shifted to the base of each pair of opposite tails (reversed for the
-    pairs that run toward -infinity); and B's reversed window shifted once
-    per element of A's window.
+    On [lo, hi] = [A.lo - B.hi - 2P, A.hi - B.lo + 2P] every t in D is some
+    a - b with b within P of B's window or a within P of A's window: if
+    both lie further out on the same side, shifting both by P toward their
+    windows keeps t, and if they lie on opposite sides, t falls outside
+    [lo, hi]. So D over [lo, hi] is the OR of A's membership shifted by
+    each such b and of B's reversed membership shifted by each such a, and
+    its outermost P bits on each side are its up and down patterns.
     """
     if A.is_empty or B.is_empty:
         return IntegerSet(1)
-    pa, pb = A.period, B.period
-    g = gcd(pa, pb)
-    win_a = A.window_elements()
-    win_b = B.window_elements()
-    a_up, a_down = _residues(A.up_mask, pa), _residues(A.down_mask, pa)
-    b_up, b_down = _residues(B.up_mask, pb), _residues(B.down_mask, pb)
-    fulls = set()    # (modulus, residue)
-    plus_rays = []   # (modulus, residue, min_value): {t >= min, t = residue mod modulus}
-    minus_rays = []  # (modulus, residue, max_value)
-    marks = [0]
-
-    for r in a_up:
-        for r2 in b_up:
-            fulls.add((g, (r - r2) % g))
-    for s in a_down:
-        for s2 in b_down:
-            fulls.add((g, (s - s2) % g))
-
-    # opposite tails: gaps below the Frobenius bound come from the semigroup
-    frob = g * (pa // g - 1) * (pb // g - 1)
-    semigroup = _semigroup_mask(pa, pb, frob)
-    plus_bases = set()
-    minus_bases = set()
-    for r in a_up:
-        a0 = A.up_start(r)
-        for s2 in b_down:
-            base = a0 - B.down_start(s2)
-            plus_rays.append((g, (r - s2) % g, base + frob))
-            plus_bases.add(base)
-    for s in a_down:
-        a0 = A.down_start(s)
-        for r2 in b_up:
-            base = a0 - B.up_start(r2)
-            minus_rays.append((g, (s - r2) % g, base - frob))
-            minus_bases.add(base)
-    if semigroup:
-        top = semigroup.bit_length() - 1
-        for base in plus_bases:
-            marks += (base, base + top)
-        for base in minus_bases:
-            marks += (base - top, base)
-
-    for w in win_a:
-        for r2 in b_up:
-            minus_rays.append((pb, (w - r2) % pb, w - B.up_start(r2)))
-        for s2 in b_down:
-            plus_rays.append((pb, (w - s2) % pb, w - B.down_start(s2)))
-    for w2 in win_b:
-        for r in a_up:
-            plus_rays.append((pa, (r - w2) % pa, A.up_start(r) - w2))
-        for s in a_down:
-            minus_rays.append((pa, (s - w2) % pa, A.down_start(s) - w2))
-    if win_a and win_b:
-        marks += [win_a[0] - win_b[-1], win_a[-1] - win_b[0]]
-
-    period = lcm(pa, pb)
-    marks += [v for _, _, v in plus_rays]
-    marks += [v for _, _, v in minus_rays]
-    lo = min(marks) - period
-    hi = max(marks) + period
+    period = lcm(A.period, B.period)
+    lo, hi = A.lo - B.hi - 2 * period, A.hi - B.lo + 2 * period
     width = hi - lo + 1
-
+    # b = b0 + k near B's window: bit i of a_read >> k is A at lo + i + b
+    b0, b_width = B.lo - period, B.hi - B.lo + 1 + 2 * period
+    a_read = _read(A, lo + b0, width + b_width - 1)
     bits = 0
-    if semigroup:
-        # base - k for k in the semigroup: bit frob - 1 - k of the reversal
-        semigroup_reversed = _reversed_mask(semigroup, frob)
-        for base in plus_bases:
-            bits |= semigroup << (base - lo)
-        for base in minus_bases:
-            bits |= semigroup_reversed << (base - frob + 1 - lo)
-    if win_a and win_b:
-        # w - b for b in B's window: bit win_b[-1] - b of B's reversed window
-        b_reversed = _reversed_mask(B.window_mask >> (win_b[0] - B.lo), win_b[-1] - win_b[0] + 1)
-        for w in win_a:
-            bits |= b_reversed << (w - win_b[-1] - lo)
-
-    starts = {}
-    for m, c, v in plus_rays:
-        if v < starts.get((m, c), v + 1):
-            starts[m, c] = v
-    ends = {}
-    for m, c, v in minus_rays:
-        if v > ends.get((m, c), v - 1):
-            ends[m, c] = v
-    window_zeros = {}  # modulus -> residue-0 class mask over [lo, hi + modulus)
-    period_zeros = {}  # modulus -> residue-0 class mask over [0, period + modulus)
-    up = down = 0
-    for m, c in fulls | starts.keys() | ends.keys():
-        if m not in window_zeros:
-            window_zeros[m] = _extend(1, m, lo, width + m)
-            period_zeros[m] = _extend(1, m, 0, period + m)
-        cls = window_zeros[m] >> (-c % m) & ((1 << width) - 1)
-        cls_period = period_zeros[m] >> (-c % m) & ((1 << period) - 1)
-        if (m, c) in fulls:
-            bits |= cls
-            up |= cls_period
-            down |= cls_period
-            continue
-        if (m, c) in starts:
-            cut = starts[m, c] - lo
-            bits |= cls >> cut << cut
-            up |= cls_period
-        if (m, c) in ends:
-            bits |= cls & ((1 << (ends[m, c] - lo + 1)) - 1)
-            down |= cls_period
+    for k in compress(range(b_width), _flags_of_mask(_read(B, b0, b_width), b_width)):
+        bits |= a_read >> k
+    # a = a1 - k near A's window: bit i of b_reversed >> k is B at a - (lo + i)
+    a1, a_width = A.hi + period, A.hi - A.lo + 1 + 2 * period
+    b_span = width + a_width - 1
+    b_reversed = _reversed_mask(_read(B, a1 - lo - b_span + 1, b_span), b_span)
+    for k in compress(range(a_width), _flags_of_mask(_read(A, a1 - a_width + 1, a_width), a_width)[::-1]):
+        bits |= b_reversed >> k
+    bits &= (1 << width) - 1
+    up = _rotate(bits >> (width - period), -(hi + 1) % period, period)
+    down = _rotate(bits & ((1 << period) - 1), -lo % period, period)
     return IntegerSet(period, _Mask(up, period), _Mask(down, period), lo, hi, _Mask(bits, width))
 
 

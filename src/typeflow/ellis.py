@@ -16,7 +16,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import LevelError, Limit, Realized, _interned, acting_set, apply_group, contains, limit_points, minimal_part, witness
+from .typespace import LevelError, Limit, Realized, _interned, acting_set, apply_group, check_level, contains, limit_points, minimal_part, witness
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -140,6 +140,7 @@ class RightTranslation:
 
 
 def right_translation(ctx: Group, q, level: int) -> RightTranslation:
+    check_level(ctx, level)
     if isinstance(q, Limit) and q.modulus != level:
         raise LevelError(f"right factor lives at level {q.modulus}, not {level}")
     return RightTranslation(ctx, q, level)

@@ -17,11 +17,11 @@ from .defsets import json_int, json_ints
 from .ellis import star
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, first_failing_pair
 from .typespace import (
-    TYPE_SPACE_BACKENDS,
     LevelError,
     Limit,
     Realized,
     apply_group,
+    check_level,
     limit_points,
     minimal_part,
     point_key,
@@ -176,7 +176,7 @@ def _idempotent(ctx: Group, points):
 def is_left_ideal(ctx: Group, level: int, points) -> bool:
     """Is the set closed under left star multiplication by the whole space?
 
-    Realized left factors act through the group action, so the set must be
+    The level is checked first, by `check_level`. Realized left factors act through the group action, so the set must be
     closed under the generators; only then are the 2 * level limit left
     factors built and checked exhaustively (a table has none). A finite set
     holding a realized integer is never closed under 1. Every member is
@@ -185,8 +185,7 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     a backend mismatch (as in `contains`) and neither the answer nor the
     error hangs on iteration order.
     """
-    if not isinstance(ctx, (FiniteGroup, IntegerGroup)):
-        raise BackendMismatch(TYPE_SPACE_BACKENDS)
+    check_level(ctx, level)
     S = frozenset(points)
     if not S:
         return False
@@ -309,7 +308,8 @@ class SubflowIsomorphism:
 
 @dataclass
 class UniversalMinimalFlow:
-    """One minimal subflow of the level space with an isomorphism builder.
+    """The minimal subflows of the level space, in `minimal_subflows`
+    order, with an isomorphism builder from the first one.
 
     Any other minimal subflow is isomorphic to it through a right
     translation: take t to be the other subflow's idempotent, find s here
@@ -320,8 +320,13 @@ class UniversalMinimalFlow:
 
     ctx: Group
     level: int
-    subflow: frozenset
+    subflows: list
     idempotent: object
+
+    @property
+    def subflow(self) -> frozenset:
+        """The first of the minimal subflows, which this flow is built on."""
+        return self.subflows[0]
 
     def isomorphism_to(self, other) -> SubflowIsomorphism:
         other = frozenset(other)
@@ -339,8 +344,8 @@ class UniversalMinimalFlow:
 
 
 def universal_minimal_flow(ctx: Group, level: int) -> UniversalMinimalFlow:
-    subflow = minimal_subflows(ctx, level)[0]
-    return UniversalMinimalFlow(ctx, level, subflow, _idempotent(ctx, subflow))
+    subflows = minimal_subflows(ctx, level)
+    return UniversalMinimalFlow(ctx, level, subflows, _idempotent(ctx, subflows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +412,9 @@ def extend_definable_map(f: EventuallyPeriodicMap, level: int) -> ExtendedMap:
 
 def kernel_of_action(ctx: Group, level: int) -> Subgroup:
     """Elements acting as the identity on the level minimal subflows."""
+    check_level(ctx, level)
     if isinstance(ctx, FiniteGroup):
         return Subgroup.of_elements({ctx.identity})
-    if not isinstance(ctx, IntegerGroup):
-        raise BackendMismatch(TYPE_SPACE_BACKENDS)
     return Subgroup.congruence(level)
 
 

@@ -198,15 +198,10 @@ def acting_set(ctx: Group, p, Y):
     return IntegerSet(Y.period, up=pattern, down=pattern)
 
 
-def limit_points(ctx: Group, level: int) -> list[Limit]:
-    """The limit part of the type space at a congruence level: the + circle,
-    then the - circle, residues ascending.
-
-    The limit part is {+,-} x Z/n over the integers and empty over finite
-    backends, which only have the trivial level 1. The level must be an
-    exact int; the points are read from the intern table, and built only
-    when missing.
-    """
+def check_level(ctx: Group, level: int) -> None:
+    """Raise unless the backend has a type space at the level: the level
+    must be an exact int of at least 1, a finite backend has only the
+    trivial level 1, and only integer and finite backends have type spaces."""
     if type(level) is not int:
         raise TypeError(f"level must be an int, got {level!r}")
     if level < 1:
@@ -214,9 +209,21 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
     if isinstance(ctx, FiniteGroup):
         if level != 1:
             raise LevelError("finite backends have only the trivial level 1")
-        return []
-    if not isinstance(ctx, IntegerGroup):
+    elif not isinstance(ctx, IntegerGroup):
         raise BackendMismatch(TYPE_SPACE_BACKENDS)
+
+
+def limit_points(ctx: Group, level: int) -> list[Limit]:
+    """The limit part of the type space at a congruence level: the + circle,
+    then the - circle, residues ascending.
+
+    The limit part is {+,-} x Z/n over the integers and empty over finite
+    backends (see `check_level`). The points are read from the intern
+    table, and built only when missing.
+    """
+    check_level(ctx, level)
+    if isinstance(ctx, FiniteGroup):
+        return []
     return [_interned((sign, r, level)) or Limit(sign, r, level) for sign in (1, -1) for r in range(level)]
 
 

@@ -742,6 +742,50 @@ def test_quotient_set_matches_enumeration_for_coprime_periods(pair, data):
         assert Q.member(t) == bool(shifted & in_b), (A, B, t)
 
 
+def test_opposite_tails_give_a_numerical_semigroup():
+    # {3i : i >= 0} - {-5j : j >= 0} = {3i + 5j}, whose gaps 1, 2, 4 and 7
+    # lie in the top lcm-block that the difference set's window must reach past
+    A = IntegerSet(3, up=[0], lo=0, hi=-1)
+    B = IntegerSet(5, down=[0], lo=1, hi=0)
+    semigroup = [1, 0, 0, 1, 0, 1, 1, 0]
+    assert quotient_set(A, B) == IntegerSet(1, up=[0], lo=0, hi=7, bits=semigroup)
+    assert quotient_set(B, A) == IntegerSet(1, down=[0], lo=-7, hi=0, bits=semigroup[::-1])
+
+
+def test_a_point_minus_a_far_tail_is_a_ray_of_its_class():
+    # B is {-1001 - 7k : k >= 0}: A - B = {2001 + 7k}, and each of its
+    # elements pairs the point with a tail element far from B's window
+    A = integers_from([1000])
+    B = IntegerSet(7, down=[0], lo=-1000, hi=-1001)
+    assert quotient_set(A, B) == IntegerSet(7, up=[2001 % 7], lo=2001, hi=2000)
+    assert quotient_set(B, A) == IntegerSet(7, down=[-2001 % 7], lo=-2000, hi=-2001)
+
+
+# period pairs whose lcm runs up to 150, coprime or not
+WIDE_LCM_PAIRS = [(10, 15), (12, 18), (7, 11), (9, 16), (11, 13), (5, 29), (6, 25), (14, 21), (1, 149)]
+TAIL_SIDES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(WIDE_LCM_PAIRS), st.sampled_from(TAIL_SIDES), st.sampled_from(TAIL_SIDES), st.data())
+def test_quotient_of_different_sets_matches_enumeration_past_its_window(pair, sides_a, sides_b, data):
+    pa, pb = pair if data.draw(st.booleans()) else pair[::-1]
+    shift = data.draw(st.sampled_from([-400, 0, 400]))
+    A = translate(shift, IntegerSet(*data.draw(tails_and_points(pa, *sides_a))))
+    B = translate(-shift, IntegerSet(*data.draw(tails_and_points(pb, *sides_b))))
+    P = pa * pb // gcd(pa, pb)
+    Q = quotient_set(A, B)
+    # check 2P past the window [A.lo - B.hi - 2P, A.hi - B.lo + 2P] on each
+    # side, so that wrong eventual patterns show. A witness pair of such a t
+    # moves by multiples of P toward the windows until a or b lies within 3P
+    # of its window, so every t checked has a witness inside the radius.
+    radius = 3000
+    in_a, in_b = _bitset(A, radius), _bitset(B, radius)
+    for t in range(A.lo - B.hi - 4 * P, A.hi - B.lo + 4 * P + 1):
+        shifted = in_a >> t if t >= 0 else in_a << -t
+        assert Q.member(t) == bool(shifted & in_b), (A, B, t)
+
+
 # ---------------------------------------------------------------------------
 # the least period by prime descent
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from typeflow import flows
 from typeflow.amenability import fixed_points, fixed_points_of_flow, invariant_measure, invariant_measure_of_flow
-from typeflow.ellis import find_idempotents, star
+from typeflow.ellis import find_idempotents, right_translation, star
 from typeflow.flows import (
     AmbitMorphism,
     EventuallyPeriodicMap,
@@ -124,6 +124,10 @@ def test_minimal_subflows_level_and_oracle():
         lambda c3: fixed_points(c3, 2),
         lambda c3: find_idempotents(c3, 2),
         lambda c3: universal_ambit_morphism(5, regular_flow(c3)),
+        lambda c3: kernel_of_action(c3, 2),
+        # the level is checked before the closure test, which {e} passes
+        lambda c3: is_left_ideal(c3, 2, {Realized(0)}),
+        lambda c3: right_translation(c3, Realized(0), 2),
     ],
     ids=[
         "minimal_subflows",
@@ -132,6 +136,9 @@ def test_minimal_subflows_level_and_oracle():
         "fixed_points",
         "find_idempotents",
         "universal_ambit_morphism",
+        "kernel_of_action",
+        "is_left_ideal",
+        "right_translation",
     ],
 )
 def test_finite_backend_level_space_needs_level_one(call):
@@ -275,6 +282,7 @@ def test_left_ideal_randomized_larger_levels():
 def test_universal_minimal_flow_isomorphism():
     umf = universal_minimal_flow(INTEGERS, 4)
     plus, minus = minimal_subflows(INTEGERS, 4)
+    assert umf.subflows == [plus, minus]
     assert umf.subflow == plus
     iso = umf.isomorphism_to(minus)
     checks = iso.certify(INTEGERS)

@@ -511,7 +511,7 @@ def validate_scenario(scenario) -> Group:
     for task in tasks:
         if not isinstance(task, dict) or "op" not in task:
             raise SchemaError("each task must be an object with an 'op' field")
-        if task["op"] not in TASKS:
+        if not isinstance(task["op"], str) or task["op"] not in TASKS:
             raise SchemaError(f"unknown task {task['op']!r}")
         for name in TASKS[task["op"]][2]:
             if name not in task:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from math import lcm
 
 from .groups import (
@@ -340,15 +340,15 @@ class RectangleSet:
     structural equality again decides set equality within the rectangle
     algebra.
 
-    The columns come from refining the left axis by each rectangle's left
-    set in turn, inside before outside. Each atom carries its signature, a
-    bitmask of the rectangles whose left set contains it, so its fiber is
-    the union of the right sets that the signature names, and atoms with
-    equal fibers merge into one column. The refinement runs on plain ints
-    in one bit frame per axis (see ``_frame``): for k rectangles and m
-    final atoms it costs k lifts per axis, at most 2·k·m bit operations to
-    split the atoms and k·m to OR their fibers, and one canonical build
-    per final column and per final fiber.
+    The columns come from one pass over the nonempty rectangles (a, b) on
+    plain ints, in one bit frame per axis (see ``_frame``). It keeps the
+    columns so far keyed by fiber, and the union of their left sets. Each
+    column splits into its part inside a, whose fiber becomes fiber | b,
+    and its part outside a, which keeps its fiber; the part of a that no
+    column covers yet joins fiber b. Equal fibers merge on the spot, so
+    columns stay disjoint and fibers distinct. For k rectangles it costs k
+    lifts per axis, about 3·k bit operations per column, and one canonical
+    build per final column and fiber.
     """
 
     __slots__ = ("group", "columns")
@@ -362,32 +362,21 @@ class RectangleSet:
             _check_backend(group.right, b)
             if not (a.is_empty or b.is_empty):
                 rects.append((a, b))
-        lift, full, build_column = _frame(group.left, [a for a, _ in rects])
+        lift, _, build_column = _frame(group.left, [a for a, _ in rects])
         lift_right, _, build_fiber = _frame(group.right, [b for _, b in rects])
-        # (atom, signature): bit i is set when atom lies inside rects[i]'s left set
-        atoms = [(full, 0)]
-        for i, (a, _) in enumerate(rects):
-            a = lift(a)
-            refined = []
-            for atom, signature in atoms:
-                inside = atom & a
-                if not inside:
-                    refined.append((atom, signature))
-                elif inside == atom:
-                    refined.append((atom, signature | 1 << i))
-                else:
-                    refined.append((inside, signature | 1 << i))
-                    refined.append((atom & ~a, signature))
-            atoms = refined
-        rights = [lift_right(b) for _, b in rects]
-        by_fiber = {}
-        for atom, signature in atoms:
-            fiber = 0
-            for i, b in enumerate(rights):
-                if signature >> i & 1:
-                    fiber |= b
-            if fiber:
-                by_fiber[fiber] = by_fiber.get(fiber, 0) | atom
+        by_fiber, covered = {}, 0
+        for a, b in rects:
+            a, b = lift(a), lift_right(b)
+            split = {}
+            for fib, col in by_fiber.items():
+                inside = col & a
+                for part, f in ((inside, fib | b), (col ^ inside, fib)):
+                    if part:
+                        split[f] = split.get(f, 0) | part
+            fresh = a & ~covered
+            if fresh:
+                split[b] = split.get(b, 0) | fresh
+            by_fiber, covered = split, covered | a
         self.group = group
         self.columns = tuple(
             sorted(
@@ -772,47 +761,34 @@ def _greedy_cover(ctx: Group, elems) -> tuple:
 _PRODUCT_NOTE = "relative to the rectangle algebra"
 
 
-def _axis_tail(S, sign: int):
-    """S's tail toward sign as (period, threshold), or None if it has none.
-
-    On an integer axis the tail is the part of S past the threshold, where
-    S follows its eventual pattern toward sign; on a finite axis it is all
-    of S, given as (None, None).
-    """
-    if not isinstance(S, IntegerSet):
-        return None if S.is_empty else (None, None)
+def _shift_grid(S: IntegerSet, sign: int, bound: int):
+    """The period many shifts that push S's tail toward sign (1 or -1) past
+    bound, or None if S has no tail there."""
     if not (S.up_mask if sign > 0 else S.down_mask):
         return None
-    return S.period, S.hi if sign > 0 else S.lo
+    start = -S.hi - bound - 2 * S.period + 1 if sign > 0 else bound - S.lo + S.period
+    return range(start, start + S.period)
 
 
-def _corner_tail(Y: RectangleSet, sx: int, sy: int):
-    """The axis tails (see _axis_tail) of the first column of Y with a
-    rectangle tail in the (sx, sy) corner, or None."""
-    for col, fib in Y.columns:
-        tail_x = _axis_tail(col, sx)
-        tail_y = _axis_tail(fib, sy)
-        if tail_x and tail_y:
-            return tail_x, tail_y
-    return None
-
-
-def _axis_grid(comp: Group, sign: int, period, threshold, bound):
-    """Translate shifts along one axis that push a tail over one half line.
-
-    For an integer axis: period many consecutive anchors past the bound.
-    For a finite axis: every group element.
-    """
-    if comp.is_finite:
-        return comp.elements()
-    if sign > 0:
-        anchor = -(threshold + bound + period)
-        return [anchor - i for i in range(period)]
-    anchor = bound - threshold + period
-    return [anchor + i for i in range(period)]
+def _grid_table(axis: Group, sets) -> dict:
+    """One axis's corner sides, each mapped to a function from a set to its
+    shift grid on that side (see _shift_grid). On the integers the sides
+    are "+" and "-", and the bound lies above every window and period of
+    the sets. On a finite axis the side is "." and the grid is every
+    element, since columns and fibers are never empty; sets go unused."""
+    if axis.is_finite:
+        elements = axis.elements()
+        return {".": lambda S: elements}
+    bound = max((max(abs(S.lo), abs(S.hi), S.period) for S in sets), default=1)
+    return {"+": lambda S: _shift_grid(S, 1, bound), "-": lambda S: _shift_grid(S, -1, bound)}
 
 
 def _generic_product(ctx: ProductGroup, Y: RectangleSet) -> GenericityResult:
+    """Cover an infinite product corner by corner, a corner being one side
+    per axis. A column with tails on both axes in a corner covers it with
+    its shift grid. If no column has both, Y is empty far out in that
+    corner and no finite set of translates covers it: the first such
+    corner is the obstruction."""
     if Y.is_empty:
         return GenericityResult(False, obstruction="empty set", note=_PRODUCT_NOTE)
     if ctx.is_finite:
@@ -820,39 +796,20 @@ def _generic_product(ctx: ProductGroup, Y: RectangleSet) -> GenericityResult:
         elems = [(a, b) for col, fib in Y.columns for a in col.elements() for b in fib.elements()]
         return GenericityResult(True, translates=_greedy_cover(ctx, elems), note=_PRODUCT_NOTE)
 
-    signs_x = [1, -1] if isinstance(ctx.left, IntegerGroup) else [0]
-    signs_y = [1, -1] if isinstance(ctx.right, IntegerGroup) else [0]
-    corners = {}
-    for sx in signs_x:
-        for sy in signs_y:
-            tail = _corner_tail(Y, sx if sx else 1, sy if sy else 1)
-            if tail is None:
-                name_x = {1: "+", -1: "-", 0: "."}[sx]
-                name_y = {1: "+", -1: "-", 0: "."}[sy]
-                return GenericityResult(
-                    False,
-                    obstruction=f"no eventual pattern in corner ({name_x},{name_y})",
-                    note=_PRODUCT_NOTE,
-                )
-            corners[(sx, sy)] = tail
-
-    def axis_bound(side):
-        bound = 1
-        for col, fib in Y.columns:
-            comp = col if side == 0 else fib
-            if isinstance(comp, IntegerSet):
-                bound = max(bound, abs(comp.lo), abs(comp.hi), comp.period)
-        return bound
-
-    bx = axis_bound(0)
-    by = axis_bound(1)
+    sides_x = _grid_table(ctx.left, [col for col, _ in Y.columns])
+    sides_y = _grid_table(ctx.right, [fib for _, fib in Y.columns])
     cert = set()
-    for (sx, sy), ((px, kx), (py, ky)) in corners.items():
-        xs = _axis_grid(ctx.left, sx, px, kx, bx)
-        ys = _axis_grid(ctx.right, sy, py, ky, by)
-        for u in xs:
-            for v in ys:
-                cert.add((u, v))
+    for sx, grid_x in sides_x.items():
+        for sy, grid_y in sides_y.items():
+            for col, fib in Y.columns:
+                xs, ys = grid_x(col), grid_y(fib)
+                if xs and ys:
+                    break
+            else:
+                return GenericityResult(
+                    False, obstruction=f"no eventual pattern in corner ({sx},{sy})", note=_PRODUCT_NOTE
+                )
+            cert.update(product(xs, ys))
     return GenericityResult(True, translates=tuple(sorted(cert)), note=_PRODUCT_NOTE)
 
 

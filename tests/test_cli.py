@@ -115,6 +115,10 @@ def test_schema_errors():
         run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": "no-such-op"}]})
     with pytest.raises(SchemaError):
         run_scenario({"group": {"kind": "integers"}, "level": 0, "tasks": []})
+    # an op that is not a string is an unknown task, not a crash on hashing it
+    for op in (["x"], {"name": "star"}):
+        with pytest.raises(SchemaError, match="^unknown task "):
+            run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": op}]})
 
 
 def test_capabilities_catalog():
@@ -201,6 +205,11 @@ def test_main_exit_codes(tmp_path, capsys):
     unknown.write_text(json.dumps({"group": {"kind": "integers"}, "tasks": [{"op": "zzz"}]}))
     assert main(["--scenario", str(unknown)]) == 2
     capsys.readouterr()
+
+    list_op = tmp_path / "list-op.json"
+    list_op.write_text(json.dumps({"group": {"kind": "integers"}, "tasks": [{"op": ["x"]}]}))
+    assert main(["--scenario", str(list_op)]) == 2
+    assert capsys.readouterr() == ("", "error: unknown task ['x']\n")
 
     assert main(["--capabilities"]) == 0
     assert "universal-minimal-flow" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 import operator
 import random
 import re
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -431,6 +431,70 @@ def test_product_genericity_and_certificates():
     corner_gap = RectangleSet(zz, [(EVENS, integer_ray(1, 0))])
     verdict = is_left_generic(zz, corner_gap)
     assert not verdict.generic and "corner" in verdict.obstruction
+
+
+PRODUCTS = {
+    "Zxc3": ProductGroup(INTEGERS, cyclic_group(3)),
+    "s3xZ": ProductGroup(symmetric_group_3(), INTEGERS),
+    "ZxZ": ProductGroup(INTEGERS, INTEGERS),
+}
+
+
+@st.composite
+def axis_sets(draw, axis):
+    """A set of one axis: on the integers a period up to 4, tails that are
+    often missing on a side, and a short window."""
+    if axis.is_finite:
+        return FiniteSubset(axis, draw(st.sets(st.sampled_from(axis.elements()))))
+    period = draw(st.integers(1, 4))
+    tail = st.sets(st.integers(0, period - 1))
+    lo = draw(st.integers(-6, 6))
+    bits = draw(st.lists(st.booleans(), max_size=6))
+    return IntegerSet(period, up=draw(tail), down=draw(tail), lo=lo, hi=lo + len(bits) - 1, bits=bits)
+
+
+def far_block(axis, sets, side):
+    """2P points of one axis past every window of the sets on one side, P
+    the lcm of their periods, or every element of a finite axis."""
+    if axis.is_finite:
+        return axis.elements()
+    period = lcm(*(S.period for S in sets))
+    if side == "+":
+        top = max(S.hi for S in sets)
+        return range(top + 1, top + 2 * period + 1)
+    bottom = min(S.lo for S in sets)
+    return range(bottom - 2 * period, bottom)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_product_genericity_is_decided_by_its_corners(data):
+    # past every window a set repeats with period P on each integer axis, so
+    # Y is empty far out in a corner exactly when it misses the corner's
+    # 2P-block; the verdict must cover G, or name the first such corner in
+    # the order x side then y side, "+" before "-"
+    ctx = PRODUCTS[data.draw(st.sampled_from(sorted(PRODUCTS)))]
+    rects = data.draw(st.lists(st.tuples(axis_sets(ctx.left), axis_sets(ctx.right)), min_size=1, max_size=4))
+    Y = RectangleSet(ctx, rects)
+    verdict = is_left_generic(ctx, Y)
+    sides = lambda axis: "." if axis.is_finite else "+-"
+    empty_corners = [
+        (sx, sy)
+        for sx in sides(ctx.left)
+        for sy in sides(ctx.right)
+        if not any(
+            member(Y, (x, y))
+            for x in far_block(ctx.left, [a for a, _ in rects], sx)
+            for y in far_block(ctx.right, [b for _, b in rects], sy)
+        )
+    ]
+    if verdict.generic:
+        assert not empty_corners and translates_cover(ctx, verdict.translates, Y), (rects, verdict)
+    elif Y.is_empty:
+        assert verdict.obstruction == "empty set"
+    else:
+        assert empty_corners, (rects, verdict)
+        assert verdict.obstruction == "no eventual pattern in corner ({},{})".format(*empty_corners[0]), rects
 
 
 def test_finite_product_materializes():

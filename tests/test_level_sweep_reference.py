@@ -7,20 +7,9 @@ Each example runs one scenario of each kind the generator makes (left
 ideals, products, maps out of the level space) from one seed's corpus.
 """
 
-import json
-import os
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from typeflow.cli import run_scenario
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-if ROOT not in sys.path:
-    sys.path.insert(0, ROOT)
-
-from perfbench import corpus, reference  # noqa: E402
+from reference_check import check_against_the_reference, generate
 
 KINDS = ("ideals", "products", "maps")
 
@@ -28,11 +17,6 @@ KINDS = ("ideals", "products", "maps")
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(st.integers(min_value=0, max_value=2**32), st.data())
 def test_the_reference_accepts_level_sweep_scenarios(seed, data):
-    scenarios = corpus.generate("level-sweep", seed, ROOT)
-    for kind in KINDS:
-        name, scenario, flags = data.draw(st.sampled_from([s for s in scenarios if s[0].startswith(kind)]))
-        report, code = run_scenario(scenario, with_oracle="--with-oracle" in flags)
-        assert code == 0, name
-        # the reference reads the report as the CLI prints it
-        verdicts = reference.check_report(scenario, flags, json.loads(json.dumps(report)))
-        assert verdicts == [None] * len(scenario["tasks"]), (seed, name, verdicts)
+    scenarios = generate("level-sweep", seed)
+    drawn = [data.draw(st.sampled_from([s for s in scenarios if s[0].startswith(kind)])) for kind in KINDS]
+    check_against_the_reference(seed, drawn)

@@ -28,9 +28,9 @@ from .defsets import (
     is_left_generic,
     translate,
 )
-from .flows import FiniteFlowPresentation, minimal_subflows
+from .flows import FiniteFlowPresentation, _equivariant, minimal_subflows
 from .groups import FiniteGroup, Group, IntegerGroup, Subgroup
-from .typespace import Limit, apply_group, contains, limit_points, restrict
+from .typespace import Limit, contains, limit_points, restrict
 
 
 _ZERO = Fraction(0)
@@ -94,12 +94,9 @@ def verify_invariance(ctx: Group, level: int, mu: InvariantMeasure) -> bool:
     """Exact check that every group generator preserves every atom weight.
 
     Weights are nonnegative, so a permutation that keeps each atom's weight
-    keeps every point's; such permutations are closed under products."""
-    return all(
-        mu.weight(apply_group(ctx, g, p)) == w
-        for g in ctx.generators
-        for p, w in mu.weights.items()
-    )
+    keeps every point's; such permutations are closed under products. This
+    is equivariance of the weight map into the trivial action on weights."""
+    return _equivariant(ctx, mu.weights, mu.weight, lambda g, w: w)
 
 
 def pushforward_measure(ctx: Group, mu: InvariantMeasure, target_level: int) -> InvariantMeasure:

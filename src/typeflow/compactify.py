@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsets import FiniteSubset, congruence_set
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, cyclic_group, first_failing_pair
+from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generators, cyclic_group, first_failing_pair
 from .typespace import TYPE_SPACE_BACKENDS, LevelError
 
 
@@ -51,38 +51,16 @@ class CompactQuotient:
 
 
 def _is_subgroup(ctx: FiniteGroup, elems: frozenset) -> bool:
-    """Is N a subgroup? Checked on a generating subset, in O(|N|·|gens|).
+    """Is N a subgroup? Read off the greedy walk of Light's test over N.
 
-    Walking N in ascending order, each member not yet reached becomes a
-    generator, and the reached set is closed from e under right
-    multiplication by the generators; a product outside N refutes at once.
-    At the end every member is reached, so N is the set of products of its
-    generators: a·b for b = g1···gk stays in N one factor at a time. N is
-    finite, so g⁻¹ = g^(|g|−1) is such a product too.
+    `_greedy_generators` walks N in ascending order, so every member of N
+    other than e ends up reached, and the reached set is the submagma the
+    picks generate, which in a finite group is a subgroup. So N is a
+    subgroup exactly when it holds e and everything reached.
     """
     if ctx.identity not in elems:
         return False
-    table = ctx.table
-    reached = [ctx.identity]
-    seen = {ctx.identity}
-    gens: list[int] = []
-    for g in sorted(elems):
-        if g in seen:
-            continue
-        gens.append(g)
-        # reached[:old] is closed under the earlier generators already
-        old, i = len(reached), 0
-        while i < len(reached):
-            x = reached[i]
-            for h in gens if i >= old else gens[-1:]:
-                y = table[x][h]
-                if y not in elems:
-                    return False
-                if y not in seen:
-                    seen.add(y)
-                    reached.append(y)
-            i += 1
-    return True
+    return _greedy_generators(ctx.table, ctx.identity, sorted(elems))[1] <= elems
 
 
 def _is_normal(ctx: FiniteGroup, elems: frozenset) -> bool:

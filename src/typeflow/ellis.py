@@ -16,7 +16,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import LevelError, Limit, Realized, _interned, acting_set, apply_group, check_level, contains, limit_points, minimal_part, witness
+from .typespace import LevelError, Limit, Realized, _interned, _stable_on_witnesses, acting_set, apply_group, check_level, contains, limit_points, minimal_part
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -123,19 +123,11 @@ class RightTranslation:
             self(Realized(g)) == apply_group(self.ctx, g, self.q)
             for g in realized_samples
         )
-        continuity_ok = True
-        if isinstance(self.ctx, IntegerGroup):
-            for p in limit_points(self.ctx, self.level):
-                tail = [self(Realized(a)) for a in witness(p, count=3, start=4)]
-                limit_image = self(p)
-                if isinstance(limit_image, Limit) and any(
-                    t != limit_image for t in tail
-                ):
-                    continuity_ok = False
+        continuous = _stable_on_witnesses(self, limit_points(self.ctx, self.level), 4, 3)
         return {
             "base_point_to_target": base_ok,
             "extends_group_action": action_ok,
-            "left_continuous_on_witnesses": continuity_ok,
+            "left_continuous_on_witnesses": continuous,
         }
 
 

@@ -15,30 +15,17 @@ from math import lcm
 
 from .defsets import json_int, json_ints
 from .ellis import star
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, first_failing_pair
+from .groups import INTEGERS, BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, _closure, first_failing_pair
 from .typespace import (
     LevelError,
-    Limit,
     Realized,
+    _stable_on_witnesses,
     apply_group,
     check_level,
     limit_points,
     minimal_part,
     point_key,
-    witness,
 )
-
-
-def _orbit(x, moves) -> list:
-    """Every point reached from x by the maps, breadth first; with one map, the cycle through x."""
-    orbit, seen = [x], {x}
-    for y in orbit:
-        for move in moves:
-            z = move(y)
-            if z not in seen:
-                seen.add(z)
-                orbit.append(z)
-    return orbit
 
 
 def _orbits(points, moves) -> tuple[frozenset, ...]:
@@ -46,7 +33,7 @@ def _orbits(points, moves) -> tuple[frozenset, ...]:
     seen, out = set(), []
     for x in points:
         if x not in seen:
-            orbit = frozenset(_orbit(x, moves))
+            orbit = frozenset(_closure([x], moves))
             seen |= orbit
             out.append(orbit)
     return tuple(out)
@@ -243,12 +230,8 @@ class AmbitMorphism:
         points = list(self.limit_images) + [Realized(v) for v in range(self.orbit_period)]
         equivariant = _equivariant(ctx, points, self.apply, lambda g, x: moves[g][x])
         checks = {"surjective": surjective >= set(range(F.size)), "equivariant": equivariant}
-        stable = True
+        stable = _stable_on_witnesses(self.apply, self.limit_images, 3, 4)
         if isinstance(ctx, IntegerGroup):
-            for p in self.limit_images:
-                values = {self.apply(Realized(a)) for a in witness(p, count=4, start=3)}
-                if values != {self.limit_images[p]}:
-                    stable = False
             checks["limits_stable_on_witnesses"] = stable
         # realized values are forced by equivariance from the base point,
         # and limit values by continuity, so agreement there is uniqueness
@@ -270,7 +253,7 @@ def universal_ambit_morphism(level: int, F: FiniteFlowPresentation) -> AmbitMorp
     if len(F.orbits) != 1:
         raise ValueError("base point orbit is not dense in the carrier")
     if F.pi is not None:
-        realized = tuple(_orbit(F.base, [F.pi.__getitem__]))
+        realized = tuple(_closure([F.base], [F.pi.__getitem__]))
         if level % len(realized) != 0:
             raise LevelError(f"level too coarse: orbit period {len(realized)} does not divide level {level}")
     else:
@@ -390,14 +373,8 @@ class ExtendedMap:
     def certify(self) -> dict:
         """Limit values are singleton limits along witness sequences."""
         escape = max((abs(k) for k in self.base.window), default=0) // self.level + 2
-        stable = True
-        for r in range(self.level):
-            for sign in (1, -1):
-                p = Limit(sign, r, self.level)
-                seen = {self.base.at(a) for a in witness(p, count=4, start=escape)}
-                if seen != {self.apply(p)}:
-                    stable = False
-        return {"singleton_limits": stable}
+        points = limit_points(INTEGERS, self.level)
+        return {"singleton_limits": _stable_on_witnesses(self.apply, points, escape, 4)}
 
 
 def extend_definable_map(f: EventuallyPeriodicMap, level: int) -> ExtendedMap:

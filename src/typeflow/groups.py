@@ -44,26 +44,41 @@ class Group:
         return False
 
 
-def _greedy_generators(table, ident: int) -> list[int]:
-    """Elements that, with the identity, generate the table as a magma.
+def _closure(starts, moves, seen=()) -> list:
+    """Every point the maps reach from the starts without passing through
+    `seen`, breadth first, starts first; from one start under one
+    bijection, its cycle in order."""
+    seen = set(seen)
+    out = [x for x in dict.fromkeys(starts) if x not in seen]
+    seen.update(out)
+    for y in out:
+        for move in moves:
+            z = move(y)
+            if z not in seen:
+                seen.add(z)
+                out.append(z)
+    return out
 
-    Each generator is the first element outside the closure of the earlier
-    ones under left multiplication by generators; that closure lies inside
-    the submagma they generate.
+
+def _greedy_generators(table, ident: int, elems=None) -> tuple[list[int], set]:
+    """Elements that, with the identity, generate `elems` (by default the
+    whole table) as a magma, and the set they reach.
+
+    Each generator x is the first element not yet reached. The walk then
+    reaches x, x·r for every r reached before, and all their images under
+    left multiplication by the generators. So the reached set stays closed
+    under left multiplication by every generator and is the submagma they
+    generate; for a group table, the subgroup.
     """
     gens = []
     reached = set()
-    for x in range(len(table)):
+    for x in range(len(table)) if elems is None else elems:
         if x == ident or x in reached:
             continue
         gens.append(x)
-        todo = [x] + [table[x][r] for r in reached]
-        while todo:
-            y = todo.pop()
-            if y not in reached:
-                reached.add(y)
-                todo.extend(table[g][y] for g in gens)
-    return gens
+        moves = [table[g].__getitem__ for g in gens]
+        reached.update(_closure([x] + [table[x][r] for r in reached], moves, reached))
+    return gens, reached
 
 
 class FiniteGroup(Group):
@@ -125,7 +140,7 @@ class FiniteGroup(Group):
             if inv_g is None:
                 raise ValueError(f"element {g} has no inverse")
             inverse.append(inv_g)
-        generators = tuple(_greedy_generators(table, ident))
+        generators = tuple(_greedy_generators(table, ident)[0])
         for g in generators:
             row_g = table[g]
             for a in range(n):
@@ -150,7 +165,7 @@ class FiniteGroup(Group):
         self.table = table
         self.inverse = tuple(inverse)
         self.identity = 0
-        self.generators = tuple(_greedy_generators(table, 0))
+        self.generators = tuple(_greedy_generators(table, 0)[0])
         self.name = name
         return self
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 
-from .groups import FiniteGroup, Group
+from .groups import Group, IntegerGroup
 from .typespace import Limit, Realized, apply_group, limit_points, point_key
 
 EXHAUSTION_LEVEL_BOUND = 8
@@ -205,8 +205,11 @@ def oracle_star(ctx: Group, p, q, level: int):
     thousandfold further out, multiply, and classify the type of the
     result at the level, which must divide every limit factor's modulus.
     A limit point is realized along its own modulus, inside its class.
+    Only the integers have limit points, so over any other backend (a
+    table or a product) both factors are realized and multiply by the
+    group law.
     """
-    if isinstance(ctx, FiniteGroup):
+    if not isinstance(ctx, IntegerGroup):
         return Realized(ctx.compose(p.value, q.value))
 
     def realize(point, magnitude):

@@ -245,6 +245,13 @@ def witness(p: Limit, count: int = 8, start: int = 0) -> list[int]:
     return [p.residue + p.sign * k * p.modulus for k in range(start, start + count)]
 
 
+def _stable_on_witnesses(f, points, start: int, count: int) -> bool:
+    """Does f take the value f(p) at `count` witness terms of every limit
+    point p, from the `start`-th term on? That is continuity of f at p,
+    checked on a tail of one sequence converging to p."""
+    return all({f(Realized(a)) for a in witness(p, count, start)} == {f(p)} for p in points)
+
+
 def is_closed_invariant(points) -> bool:
     """Is a set of integer level points closed and invariant?
 

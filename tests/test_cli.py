@@ -147,6 +147,22 @@ def test_with_oracle_flag():
     assert report["results"][0]["result"]["oracle_agrees"] is True
 
 
+@pytest.mark.parametrize(
+    "left, p, q, product",
+    [({"kind": "integers"}, [1, 1], [2, 1], [3, 0]), ({"kind": "cyclic", "order": 3}, [2, 1], [2, 0], [1, 1])],
+    ids=["z-x-c2", "c3-x-c2"],
+)
+def test_star_oracle_over_a_product_multiplies_by_the_group_law(left, p, q, product):
+    group = {"kind": "product", "left": left, "right": {"kind": "cyclic", "order": 2}}
+    task = {"op": "star", "p": {"kind": "realized", "value": p}, "q": {"kind": "realized", "value": q}}
+    report, code = run_scenario({"group": group, "tasks": [task]}, with_oracle=True)
+    assert code == 0
+    assert report["results"][0]["result"] == {
+        "product": {"kind": "realized", "value": product},
+        "oracle_agrees": True,
+    }
+
+
 def oracle_verdicts(tasks):
     report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
     assert code == 0 and all(r["ok"] for r in report["results"])

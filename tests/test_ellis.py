@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
+from typeflow import ellis
 from typeflow.ellis import (
+    RightTranslation,
     find_idempotents,
     right_translation,
     star,
@@ -159,6 +161,21 @@ def test_right_translation():
     assert all(checks.values())
     for g in range(-6, 7):
         assert rq(Realized(g)) == apply_group(INTEGERS, g, q)
+
+
+def test_right_translation_with_a_discontinuous_limit_product_is_not_continuous(monkeypatch):
+    rq = RightTranslation(INTEGERS, Limit(1, 0, 4), 4)
+    assert all(rq.certify().values())
+    closed_form = ellis.star
+
+    def flipped(ctx, p, q):
+        r = closed_form(ctx, p, q)
+        return Limit(-r.sign, r.residue, r.modulus) if isinstance(p, Limit) else r
+
+    monkeypatch.setattr(ellis, "star", flipped)
+    checks = rq.certify()
+    assert checks["base_point_to_target"] and checks["extends_group_action"]
+    assert not checks["left_continuous_on_witnesses"]
 
 
 def test_star_restricted_on_product_backends():

@@ -10,6 +10,7 @@ from typeflow.ellis import find_idempotents, right_translation, star
 from typeflow.flows import (
     AmbitMorphism,
     EventuallyPeriodicMap,
+    ExtendedMap,
     FiniteFlowPresentation,
     SubflowIsomorphism,
     check_definable_flow,
@@ -80,6 +81,22 @@ def test_universal_ambit_morphism_examples():
     trivial = rotation(1)
     h1 = universal_ambit_morphism(3, trivial)
     assert set(h1.limit_images.values()) == {0}
+
+
+def test_ambit_morphism_with_a_moved_limit_value_is_not_stable():
+    F = FiniteFlowPresentation(INTEGERS, 3, pi=[1, 2, 0], base=0)
+    h = universal_ambit_morphism(6, F)
+    assert all(h.certify().values())
+    p = Limit(1, 0, 6)
+    moved = dict(h.limit_images)
+    moved[p] = (moved[p] + 1) % 3
+    checks = AmbitMorphism(F, 6, 3, h.realized_images, moved).certify()
+    assert not checks["limits_stable_on_witnesses"] and not checks["unique"]
+    # moving every limit value along pi keeps equivariance, not continuity
+    shifted = {q: F.pi[v] for q, v in h.limit_images.items()}
+    checks = AmbitMorphism(F, 6, 3, h.realized_images, shifted).certify()
+    assert checks["equivariant"]
+    assert not checks["limits_stable_on_witnesses"] and not checks["unique"]
 
 
 def test_ambit_requires_dense_orbit():
@@ -369,6 +386,12 @@ def test_extend_definable_map_examples():
 
     with pytest.raises(LevelError):
         extend_definable_map(parity, 3)
+
+
+def test_extended_map_at_a_level_the_period_does_not_divide_is_not_a_singleton_limit():
+    swap = EventuallyPeriodicMap(2, [0, 1], [1, 0])
+    assert not ExtendedMap(swap, 3).certify()["singleton_limits"]
+    assert ExtendedMap(swap, 4).certify()["singleton_limits"]
 
 
 def test_kernels():

@@ -412,9 +412,23 @@ def _s3_transpositions_first():
     return FiniteGroup(table, name="s3-transpositions-first")
 
 
+def _s3_identity_three():
+    # relabelled so that the identity is 3, which the subgroup walk skips
+    t = symmetric_group_3().table
+    table = [[(t[(a - 3) % 6][(b - 3) % 6] + 3) % 6 for b in range(6)] for a in range(6)]
+    return FiniteGroup(table, name="s3-identity-3")
+
+
 @pytest.mark.parametrize(
     "G",
-    [symmetric_group_3(), _s3_transpositions_first(), dihedral_group_8(), quaternion_group_8(), cyclic_group(12)],
+    [
+        symmetric_group_3(),
+        _s3_transpositions_first(),
+        _s3_identity_three(),
+        dihedral_group_8(),
+        quaternion_group_8(),
+        cyclic_group(12),
+    ],
     ids=lambda G: G.name,
 )
 def test_is_subgroup_matches_the_literal_definition_on_every_subset(G):

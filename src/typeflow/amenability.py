@@ -13,6 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from math import lcm
 
 from .defsets import (
     FiniteSubset,
@@ -57,8 +60,17 @@ class InvariantMeasure:
     def weight(self, key) -> Fraction:
         return self.weights.get(key, _ZERO)
 
+    @cached_property
+    def _over_common_denominator(self) -> tuple[dict, int]:
+        """Every weight's numerator over the weights' common denominator,
+        and that denominator, so that a mass is an integer sum and one
+        division."""
+        d = lcm(*{w.denominator for w in self.weights.values()})
+        return {k: w.numerator * (d // w.denominator) for k, w in self.weights.items()}, d
+
     def mass_of(self, keys) -> Fraction:
-        return sum((self.weight(k) for k in keys), _ZERO)
+        numerators, d = self._over_common_denominator
+        return Fraction(sum(map(numerators.get, keys, repeat(0))), d)
 
     def __eq__(self, other):
         return isinstance(other, InvariantMeasure) and self.weights == other.weights
@@ -330,9 +342,7 @@ def measure_definability_check(
         values = {}
         for g in range(level):
             gy = translate(g, Y)
-            values[g] = sum(
-                (mu.weight(p) for p in points if contains(p, gy)), _ZERO
-            )
+            values[g] = mu.mass_of(p for p in points if contains(p, gy))
         distinct = sorted(set(values.values()))
         separable = True
         for i, low in enumerate(distinct):

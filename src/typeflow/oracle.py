@@ -20,6 +20,12 @@ from .groups import Group, IntegerGroup
 from .typespace import Limit, Realized, apply_group, limit_points, point_key
 
 EXHAUSTION_LEVEL_BOUND = 8
+# The most bits a window kernel may hold at once, checked before any
+# membership is read: the genericity search's table of covering shifts
+# (one row of 2s + 1 bits per tracked point) and the difference set's
+# accumulator of 4r + 1 bits. Every bundled, benchmark and test input
+# stays below it.
+WINDOW_BIT_BOUND = 1 << 28
 
 
 def sufficient_radius(*sets) -> int:
@@ -87,7 +93,7 @@ def _membership_mask(Y, lo: int, hi: int) -> int:
 def window_members(Y, lo: int, hi: int) -> list[int]:
     """The members of Y in [lo, hi], ascending, read as `_membership_mask`
     reads them; the range [lo, hi] is not empty."""
-    return [lo + j for j in _bits(_membership_mask(Y, lo, hi))]
+    return _bits(_membership_mask(Y, lo, hi), lo)
 
 
 def _reversed(mask: int, width: int) -> int:
@@ -95,9 +101,18 @@ def _reversed(mask: int, width: int) -> int:
     return int(format(mask, f"0{width}b")[::-1], 2)
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of a nonnegative mask, ascending."""
-    return list(compress(count(), format(mask, "b").encode()[::-1].translate(_FROM_DIGITS)))
+def _bits(mask: int, start: int = 0) -> list[int]:
+    """start + j for each set bit j of a nonnegative mask, ascending."""
+    return list(compress(count(start), format(mask, "b").encode()[::-1].translate(_FROM_DIGITS)))
+
+
+def _require_window(kernel: str, bits: int):
+    """Refuse a window whose kernel would hold more than WINDOW_BIT_BOUND
+    bits; called before any membership is read."""
+    if bits > WINDOW_BIT_BOUND:
+        raise ValueError(
+            f"{kernel} oracle needs {bits} bits, over the bound of {WINDOW_BIT_BOUND} bits"
+        )
 
 
 def oracle_difference_set(Y, universe: WindowUniverse) -> list[int]:
@@ -111,14 +126,16 @@ def oracle_difference_set(Y, universe: WindowUniverse) -> list[int]:
     """
     universe.assert_sufficient(Y)
     r = universe.radius
+    width = 2 * r + 1
+    # the accumulator: the reversed window shifted by up to 2r
+    _require_window("difference-set", 2 * width - 1)
     elems = _membership_mask(Y, -r, r)
-    negated = _reversed(elems, 2 * r + 1)
+    negated = _reversed(elems, width)
     diffs = 0
     for shift in _bits(elems):
         diffs |= negated << shift
     half = r // 2
-    clipped = diffs >> (2 * r - half) & ((1 << (2 * half + 1)) - 1)
-    return [i - half for i in _bits(clipped)]
+    return _bits(diffs >> (2 * r - half) & ((1 << (2 * half + 1)) - 1), -half)
 
 
 def oracle_generic(
@@ -141,18 +158,36 @@ def oracle_generic(
     shifts within +-`shift_bound` exists on the window. The search visits
     at most `exhaustive_limit` nodes; past that it raises ValueError rather
     than return an unproven verdict.
+
+    The search tracks only the points of [a, b], a part of the window
+    [-r, r]. The shifts g with |g| <= s covering a point x are those with
+    x - g in Y, so beyond the near range [Y.lo - s, Y.hi + s] they depend
+    on x mod p alone, p the period. [a, b] is the near range, the p points
+    above it and a block of p points below it that starts at a = -r
+    (mod p): it holds the first point, in window order, of every class of
+    points with one set of covering shifts, and lists those first points
+    in window order. Points of one class are covered together, and the
+    branch point is the first uncovered point with fewest options, which is
+    the first point of its class. So the search on [a, b] makes the same
+    choices, visits the same nodes and returns the same cover as the search
+    on the whole window.
     """
     universe.assert_sufficient(Y)
-    r, s = universe.radius, shift_bound
-    # bit j is member(Y, j - r - s): every x - g with x in the window, |g| <= s
-    mask = _membership_mask(Y, -r - s, r + s)
-    reflected = _reversed(mask, 2 * (r + s) + 1)
-    window = (1 << (2 * r + 1)) - 1
+    r, s, p = universe.radius, shift_bound, Y.period
+    below = Y.lo - s - p
+    a = -r if below <= -r else below - (below + r) % p
+    b = min(r, Y.hi + s + p)
+    n = b - a + 1
+    # the table of covering shifts: one row of 2s + 1 bits per point
+    _require_window("genericity", n * (2 * s + 1))
+    # bit j is member(Y, j + a - s): every x - g with x in [a, b], |g| <= s
+    mask = _membership_mask(Y, a - s, b + s)
+    reflected = _reversed(mask, n + 2 * s)
     shift_range = (1 << (2 * s + 1)) - 1
-    # shift g is index k = g + s and window point x is index i = x + r;
-    # g + Y covers x iff member(Y, x - g)
-    covers = [mask >> (2 * s - k) & window for k in range(2 * s + 1)]
-    covering = [reflected >> (2 * r - i) & shift_range for i in range(2 * r + 1)]
+    # shift g is index k = g + s and point x is index i = x - a;
+    # g + Y covers x iff member(Y, x - g), so mask >> (2s - k) holds the
+    # points g + Y covers, and covering[i] the shifts covering x
+    covering = [reflected >> (n - 1 - i) & shift_range for i in range(n)]
 
     def fewest_options(uncovered: int, allowed: int) -> int:
         """The allowed shifts covering an uncovered point that has fewest;
@@ -174,7 +209,7 @@ def oracle_generic(
     # one entry per chosen shift: the state it was chosen in, and the
     # sibling shifts still to try there
     stack: list[tuple[int, int, int]] = []
-    uncovered, allowed = window, shift_range
+    uncovered, allowed = (1 << n) - 1, shift_range
     while uncovered:
         options = 0
         if len(chosen) < max_translates:
@@ -194,7 +229,7 @@ def oracle_generic(
         stack.append((uncovered, allowed, options ^ low))
         k = low.bit_length() - 1
         chosen.append(k - s)
-        uncovered &= ~covers[k]
+        uncovered &= ~(mask >> (2 * s - k))
     return tuple(sorted(chosen))
 
 
@@ -247,8 +282,10 @@ def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     it is invariant iff image(v) ^ v == (high << 8) ^ image(high << 8): a
     key of the low byte alone equals a key of the high part alone. Every
     low byte is indexed by its key once, and each high part then finds all
-    invariant masks of its block of low bytes with one lookup. The premise
-    that the action permutes the points is checked, not assumed.
+    invariant masks of its block of low bytes with one lookup. The image
+    tables of the low bytes and of the high parts are built by doubling,
+    one bit at a time. The premise that the action permutes the points is
+    checked, not assumed.
     """
     _require_small(level)
     pts = limit_points(ctx, level)
@@ -257,37 +294,28 @@ def oracle_minimal_subflows(ctx: Group, level: int) -> list[frozenset]:
     perm = [index[apply_group(ctx, 1, p)] for p in pts]
     if sorted(perm) != list(range(n)):
         raise AssertionError("the group action does not permute the limit points")
-    # images[b][v] is the image under perm of the byte v at bit offset 8b
-    images = []
-    for base in range(0, n, 8):
-        table = [0] * (1 << min(8, n - base))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | 1 << perm[base + low.bit_length() - 1]
-        images.append(table)
-    low_table, high_tables = images[0], images[1:]
+    # low[v] is the image of the low byte v and high[h] that of h << 8,
+    # both by list doubling: adding bit j to every mask of a table adds
+    # bit perm[j] to its image
+    low, high = [0], [0]
+    for table, targets in ((low, perm[:8]), (high, perm[8:])):
+        for target in targets:
+            bit = 1 << target
+            table += [image | bit for image in table]
     # the low bytes of each key, ascending, so masks come out ascending
     low_bytes: dict[int, list[int]] = {}
-    for v, image in enumerate(low_table):
+    for v, image in enumerate(low):
         low_bytes.setdefault(image ^ v, []).append(v)
-    invariant = []
-    for high in range(1 << max(0, n - 8)):
-        moved = 0
-        m = high
-        for table in high_tables:
-            moved |= table[m & 255]
-            m >>= 8
-        base = high << 8
-        invariant.extend(base | v for v in low_bytes.get(base ^ moved, ()))
+    invariant = [
+        h << 8 | v for h, image in enumerate(high) for v in low_bytes.get(h << 8 ^ image, ())
+    ]
     del invariant[0]  # the empty set
     minimal_masks = [
         m
         for m in invariant
         if not any(o != m and o & m == o for o in invariant)
     ]
-    subflows = [
-        frozenset(pts[i] for i in range(n) if m >> i & 1) for m in minimal_masks
-    ]
+    subflows = [frozenset(map(pts.__getitem__, _bits(m))) for m in minimal_masks]
     return sorted(subflows, key=lambda s: sorted(point_key(p) for p in s))
 
 

@@ -372,6 +372,11 @@ def test_measure_weights_are_validated_as_defined(weights):
         mu = InvariantMeasure(weights)
         assert mu.weights == {k: Fraction(v) for k, v in weights.items()}
         assert all(type(w) is Fraction for w in mu.weights.values())
+        keys = list(weights)
+        for part in (keys, keys[::2], keys[1:], [], [len(keys)] + keys[:3]):
+            literal = sum((Fraction(weights[k]) for k in part if k in weights), Fraction(0))
+            assert mu.mass_of(part) == literal
+            assert mu.mass_of(iter(part)) == literal
     else:
         with pytest.raises(ValueError, match=expected):
             InvariantMeasure(weights)

@@ -7,13 +7,14 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeflow import cli
+from typeflow import cli, oracle
 from typeflow.cli import SchemaError, list_capabilities, main, render_json, render_text, run_scenario
 from typeflow.defsets import IntegerSet, complement, congruence_set, intersect, set_from_json
 from typeflow.groups import INTEGERS, FiniteGroup
@@ -633,6 +634,40 @@ def test_oracle_windows_fit_the_set():
             "window": {"lo": lo, "hi": hi, "bits": [int(rng.random() < 0.2) for _ in range(hi - lo + 1)]},
         }
         tasks += [{"op": "is-generic", "set": Y}, {"op": "difference-set", "set": Y}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
+    assert code == 0
+    assert all(r["result"]["oracle_agrees"] for r in report["results"])
+
+
+def test_oracle_windows_past_the_bit_bound_fail_before_reading(monkeypatch):
+    def never(Y, lo, hi):
+        raise AssertionError(f"membership read on [{lo}, {hi}]")
+
+    monkeypatch.setattr(oracle, "_membership_mask", never)
+    # the difference set's window of [-10, 10] gives a radius of 1.68e8
+    huge = {"mod": 10**6, "up": [0], "down": [0], "window": {"lo": -5, "hi": 5, "bits": [1] + [0] * 9 + [1]}}
+    tasks = [{"op": "is-generic", "set": huge}, {"op": "difference-set", "set": huge}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
+    assert code == 3 and report["partial"]
+    for kernel, r in zip(("genericity", "difference-set"), report["results"]):
+        assert not r["ok"]
+        assert re.fullmatch(
+            rf"ValueError: {kernel} oracle needs \d+ bits, over the bound of {oracle.WINDOW_BIT_BOUND} bits",
+            r["error"],
+        )
+
+
+def test_oracle_windows_of_large_periods_stay_under_the_bit_bound():
+    # the bound counts the bits the kernels hold, which grow linearly with
+    # the window radius; the CLI's difference-set radius grows with the
+    # period times the difference set's window
+    thirds = {"mod": 300, "up": [0], "down": [0], "window": {"lo": -30, "hi": 30, "bits": [1, 0, 0] * 20 + [1]}}
+    plain = {"mod": 3000, "up": [0], "down": [0]}
+    tasks = [
+        {"op": "difference-set", "set": thirds},
+        {"op": "is-generic", "set": thirds},
+        {"op": "difference-set", "set": plain},
+    ]
     report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks}, with_oracle=True)
     assert code == 0
     assert all(r["result"]["oracle_agrees"] for r in report["results"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -172,6 +173,69 @@ def test_oracle_generic_matches_brute_force():
             outcomes.add(found is not None)
     # two-sided sets get both verdicts, so refutations are not all at the root
     assert outcomes == {True, False}
+
+
+def test_oracle_generic_tracks_one_period_past_the_near_range(monkeypatch):
+    spans = []
+    reader = oracle._membership_mask
+
+    def recorded(Y, lo, hi):
+        spans.append(hi - lo + 1)
+        return reader(Y, lo, hi)
+
+    monkeypatch.setattr(oracle, "_membership_mask", recorded)
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(150):
+        period, lo = rng.randint(1, 7), rng.randint(-4, 0)
+        hi = lo + rng.randint(-1, 5)
+        Y = IntegerSet(
+            period,
+            up=[r for r in range(period) if rng.random() < 0.7],
+            down=[r for r in range(period) if rng.random() < 0.7],
+            lo=lo,
+            hi=hi,
+            bits=[rng.random() < 0.5 for _ in range(hi - lo + 1)],
+        )
+        max_translates, shift_bound = rng.randint(1, 4), rng.randint(0, 20)
+        near = hi - lo + 1 + 2 * shift_bound
+        universe = WindowUniverse(max(sufficient_radius(Y), 2 * near) + rng.randint(0, period))
+        assert 2 * universe.radius + 1 >= 4 * near
+        found = oracle_generic(Y, max_translates, shift_bound, universe, exhaustive_limit=200)
+        # the near range, one period above it and a period-aligned block below
+        assert spans.pop() - 2 * shift_bound <= near + 3 * period - 1
+        assert (found is not None) == brute_force_cover_exists(Y, max_translates, shift_bound, universe)
+        if found is not None:
+            assert all(any(member(Y, x - g) for g in found) for x in universe.points())
+        outcomes.add(found is not None)
+    assert outcomes == {True, False}
+
+
+def test_oracle_generic_answers_as_the_search_over_every_window_point():
+    rng = random.Random(37)
+    results = []
+    for _ in range(400):
+        period, lo = rng.randint(1, 7), rng.randint(-8, 4)
+        hi = lo + rng.randint(-1, 10)
+        Y = IntegerSet(
+            period,
+            up=[r for r in range(period) if rng.random() < 0.6],
+            down=[r for r in range(period) if rng.random() < 0.6],
+            lo=lo,
+            hi=hi,
+            bits=[rng.random() < 0.5 for _ in range(hi - lo + 1)],
+        )
+        universe = WindowUniverse(sufficient_radius(Y) + rng.randint(0, 40))
+        max_translates, shift_bound = rng.randint(1, 2 * period + 4), rng.randint(0, 60)
+        try:
+            results.append(oracle_generic(Y, max_translates, shift_bound, universe, rng.choice([3000, 50, 10])))
+        except ValueError as error:
+            results.append(str(error))
+    assert {type(x) for x in results} == {tuple, type(None), str}
+    # the covers, None verdicts and budget errors of a search that tracks
+    # every point of [-r, r], as computed by such a search
+    pinned = "1cb4bf45d62ac3e82300b58b97a47ef78f48717053f5eec52ff3e6ed06f8b4b1"
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == pinned
 
 
 def test_oracle_generic_five_translates():

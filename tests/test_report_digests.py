@@ -104,6 +104,16 @@ CASES = {
         True,
         "da2987d9c13aec00a9f5bcf86faf2eca9f7cf1e50b66c0d08169bc18d92bf949",
     ),
+    "oracle-large-period": (
+        lambda: load("oracle-large-period.json"),
+        False,
+        "92c6ac63e60b8ed4178c3ef1ae355149aab4201325ebb4378e8e2b56bf170104",
+    ),
+    "oracle-large-period-oracle": (
+        lambda: load("oracle-large-period.json"),
+        True,
+        "5b3ebf82b43cf3813d2b239f61ffd44058b48f60580d0eb5bf03fe110e35b7b1",
+    ),
     "symmetric3": (
         lambda: load("symmetric3.json"),
         False,

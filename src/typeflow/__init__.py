@@ -33,7 +33,7 @@ from .defsets import (
     union,
 )
 from .typespace import LevelError, Limit, Realized, acting_set, apply_group, contains, is_closed_invariant, limit_points, restrict, witness
-from .ellis import find_idempotents, right_translation, star, star_via_schema
+from .ellis import find_idempotents, star, star_via_schema
 
 __all__ = [
     "BackendMismatch",
@@ -68,7 +68,6 @@ __all__ = [
     "restrict",
     "witness",
     "find_idempotents",
-    "right_translation",
     "star",
     "star_via_schema",
 ]

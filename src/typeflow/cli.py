@@ -31,8 +31,6 @@ from .amenability import (
     verify_invariance,
 )
 from .compactify import (
-    CongruenceEquivalence,
-    PartitionEquivalence,
     definable_homomorphism_check,
     g00_at_level,
     logic_quotient,
@@ -63,7 +61,6 @@ from .flows import (
 from .groups import FiniteGroup, Group, IntegerGroup, bundled_group, group_from_json
 from .oracle import (
     EXHAUSTION_LEVEL_BOUND,
-    WindowUniverse,
     oracle_difference_set,
     oracle_generic,
     oracle_idempotents,
@@ -321,15 +318,13 @@ def _task_difference_set(ctx, level, params, opts):
     diff = difference_set(Y)
     out = {"difference_set": set_to_json(diff)}
     if opts["with_oracle"] and isinstance(ctx, IntegerGroup):
-        universe = WindowUniverse(
-            max(
-                200,
-                8 * diff.period * (1 + abs(diff.lo) + abs(diff.hi)),
-                sufficient_radius(Y),
-            )
+        radius = max(
+            200,
+            8 * diff.period * (1 + abs(diff.lo) + abs(diff.hi)),
+            sufficient_radius(Y),
         )
-        listed = oracle_difference_set(Y, universe)
-        half = universe.radius // 2
+        listed = oracle_difference_set(Y, radius)
+        half = radius // 2
         out["oracle_agrees"] = listed == window_members(diff, -half, half)
     return out
 
@@ -351,7 +346,7 @@ def _task_is_generic(ctx, level, params, opts):
             Y,
             max_translates=2 * Y.period + 4,
             shift_bound=max(40, Y.period + abs(Y.lo) + abs(Y.hi)),
-            universe=WindowUniverse(max(200, sufficient_radius(Y))),
+            radius=max(200, sufficient_radius(Y)),
         )
         out["oracle_agrees"] = (found is not None) == verdict.generic
     return out
@@ -385,9 +380,9 @@ def _task_contains(ctx, level, params, opts):
 
 def _task_logic_quotient(ctx, level, params, opts):
     if "modulus" in params:
-        quotient = logic_quotient(ctx, CongruenceEquivalence(_positive_int(params, "modulus", None)))
+        quotient = logic_quotient(ctx, modulus=_positive_int(params, "modulus", None))
     elif "blocks" in params:
-        quotient = logic_quotient(ctx, PartitionEquivalence(tuple(params["blocks"])))
+        quotient = logic_quotient(ctx, blocks=tuple(params["blocks"]))
     else:
         raise ValueError("logic-quotient needs a modulus (integers) or blocks (finite)")
     return {

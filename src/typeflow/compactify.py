@@ -12,22 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsets import FiniteSubset, congruence_set
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generators, cyclic_group, first_failing_pair
-from .typespace import TYPE_SPACE_BACKENDS, LevelError
-
-
-@dataclass(frozen=True)
-class CongruenceEquivalence:
-    """Congruence mod n on the integers; n classes, all definable."""
-
-    modulus: int
-
-
-@dataclass(frozen=True)
-class PartitionEquivalence:
-    """Explicit partition of a finite backend."""
-
-    blocks: tuple
+from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generators, cyclic_group, first_failing_pair
+from .typespace import LevelError, check_level
 
 
 class CompactQuotient:
@@ -35,8 +21,7 @@ class CompactQuotient:
     topology, carrying a group structure when the equivalence is coset
     equivalence of a normal subgroup."""
 
-    def __init__(self, source: Group, fibers, group: FiniteGroup | None):
-        self.source = source
+    def __init__(self, fibers, group: FiniteGroup | None):
         self.fibers = tuple(fibers)
         self.group = group
         self.discrete = True
@@ -117,22 +102,22 @@ def _coset_quotient(ctx: FiniteGroup, N) -> tuple[CompactQuotient, tuple]:
     """The quotient by a normal subgroup N, its fibres the cosets of N in
     quotient order, and the projection onto it."""
     group, projection = finite_quotient(ctx, N)
-    return CompactQuotient(ctx, _fibers(ctx, projection, group.order), group), projection
+    return CompactQuotient(_fibers(ctx, projection, group.order), group), projection
 
 
-def logic_quotient(ctx: Group, equivalence) -> CompactQuotient:
-    """Quotient by a bounded equivalence; fibers are canonical definable
-    sets and the finite-index logic topology is discrete. A partition of a
-    finite group carries a group, with fibers in quotient order, exactly
-    when its blocks are the cosets of a normal subgroup."""
-    if isinstance(ctx, IntegerGroup) and isinstance(equivalence, CongruenceEquivalence):
-        n = equivalence.modulus
-        if n < 1:
+def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> CompactQuotient:
+    """Quotient by a bounded equivalence: congruence mod `modulus` on the
+    integers, or the partition of a finite group into `blocks`. Fibers are
+    canonical definable sets and the finite-index logic topology is
+    discrete. A partition carries a group, with fibers in quotient order,
+    exactly when its blocks are the cosets of a normal subgroup."""
+    if isinstance(ctx, IntegerGroup) and modulus is not None:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        fibers = [congruence_set(n, [r]) for r in range(n)]
-        return CompactQuotient(ctx, fibers, cyclic_group(n))
-    if isinstance(ctx, FiniteGroup) and isinstance(equivalence, PartitionEquivalence):
-        blocks = [frozenset(map(ctx.check_element, b)) for b in equivalence.blocks]
+        fibers = [congruence_set(modulus, [r]) for r in range(modulus)]
+        return CompactQuotient(fibers, cyclic_group(modulus))
+    if isinstance(ctx, FiniteGroup) and blocks is not None:
+        blocks = [frozenset(map(ctx.check_element, b)) for b in blocks]
         seen: set[int] = set()
         for b in blocks:
             if not b or b & seen:
@@ -147,20 +132,20 @@ def logic_quotient(ctx: Group, equivalence) -> CompactQuotient:
             quotient, _ = _coset_quotient(ctx, N)
             if {f.mask for f in quotient.fibers} == {f.mask for f in fibers}:
                 return quotient
-        return CompactQuotient(ctx, fibers, None)
+        return CompactQuotient(fibers, None)
     raise ValueError("unsupported equivalence for this backend")
 
 
 def g00_at_level(ctx: Group, level: int) -> Subgroup:
     """Level approximation of the smallest bounded-index definable
     subgroup: the full congruence subgroup over the integers, trivial for
-    finite backends. Coarser levels give larger subgroups."""
-    if level < 1:
-        raise ValueError("level must be positive")
+    finite backends. Coarser levels give larger subgroups. It is also the
+    kernel of the action on the level's minimal subflows, which
+    `flows.kernel_of_action` names. The level is checked first, by
+    `check_level`."""
+    check_level(ctx, level)
     if isinstance(ctx, FiniteGroup):
         return Subgroup.of_elements({ctx.identity})
-    if not isinstance(ctx, IntegerGroup):
-        raise BackendMismatch(TYPE_SPACE_BACKENDS)
     return Subgroup.congruence(level)
 
 
@@ -210,7 +195,7 @@ def universal_compactification(ctx: Group, level: int, targets) -> UniversalComp
                 raise ValueError("target modulus must be positive")
             if level % m != 0:
                 raise LevelError(f"level too coarse: {m} does not divide {level}")
-        quotient = logic_quotient(ctx, CongruenceEquivalence(level))
+        quotient = logic_quotient(ctx, modulus=level)
         factors = []
         for m in targets:
             images = tuple(i % m for i in range(level))

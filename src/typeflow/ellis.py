@@ -11,12 +11,11 @@ extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .defsets import congruence_set, integer_ray
-from .groups import BackendMismatch, FiniteGroup, Group, IntegerGroup
-from .typespace import LevelError, Limit, Realized, _interned, _stable_on_witnesses, acting_set, apply_group, check_level, contains, limit_points, minimal_part
+from .groups import BackendMismatch, Group, IntegerGroup
+from .typespace import Limit, Realized, _interned, acting_set, contains, minimal_part
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -93,49 +92,6 @@ def star_via_schema(ctx: Group, p, q):
     if len(residues) != 1:
         raise AssertionError(f"schema probes selected {len(residues)} residues")
     return Limit(sign, residues[0], level)
-
-
-@dataclass(frozen=True)
-class RightTranslation:
-    """The map p -> p * q induced by a fixed right factor q.
-
-    This is the unique continuous map of the level space sending the type
-    of the identity to q; on realized points it coincides with the group
-    action on q.
-    """
-
-    ctx: Group
-    q: object
-    level: int
-
-    def __call__(self, p):
-        return star(self.ctx, p, self.q)
-
-    def limit_images(self) -> dict:
-        return {p: self(p) for p in limit_points(self.ctx, self.level)}
-
-    def certify(self) -> dict:
-        """Checks backing uniqueness: base point lands on q, realized points
-        follow the group action, limit points are limits of realized images."""
-        realized_samples = self.ctx.elements() if isinstance(self.ctx, FiniteGroup) else range(-6, 7)
-        base_ok = self(Realized(self.ctx.identity)) == self.q
-        action_ok = all(
-            self(Realized(g)) == apply_group(self.ctx, g, self.q)
-            for g in realized_samples
-        )
-        continuous = _stable_on_witnesses(self, limit_points(self.ctx, self.level), 4, 3)
-        return {
-            "base_point_to_target": base_ok,
-            "extends_group_action": action_ok,
-            "left_continuous_on_witnesses": continuous,
-        }
-
-
-def right_translation(ctx: Group, q, level: int) -> RightTranslation:
-    check_level(ctx, level)
-    if isinstance(q, Limit) and q.modulus != level:
-        raise LevelError(f"right factor lives at level {q.modulus}, not {level}")
-    return RightTranslation(ctx, q, level)
 
 
 def find_idempotents(ctx: Group, level: int) -> list:

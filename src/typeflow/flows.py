@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import lcm
 
+from .compactify import g00_at_level
 from .defsets import json_int, json_ints
 from .ellis import star
 from .groups import INTEGERS, BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, _closure, first_failing_pair
@@ -203,7 +204,6 @@ class AmbitMorphism:
     """
 
     flow: FiniteFlowPresentation
-    level: int
     orbit_period: int
     realized_images: tuple
     limit_images: dict
@@ -260,7 +260,7 @@ def universal_ambit_morphism(level: int, F: FiniteFlowPresentation) -> AmbitMorp
         realized = tuple(row[F.base] for row in F.action)
     d = len(realized)
     limits = {p: realized[p.residue % d] for p in limit_points(F.ctx, level)}
-    return AmbitMorphism(F, level, d, realized, limits)
+    return AmbitMorphism(F, d, realized, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +271,6 @@ def universal_ambit_morphism(level: int, F: FiniteFlowPresentation) -> AmbitMorp
 class SubflowIsomorphism:
     source: frozenset
     target: frozenset
-    t: object
-    s: object
     forward: dict
     backward: dict
 
@@ -302,7 +300,6 @@ class UniversalMinimalFlow:
     """
 
     ctx: Group
-    level: int
     subflows: list
     idempotent: object
 
@@ -323,12 +320,12 @@ class UniversalMinimalFlow:
             raise AssertionError("no right inverse found; subflow is not minimal")
         forward = {p: star(self.ctx, p, t) for p in self.subflow}
         backward = {q: star(self.ctx, q, s) for q in other}
-        return SubflowIsomorphism(self.subflow, other, t, s, forward, backward)
+        return SubflowIsomorphism(self.subflow, other, forward, backward)
 
 
 def universal_minimal_flow(ctx: Group, level: int) -> UniversalMinimalFlow:
     subflows = minimal_subflows(ctx, level)
-    return UniversalMinimalFlow(ctx, level, subflows, _idempotent(ctx, subflows[0]))
+    return UniversalMinimalFlow(ctx, subflows, _idempotent(ctx, subflows[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +384,9 @@ def extend_definable_map(f: EventuallyPeriodicMap, level: int) -> ExtendedMap:
 # kernels
 
 
-def kernel_of_action(ctx: Group, level: int) -> Subgroup:
-    """Elements acting as the identity on the level minimal subflows."""
-    check_level(ctx, level)
-    if isinstance(ctx, FiniteGroup):
-        return Subgroup.of_elements({ctx.identity})
-    return Subgroup.congruence(level)
+# the elements acting as the identity on the level minimal subflows: the
+# level's congruence subgroup over the integers, {e} over a table
+kernel_of_action = g00_at_level
 
 
 def kernel_of_flow(F: FiniteFlowPresentation) -> Subgroup:

@@ -13,7 +13,6 @@ with its `period`, which `sufficient_radius` relies on as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 
 from .groups import Group, IntegerGroup
@@ -37,22 +36,12 @@ def sufficient_radius(*sets) -> int:
     return needed
 
 
-@dataclass(frozen=True)
-class WindowUniverse:
-    """A symmetric integer window standing in for the whole line."""
-
-    radius: int
-
-    def points(self) -> range:
-        return range(-self.radius, self.radius + 1)
-
-    def assert_sufficient(self, *sets):
-        """The window must dwarf every modulus and window bound in play."""
-        needed = sufficient_radius(*sets)
-        if self.radius < needed:
-            raise ValueError(
-                f"window radius {self.radius} below sufficiency bound {needed}"
-            )
+def _require_radius(radius: int, Y):
+    """The window [-radius, radius] must dwarf every modulus and window
+    bound of Y (`sufficient_radius`)."""
+    needed = sufficient_radius(Y)
+    if radius < needed:
+        raise ValueError(f"window radius {radius} below sufficiency bound {needed}")
 
 
 # membership answers (False/True as bytes) to binary digits, and back
@@ -115,17 +104,16 @@ def _require_window(kernel: str, bits: int):
         )
 
 
-def oracle_difference_set(Y, universe: WindowUniverse) -> list[int]:
-    """{a - b} over the window's elements, clipped to the trustworthy half
-    window.
+def oracle_difference_set(Y, radius: int) -> list[int]:
+    """{a - b} over the elements of the window [-r, r], r the radius,
+    clipped to the trustworthy half window.
 
-    With E the elements as a bitset (bit x + r for x in the window of
-    radius r), the bit reversal of E is -E at the same offset, so shifting
-    it by a + r places a - E at offset 2r; the union over a in E is the
-    difference set.
+    With E the elements as a bitset (bit x + r for x in the window), the
+    bit reversal of E is -E at the same offset, so shifting it by a + r
+    places a - E at offset 2r; the union over a in E is the difference set.
     """
-    universe.assert_sufficient(Y)
-    r = universe.radius
+    _require_radius(radius, Y)
+    r = radius
     width = 2 * r + 1
     # the accumulator: the reversed window shifted by up to 2r
     _require_window("difference-set", 2 * width - 1)
@@ -142,12 +130,12 @@ def oracle_generic(
     Y,
     max_translates: int = 4,
     shift_bound: int = 50,
-    universe: WindowUniverse = WindowUniverse(200),
+    radius: int = 200,
     exhaustive_limit: int = 300_000,
 ):
     """A sorted tuple of at most `max_translates` shifts in
-    [-shift_bound, shift_bound] whose translates of Y cover the window, or
-    None when no such cover exists.
+    [-shift_bound, shift_bound] whose translates of Y cover the window
+    [-radius, radius], or None when no such cover exists.
 
     The search is exact. It is a depth-first search for a set cover on the
     pattern of Knuth's Algorithm X: branch on the uncovered window point
@@ -160,7 +148,7 @@ def oracle_generic(
     than return an unproven verdict.
 
     The search tracks only the points of [a, b], a part of the window
-    [-r, r]. The shifts g with |g| <= s covering a point x are those with
+    [-r, r], r the radius. The shifts g with |g| <= s covering a point x are those with
     x - g in Y, so beyond the near range [Y.lo - s, Y.hi + s] they depend
     on x mod p alone, p the period. [a, b] is the near range, the p points
     above it and a block of p points below it that starts at a = -r
@@ -172,8 +160,8 @@ def oracle_generic(
     choices, visits the same nodes and returns the same cover as the search
     on the whole window.
     """
-    universe.assert_sufficient(Y)
-    r, s, p = universe.radius, shift_bound, Y.period
+    _require_radius(radius, Y)
+    r, s, p = radius, shift_bound, Y.period
     below = Y.lo - s - p
     a = -r if below <= -r else below - (below + r) % p
     b = min(r, Y.hi + s + p)

@@ -45,7 +45,6 @@ from typeflow.flows import (
 )
 from typeflow.groups import INTEGERS, Subgroup, bundled_small_groups, cyclic_group
 from typeflow.oracle import (
-    WindowUniverse,
     oracle_equivariant_maps,
     oracle_generic,
     oracle_minimal_subflows,
@@ -289,11 +288,10 @@ def test_criterion_10_set_algebra():
     corpus_rng = random.Random(111)
     while len(corpus) < 200:
         corpus.append(random_integer_set(corpus_rng, max_period=4, span=5))
-    universe = WindowUniverse(160)
     agree = 0
     for Y in corpus:
         structural = is_left_generic(INTEGERS, Y)
-        found = oracle_generic(Y, max_translates=12, shift_bound=24, universe=universe)
+        found = oracle_generic(Y, max_translates=12, shift_bound=24, radius=160)
         if structural.generic:
             if found is not None and translates_cover(INTEGERS, structural.translates, Y):
                 agree += 1

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from typeflow import cli, oracle
 from typeflow.cli import SchemaError, list_capabilities, main, render_json, render_text, run_scenario
-from typeflow.defsets import IntegerSet, complement, congruence_set, intersect, set_from_json
-from typeflow.groups import INTEGERS, FiniteGroup
+from typeflow.defsets import IntegerSet, complement, congruence_set, intersect, member, set_from_json
+from typeflow.groups import INTEGERS, FiniteGroup, group_from_json
 from typeflow.typespace import point_from_json
 
 
@@ -371,6 +371,117 @@ def test_malformed_rectangles_are_a_task_error(rectangles):
     assert report["results"][1]["ok"]
 
 
+Z = {"kind": "integers"}
+C3 = {"kind": "cyclic", "order": 3}
+S3 = {"kind": "bundled", "name": "s3"}
+ZxC2 = {"kind": "product", "left": Z, "right": {"kind": "cyclic", "order": 2}}
+PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
+
+
+@pytest.mark.parametrize(
+    "group, level, task, error",
+    [
+        (Z, 1, {"op": "translate", "g": 1, "set": {"mod": 0}}, "ValueError: period must be at least 1"),
+        (
+            Z,
+            1,
+            {"op": "translate", "g": 1, "set": {"mod": 2, "up": [0], "window": {"lo": 0, "hi": 2, "bits": [1]}}},
+            "ValueError: window bits do not match window bounds",
+        ),
+        (C3, 1, {"op": "translate", "g": 1, "set": {"foo": 1}}, "ValueError: cannot parse finite subset from {'foo': 1}"),
+        (ZxC2, 1, {"op": "translate", "g": [1, 0], "set": [1]}, "ValueError: cannot parse product set from [1]"),
+        (C3, 1, {"op": "logic-quotient", "blocks": [[0], [1]]}, "ValueError: blocks do not cover the group"),
+        (C3, 1, {"op": "logic-quotient", "modulus": 3}, "ValueError: unsupported equivalence for this backend"),
+        (Z, 1, {"op": "logic-quotient", "blocks": [[0]]}, "ValueError: unsupported equivalence for this backend"),
+        (
+            S3,
+            1,
+            {"op": "universal-compactification", "targets": [[0, 3]]},
+            "ValueError: family members must be quotients by normal subgroups",
+        ),
+        (
+            C3,
+            1,
+            {"op": "check-homomorphism", "values": [0, 1], "target": {"kind": "cyclic", "order": 2}},
+            "ValueError: need one value per group element",
+        ),
+        (C3, 1, {"op": "contains", "p": PLUS_0_1, "set": [0]}, "BackendMismatch: limit points live over the integers"),
+        (C3, 1, {"op": "acting-set", "p": PLUS_0_1, "set": [0]}, "BackendMismatch: limit points live over the integers"),
+        (
+            ZxC2,
+            1,
+            {"op": "contains", "p": PLUS_0_1, "set": {"rectangles": [["evens", [0]]]}},
+            "BackendMismatch: limit points live over the integers",
+        ),
+        (
+            Z,
+            4,
+            {"op": "contains", "p": {"kind": "limit", "sign": "+", "res": 0, "mod": 4}, "set": {"mod": 3, "up": [0]}},
+            "LevelError: set period 3 does not divide level 4",
+        ),
+        (
+            C3,
+            1,
+            {"op": "extend-map", "map": {"period": 1, "up": [0], "down": [0]}},
+            "ValueError: extend-map applies to the integer backend",
+        ),
+        (C3, 1, {"op": "g00", "level": 5}, "LevelError: finite backends have only the trivial level 1"),
+    ],
+    ids=[
+        "mod-0",
+        "window-bits",
+        "finite-subset",
+        "product-set",
+        "blocks-miss",
+        "modulus-over-c3",
+        "blocks-over-Z",
+        "non-normal-target",
+        "too-few-values",
+        "limit-contains-table",
+        "limit-acting-set-table",
+        "limit-over-product",
+        "period-not-dividing-level",
+        "extend-map-over-c3",
+        "g00-finite-level",
+    ],
+)
+def test_rejected_task_input_fails_the_task(group, level, task, error):
+    report, code = run_scenario({"group": group, "level": level, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == error
+
+
+@pytest.mark.parametrize(
+    "group, values, target, reason",
+    [
+        (Z, [1, 0], {"kind": "cyclic", "order": 2}, "does not send 0 to the identity"),
+        (C3, [1, 2, 0], C3, "does not send the identity to the identity"),
+    ],
+    ids=["integers", "c3"],
+)
+def test_a_map_moving_the_identity_is_not_a_homomorphism(group, values, target, reason):
+    task = {"op": "check-homomorphism", "values": values, "target": target}
+    report, code = run_scenario({"group": group, "tasks": [task]})
+    assert code == 0
+    assert report["results"][0]["result"] == {"valid": False, "reason": reason}
+
+
+def test_acting_set_of_a_realized_point_over_a_product():
+    # {g : g . a in Y} is the right translate Y a^-1, on s3 x c2 not Y's left translate
+    group = {"kind": "product", "left": S3, "right": {"kind": "cyclic", "order": 2}}
+    ctx = group_from_json(group)
+    rects = [[[1, 3], [0]], [[0, 4, 5], [1]]]
+    Y = set_from_json(ctx, {"rectangles": rects})
+    for a in ctx.elements():
+        task = {"op": "acting-set", "p": {"kind": "realized", "value": list(a)}, "set": {"rectangles": rects}}
+        report, code = run_scenario({"group": group, "tasks": [task]})
+        assert code == 0
+        acting = set_from_json(ctx, report["results"][0]["result"]["result"])
+        assert [g for g in ctx.elements() if member(acting, g)] == [
+            g for g in ctx.elements() if member(Y, ctx.compose(g, a))
+        ]
+
+
 def test_render_text_shape():
     scenario = {
         "group": {"kind": "integers"},
@@ -381,6 +492,25 @@ def test_render_text_shape():
     text = render_text(report)
     assert text.startswith("typeflow")
     assert "- idempotents: ok" in text
+
+
+def test_render_text_of_a_partial_report():
+    tasks = [{"op": "logic-quotient", "modulus": 0}, {"op": "g00"}]
+    report, code = run_scenario({"group": Z, "level": 2, "tasks": tasks})
+    assert code == 3
+    assert render_text(report).splitlines()[1:] == [
+        "- logic-quotient: error",
+        "    ValueError: modulus must be a positive integer, not 0",
+        "- g00: ok",
+        '    {"subgroup": {"kind": "congruence", "modulus": 2}}',
+        "(partial: some tasks failed)",
+    ]
+
+
+def test_main_without_a_scenario_prints_usage(capsys):
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: typeflow")
 
 
 def cataloged_task_params():

@@ -1,9 +1,7 @@
 import pytest
 
 from typeflow.compactify import (
-    CongruenceEquivalence,
     _factor_map,
-    PartitionEquivalence,
     definable_homomorphism_check,
     finite_quotient,
     g00_at_level,
@@ -16,7 +14,7 @@ from typeflow.typespace import LevelError
 
 
 def test_logic_quotient_integers():
-    q = logic_quotient(INTEGERS, CongruenceEquivalence(6))
+    q = logic_quotient(INTEGERS, modulus=6)
     assert q.size == 6 and q.discrete
     assert q.group is not None and q.group.order == 6
     assert q.fibers[1] == congruence_set(6, [1])
@@ -26,28 +24,28 @@ def test_logic_quotient_integers():
     for i in range(q.size):
         assert [j for j, fiber in enumerate(q.fibers) if fiber.member(i)] == [i]
 
-    assert logic_quotient(INTEGERS, CongruenceEquivalence(1)).size == 1
+    assert logic_quotient(INTEGERS, modulus=1).size == 1
 
 
 def test_logic_quotient_finite():
     c3 = cyclic_group(3)
-    equality = PartitionEquivalence(tuple(frozenset([i]) for i in range(3)))
-    q = logic_quotient(c3, equality)
+    equality = tuple(frozenset([i]) for i in range(3))
+    q = logic_quotient(c3, blocks=equality)
     assert q.size == 3 and q.group is not None and q.group.table == c3.table
 
     s3 = symmetric_group_3()
     # partition by the rotation subgroup {e, r, r2}: normal, so a group quotient
     rot = frozenset([0, 1, 2])
-    cosets = PartitionEquivalence((rot, frozenset([3, 4, 5])))
-    q = logic_quotient(s3, cosets)
+    cosets = (rot, frozenset([3, 4, 5]))
+    q = logic_quotient(s3, blocks=cosets)
     assert q.size == 2 and q.group is not None
 
-    lopsided = PartitionEquivalence((frozenset([0]), frozenset([1, 2, 3, 4, 5])))
-    q = logic_quotient(s3, lopsided)
+    lopsided = (frozenset([0]), frozenset([1, 2, 3, 4, 5]))
+    q = logic_quotient(s3, blocks=lopsided)
     assert q.size == 2 and q.group is None
 
     with pytest.raises(ValueError):
-        logic_quotient(s3, PartitionEquivalence((frozenset([0, 1]), frozenset([1, 2]))))
+        logic_quotient(s3, blocks=(frozenset([0, 1]), frozenset([1, 2])))
 
 
 def test_g00_levels():
@@ -169,10 +167,10 @@ def test_factor_map_reports_a_broken_law_and_a_missed_element():
 def test_logic_quotient_needs_the_blocks_to_be_cosets():
     c4 = cyclic_group(4)
     # {0, 2} is a normal subgroup, but {1} and {3} are not its cosets
-    q = logic_quotient(c4, PartitionEquivalence(({0, 2}, {1}, {3})))
+    q = logic_quotient(c4, blocks=({0, 2}, {1}, {3}))
     assert q.group is None
     assert [f.elements() for f in q.fibers] == [[0, 2], [1], [3]]
     # the cosets of {0, 2}, listed in either order, give the quotient in its own order
-    q = logic_quotient(c4, PartitionEquivalence(({1, 3}, {0, 2})))
+    q = logic_quotient(c4, blocks=({1, 3}, {0, 2}))
     assert q.group is not None and q.group.order == 2
     assert [f.elements() for f in q.fibers] == [[0, 2], [1, 3]]

@@ -250,6 +250,34 @@ def test_product_rectangle_algebra():
     assert quotient_set(Y, Y) == Y  # closed under componentwise differences here
 
 
+def test_right_translate_over_a_product_is_the_literal_right_translate():
+    rng = random.Random(13)
+    s3, c2 = symmetric_group_3(), cyclic_group(2)
+    # on s3 x c2 right and left translates differ, so the order of y . g is checked
+    ctx = ProductGroup(s3, c2)
+    differs = False
+    for _ in range(20):
+        Y = RectangleSet(ctx, [(random_finite_subset(rng, s3), random_finite_subset(rng, c2)) for _ in range(2)])
+        members = [y for y in ctx.elements() if member(Y, y)]
+        for g in ctx.elements():
+            right = right_translate(g, Y)
+            literal = {ctx.compose(y, g) for y in members}
+            assert {x for x in ctx.elements() if member(right, x)} == literal
+            differs = differs or right != translate(g, Y)
+    assert differs
+    # on Z x c2, over a window wide enough for every shift used
+    ctx = ProductGroup(INTEGERS, c2)
+    window = [(x, b) for x in range(-30, 31) for b in c2.elements()]
+    near = [(x, b) for x, b in window if abs(x) <= 20]
+    for _ in range(20):
+        Y = RectangleSet(ctx, [(random_integer_set(rng), random_finite_subset(rng, c2)) for _ in range(2)])
+        members = [y for y in window if member(Y, y)]
+        for g in [(rng.randint(-5, 5), b) for b in c2.elements()]:
+            right = right_translate(g, Y)
+            literal = {ctx.compose(y, g) for y in members}
+            assert {x for x in near if member(right, x)} == literal.intersection(near)
+
+
 def test_rectangle_columns_keep_their_order():
     # columns sort by residue tuples: (0, 2) < (1,), although the masks 5 > 2
     ctx = ProductGroup(INTEGERS, cyclic_group(2))

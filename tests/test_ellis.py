@@ -1,19 +1,13 @@
 import random
+from functools import partial
 from math import gcd
 
 import pytest
 
-from typeflow import ellis
-from typeflow.ellis import (
-    RightTranslation,
-    find_idempotents,
-    right_translation,
-    star,
-    star_via_schema,
-)
+from typeflow.ellis import find_idempotents, star, star_via_schema
 from typeflow.groups import INTEGERS, BackendMismatch, FiniteGroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_star
-from typeflow.typespace import Limit, Realized, apply_group, limit_points, restrict, witness
+from typeflow.typespace import Limit, Realized, _stable_on_witnesses, apply_group, limit_points, restrict, witness
 
 
 def mixed_points(level, rng, count):
@@ -149,33 +143,20 @@ def test_finer_left_factor_restricts_to_the_product():
                         assert restrict(star(INTEGERS, finer, q), coarse.modulus) == coarse
 
 
-def test_right_translation():
-    rq = right_translation(INTEGERS, Realized(0), 4)
-    for p in limit_points(INTEGERS, 4):
-        assert rq(p) == p
+def test_star_is_the_right_translation():
+    # p -> p * q is the continuous map of the level space extending the
+    # group action on q, at every level-1..6 q
+    identity = Realized(INTEGERS.identity)
+    for q in all_points(range(1, 7)):
+        assert star(INTEGERS, identity, q) == q
+        for g in range(-6, 7):
+            assert star(INTEGERS, Realized(g), q) == apply_group(INTEGERS, g, q)
+        right = partial(star, INTEGERS, q=q)
+        assert _stable_on_witnesses(right, limit_points(INTEGERS, q.modulus), 4, 3)
+    for p in all_points(range(1, 7)) + [Realized(v) for v in range(-6, 7)]:
+        assert star(INTEGERS, p, identity) == p
     q = Limit(1, 0, 2)
-    rq = right_translation(INTEGERS, q, 2)
-    image = set(rq.limit_images().values())
-    assert image == {Limit(1, 0, 2), Limit(1, 1, 2)}
-    checks = rq.certify()
-    assert all(checks.values())
-    for g in range(-6, 7):
-        assert rq(Realized(g)) == apply_group(INTEGERS, g, q)
-
-
-def test_right_translation_with_a_discontinuous_limit_product_is_not_continuous(monkeypatch):
-    rq = RightTranslation(INTEGERS, Limit(1, 0, 4), 4)
-    assert all(rq.certify().values())
-    closed_form = ellis.star
-
-    def flipped(ctx, p, q):
-        r = closed_form(ctx, p, q)
-        return Limit(-r.sign, r.residue, r.modulus) if isinstance(p, Limit) else r
-
-    monkeypatch.setattr(ellis, "star", flipped)
-    checks = rq.certify()
-    assert checks["base_point_to_target"] and checks["extends_group_action"]
-    assert not checks["left_continuous_on_witnesses"]
+    assert {star(INTEGERS, p, q) for p in limit_points(INTEGERS, 2)} == {Limit(1, 0, 2), Limit(1, 1, 2)}
 
 
 def test_star_restricted_on_product_backends():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from typeflow import flows
 from typeflow.amenability import fixed_points, fixed_points_of_flow, invariant_measure, invariant_measure_of_flow
-from typeflow.ellis import find_idempotents, right_translation, star
+from typeflow.compactify import g00_at_level
+from typeflow.ellis import find_idempotents, star
 from typeflow.flows import (
     AmbitMorphism,
     EventuallyPeriodicMap,
@@ -90,11 +91,11 @@ def test_ambit_morphism_with_a_moved_limit_value_is_not_stable():
     p = Limit(1, 0, 6)
     moved = dict(h.limit_images)
     moved[p] = (moved[p] + 1) % 3
-    checks = AmbitMorphism(F, 6, 3, h.realized_images, moved).certify()
+    checks = AmbitMorphism(F, 3, h.realized_images, moved).certify()
     assert not checks["limits_stable_on_witnesses"] and not checks["unique"]
     # moving every limit value along pi keeps equivariance, not continuity
     shifted = {q: F.pi[v] for q, v in h.limit_images.items()}
-    checks = AmbitMorphism(F, 6, 3, h.realized_images, shifted).certify()
+    checks = AmbitMorphism(F, 3, h.realized_images, shifted).certify()
     assert checks["equivariant"]
     assert not checks["limits_stable_on_witnesses"] and not checks["unique"]
 
@@ -144,7 +145,7 @@ def test_minimal_subflows_level_and_oracle():
         lambda c3: kernel_of_action(c3, 2),
         # the level is checked before the closure test, which {e} passes
         lambda c3: is_left_ideal(c3, 2, {Realized(0)}),
-        lambda c3: right_translation(c3, Realized(0), 2),
+        lambda c3: g00_at_level(c3, 2),
     ],
     ids=[
         "minimal_subflows",
@@ -155,7 +156,7 @@ def test_minimal_subflows_level_and_oracle():
         "universal_ambit_morphism",
         "kernel_of_action",
         "is_left_ideal",
-        "right_translation",
+        "g00_at_level",
     ],
 )
 def test_finite_backend_level_space_needs_level_one(call):
@@ -323,7 +324,7 @@ def test_tampered_finite_subflow_isomorphism_is_not_equivariant():
             ({p: Realized(s3.compose(x, p.value)) for p in umf.subflow}, x == s3.identity),
         ):
             backward = {q: p for p, q in forward.items()}
-            iso = SubflowIsomorphism(umf.subflow, umf.subflow, umf.idempotent, umf.idempotent, forward, backward)
+            iso = SubflowIsomorphism(umf.subflow, umf.subflow, forward, backward)
             checks = iso.certify(s3)
             assert checks["bijective"] and checks["mutually_inverse"]
             assert checks["equivariant"] is equivariant
@@ -426,7 +427,7 @@ def test_tampered_ambit_morphism_is_not_equivariant():
     assert all(h.certify().values())
     images = list(h.realized_images)
     images[1], images[2] = images[2], images[1]
-    checks = AmbitMorphism(F, 1, s3.order, tuple(images), {}).certify()
+    checks = AmbitMorphism(F, s3.order, tuple(images), {}).certify()
     assert checks["surjective"] and not checks["equivariant"] and not checks["unique"]
 
 
@@ -445,7 +446,7 @@ def test_ambit_equivariance_on_generators_agrees_with_all_pairs():
                 candidates.append(swapped)
         for images in candidates:
             literal = all(images[G.table[g][h]] == F.action[g][images[h]] for g in elements for h in elements)
-            verdict = AmbitMorphism(F, 1, G.order, tuple(images), {}).certify()["equivariant"]
+            verdict = AmbitMorphism(F, G.order, tuple(images), {}).certify()["equivariant"]
             assert verdict == literal, (G.name, images)
             seen.add(literal)
     assert seen == {True, False}

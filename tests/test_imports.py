@@ -1,6 +1,7 @@
 """Every name a typeflow module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every public one without a caller in the package is on a short list,
+every dataclass field is read as an attribute in the package or its tests,
 only tables that are groups by construction skip the group checks,
 only the `Limit` constructor writes the table of interned limit points,
 only the constructor and the level-point kernels read it, and the oracle
@@ -118,7 +119,6 @@ TEST_ONLY_PUBLIC_NAMES = [
     "amenability.py:pestov_fixed_point_consistency",
     "amenability.py:pushforward_measure",
     "defsets.py:translates_cover",
-    "ellis.py:right_translation",
     "flows.py:flow_to_json",
     "groups.py:group_to_json",
     "oracle.py:oracle_equivariant_maps",
@@ -131,6 +131,59 @@ def test_every_public_name_without_a_caller_is_listed():
     # the package's re-exports in __init__.py are not callers
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unreferenced_public_names(sources) == TEST_ONLY_PUBLIC_NAMES
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """"file:Class.field" for each field of a `@dataclass` in `sources`
+    whose name no code of `sources` or `readers` loads as an attribute,
+    sorted.
+
+    Fields are matched by name alone, so a field is listed only when no
+    attribute of its name is read anywhere: `AmbitMorphism.level` would
+    pass on the reads of `ExtendedMap.level`. Reads through `==`, `hash`
+    or `repr`, which every field takes part in, are not counted.
+    """
+    fields, loaded = [], set()
+    for name, source in {**sources, **readers}.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif name in sources and isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [
+                    (name, node.name, item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    return sorted(f"{name}:{cls}.{field}" for name, cls, field in fields if field not in loaded)
+
+
+def test_the_guard_sees_an_unread_dataclass_field():
+    sources = {
+        "a.py": (
+            "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int\n    note: str = ''\n\n\n"
+            "@dataclasses.dataclass\nclass Box:\n    item: object\n\n\n"
+            "class Plain:\n    hidden: int\n\n\n"
+            "def make(p):\n    p.note = 'set, not read'\n    return p.left\n"
+        ),
+    }
+    readers = {"test_a.py": "def test_box(box):\n    assert box.item\n"}
+    assert unread_dataclass_fields(sources, readers) == ["a.py:Pair.note", "a.py:Pair.right"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    tests = pathlib.Path(__file__).resolve().parent
+    readers = {p.name: p.read_text(encoding="utf-8") for p in tests.glob("*.py")}
+    assert unread_dataclass_fields(sources, readers) == []
 
 
 def enclosing_functions(sources: dict[str, str], matches) -> list[str]:

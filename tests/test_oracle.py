@@ -19,7 +19,6 @@ from typeflow.ellis import find_idempotents, star
 from typeflow.flows import minimal_subflows
 from typeflow.groups import INTEGERS, cyclic_group
 from typeflow.oracle import (
-    WindowUniverse,
     _bits,
     _membership_mask,
     oracle_difference_set,
@@ -49,14 +48,14 @@ def random_small_set(rng):
     return IntegerSet(period, up=up, down=down, lo=lo, hi=hi, bits=bits)
 
 
-def random_universe(rng, Y):
-    """A window at or a little above the least radius the oracles accept."""
-    return WindowUniverse(sufficient_radius(Y) + rng.randint(0, 6))
+def random_radius(rng, Y):
+    """A window radius at or a little above the least the oracles accept."""
+    return sufficient_radius(Y) + rng.randint(0, 6)
 
 
-def brute_force_cover_exists(Y, max_translates, shift_bound, universe):
+def brute_force_cover_exists(Y, max_translates, shift_bound, radius):
     """Every combination of at most max_translates shifts, point by point."""
-    points = list(universe.points())
+    points = list(range(-radius, radius + 1))
     full = (1 << len(points)) - 1
     shifts = range(-shift_bound, shift_bound + 1)
     covers = {
@@ -73,27 +72,27 @@ def brute_force_cover_exists(Y, max_translates, shift_bound, universe):
 
 
 def test_window_sufficiency_guard():
-    with pytest.raises(ValueError):
-        oracle_difference_set(congruence_set(12, [0]), WindowUniverse(20))
+    with pytest.raises(ValueError, match="^window radius 20 below sufficiency bound"):
+        oracle_difference_set(congruence_set(12, [0]), 20)
 
 
 def test_oracle_difference_set():
-    universe = WindowUniverse(200)
-    listed = oracle_difference_set(EVENS, universe)
+    radius = 200
+    listed = oracle_difference_set(EVENS, radius)
     assert listed == list(range(-100, 101, 2))
 
     nonneg_evens = intersect(EVENS, integer_ray(1, 0))
-    listed = oracle_difference_set(nonneg_evens, universe)
+    listed = oracle_difference_set(nonneg_evens, radius)
     diff = difference_set(nonneg_evens)
     assert listed == [t for t in range(-100, 101) if member(diff, t)]
 
 
 def test_oracle_generic_finds_and_misses():
-    found = oracle_generic(EVENS, max_translates=2, shift_bound=3, universe=WindowUniverse(60))
+    found = oracle_generic(EVENS, max_translates=2, shift_bound=3, radius=60)
     assert found is not None and len(found) == 2
 
     ray = integer_ray(1, 0)
-    assert oracle_generic(ray, max_translates=4, shift_bound=50, universe=WindowUniverse(200)) is None
+    assert oracle_generic(ray, max_translates=4, shift_bound=50, radius=200) is None
 
     # agreement contract on a small mixed batch
     batch = [
@@ -106,7 +105,7 @@ def test_oracle_generic_finds_and_misses():
     ]
     for Y in batch:
         structural = is_left_generic(INTEGERS, Y).generic
-        found = oracle_generic(Y, max_translates=10, shift_bound=25, universe=WindowUniverse(120))
+        found = oracle_generic(Y, max_translates=10, shift_bound=25, radius=120)
         if found is not None:
             assert structural
         else:
@@ -162,13 +161,13 @@ def test_oracle_generic_matches_brute_force():
     outcomes = set()
     for _ in range(400):
         Y = random_small_set(rng)
-        universe = random_universe(rng, Y)
+        radius = random_radius(rng, Y)
         max_translates, shift_bound = rng.randint(1, 4), rng.randint(0, 5)
-        found = oracle_generic(Y, max_translates, shift_bound, universe)
-        assert (found is not None) == brute_force_cover_exists(Y, max_translates, shift_bound, universe)
+        found = oracle_generic(Y, max_translates, shift_bound, radius)
+        assert (found is not None) == brute_force_cover_exists(Y, max_translates, shift_bound, radius)
         if found is not None:
             assert len(found) <= max_translates and all(abs(g) <= shift_bound for g in found)
-            assert all(any(member(Y, x - g) for g in found) for x in universe.points())
+            assert all(any(member(Y, x - g) for g in found) for x in range(-radius, radius + 1))
         if Y.up and Y.down:
             outcomes.add(found is not None)
     # two-sided sets get both verdicts, so refutations are not all at the root
@@ -199,14 +198,14 @@ def test_oracle_generic_tracks_one_period_past_the_near_range(monkeypatch):
         )
         max_translates, shift_bound = rng.randint(1, 4), rng.randint(0, 20)
         near = hi - lo + 1 + 2 * shift_bound
-        universe = WindowUniverse(max(sufficient_radius(Y), 2 * near) + rng.randint(0, period))
-        assert 2 * universe.radius + 1 >= 4 * near
-        found = oracle_generic(Y, max_translates, shift_bound, universe, exhaustive_limit=200)
+        radius = max(sufficient_radius(Y), 2 * near) + rng.randint(0, period)
+        assert 2 * radius + 1 >= 4 * near
+        found = oracle_generic(Y, max_translates, shift_bound, radius, exhaustive_limit=200)
         # the near range, one period above it and a period-aligned block below
         assert spans.pop() - 2 * shift_bound <= near + 3 * period - 1
-        assert (found is not None) == brute_force_cover_exists(Y, max_translates, shift_bound, universe)
+        assert (found is not None) == brute_force_cover_exists(Y, max_translates, shift_bound, radius)
         if found is not None:
-            assert all(any(member(Y, x - g) for g in found) for x in universe.points())
+            assert all(any(member(Y, x - g) for g in found) for x in range(-radius, radius + 1))
         outcomes.add(found is not None)
     assert outcomes == {True, False}
 
@@ -225,10 +224,10 @@ def test_oracle_generic_answers_as_the_search_over_every_window_point():
             hi=hi,
             bits=[rng.random() < 0.5 for _ in range(hi - lo + 1)],
         )
-        universe = WindowUniverse(sufficient_radius(Y) + rng.randint(0, 40))
+        radius = sufficient_radius(Y) + rng.randint(0, 40)
         max_translates, shift_bound = rng.randint(1, 2 * period + 4), rng.randint(0, 60)
         try:
-            results.append(oracle_generic(Y, max_translates, shift_bound, universe, rng.choice([3000, 50, 10])))
+            results.append(oracle_generic(Y, max_translates, shift_bound, radius, rng.choice([3000, 50, 10])))
         except ValueError as error:
             results.append(str(error))
     assert {type(x) for x in results} == {tuple, type(None), str}
@@ -239,11 +238,11 @@ def test_oracle_generic_answers_as_the_search_over_every_window_point():
 
 
 def test_oracle_generic_five_translates():
-    universe = WindowUniverse(160)
-    assert oracle_generic(FIVE_TRANSLATES, max_translates=4, shift_bound=24, universe=universe) is None
-    found = oracle_generic(FIVE_TRANSLATES, max_translates=5, shift_bound=24, universe=universe)
+    radius = 160
+    assert oracle_generic(FIVE_TRANSLATES, max_translates=4, shift_bound=24, radius=radius) is None
+    found = oracle_generic(FIVE_TRANSLATES, max_translates=5, shift_bound=24, radius=radius)
     assert found is not None and len(found) == 5
-    assert all(any(member(FIVE_TRANSLATES, x - g) for g in found) for x in universe.points())
+    assert all(any(member(FIVE_TRANSLATES, x - g) for g in found) for x in range(-radius, radius + 1))
     assert is_left_generic(INTEGERS, FIVE_TRANSLATES).generic
 
 
@@ -253,7 +252,7 @@ def test_oracle_generic_budget_fails_fast():
             FIVE_TRANSLATES,
             max_translates=4,
             shift_bound=24,
-            universe=WindowUniverse(160),
+            radius=160,
             exhaustive_limit=50,
         )
     # a one-sided set leaves far points with no covering shift: refuted at the root
@@ -265,11 +264,11 @@ def test_oracle_difference_set_matches_pairwise_definition():
     rng = random.Random(8)
     for _ in range(100):
         Y = random_small_set(rng)
-        universe = random_universe(rng, Y)
-        elems = [x for x in universe.points() if member(Y, x)]
-        half = universe.radius // 2
+        radius = random_radius(rng, Y)
+        elems = [x for x in range(-radius, radius + 1) if member(Y, x)]
+        half = radius // 2
         pairwise = sorted({a - b for a in elems for b in elems if abs(a - b) <= half})
-        assert oracle_difference_set(Y, universe) == pairwise
+        assert oracle_difference_set(Y, radius) == pairwise
 
 
 def test_oracle_minimal_subflows_levels_1_to_8():
@@ -377,12 +376,12 @@ def test_membership_mask_reads_the_window_and_one_period_per_side(monkeypatch):
 
     monkeypatch.setattr(oracle, "_membership_mask", counted_reader)
     for Y in LARGE_WINDOW_SETS:
-        universe = WindowUniverse(sufficient_radius(Y))
-        assert universe.radius in (12_000, 7_200)
-        oracle_difference_set(Y, universe)
-        oracle_generic(Y, max_translates=2 * Y.period + 4, shift_bound=Y.period + 50, universe=universe)
-        for radius in (0, Y.period, 10**6):
-            counted_reader(Y, -radius - 5, radius)
+        radius = sufficient_radius(Y)
+        assert radius in (12_000, 7_200)
+        oracle_difference_set(Y, radius)
+        oracle_generic(Y, max_translates=2 * Y.period + 4, shift_bound=Y.period + 50, radius=radius)
+        for span in (0, Y.period, 10**6):
+            counted_reader(Y, -span - 5, span)
     assert len(reads) == 10
     for Y, made in reads:
         assert made <= (Y.hi - Y.lo + 1) + 2 * Y.period

@@ -32,7 +32,7 @@ from .defsets import (
     translate,
     union,
 )
-from .typespace import LevelError, Limit, Realized, acting_set, apply_group, contains, is_closed_invariant, limit_points, restrict, witness
+from .typespace import LevelError, Limit, acting_set, apply_group, contains, is_closed_invariant, limit_points, restrict, witness
 from .ellis import find_idempotents, star, star_via_schema
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "union",
     "LevelError",
     "Limit",
-    "Realized",
     "acting_set",
     "apply_group",
     "contains",

@@ -71,7 +71,6 @@ from .oracle import (
 )
 from .typespace import (
     Limit,
-    Realized,
     acting_set,
     contains,
     point_from_json,
@@ -105,8 +104,8 @@ def _positive_int(params, name: str, default):
 def _point(ctx, obj):
     """A type point of the task; a realized value must be an element of ctx."""
     p = point_from_json(obj)
-    if isinstance(p, Realized):
-        ctx.check_element(p.value)
+    if not isinstance(p, Limit):
+        ctx.check_element(p)
     return p
 
 
@@ -379,12 +378,10 @@ def _task_contains(ctx, level, params, opts):
 
 
 def _task_logic_quotient(ctx, level, params, opts):
-    if "modulus" in params:
-        quotient = logic_quotient(ctx, modulus=_positive_int(params, "modulus", None))
-    elif "blocks" in params:
-        quotient = logic_quotient(ctx, blocks=tuple(params["blocks"]))
-    else:
+    if "modulus" not in params and "blocks" not in params:
         raise ValueError("logic-quotient needs a modulus (integers) or blocks (finite)")
+    blocks = tuple(params["blocks"]) if "blocks" in params else None
+    quotient = logic_quotient(ctx, modulus=_positive_int(params, "modulus", None), blocks=blocks)
     return {
         "size": quotient.size,
         "is_group": quotient.group is not None,

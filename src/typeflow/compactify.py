@@ -106,11 +106,14 @@ def _coset_quotient(ctx: FiniteGroup, N) -> tuple[CompactQuotient, tuple]:
 
 
 def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> CompactQuotient:
-    """Quotient by a bounded equivalence: congruence mod `modulus` on the
-    integers, or the partition of a finite group into `blocks`. Fibers are
-    canonical definable sets and the finite-index logic topology is
-    discrete. A partition carries a group, with fibers in quotient order,
-    exactly when its blocks are the cosets of a normal subgroup."""
+    """Quotient by a bounded equivalence, given by exactly one of: congruence
+    mod `modulus` on the integers, or the partition of a finite group into
+    `blocks`. Fibers are canonical definable sets and the finite-index
+    logic topology is discrete. A partition carries a group, with fibers in
+    quotient order, exactly when its blocks are the cosets of a normal
+    subgroup."""
+    if modulus is not None and blocks is not None:
+        raise ValueError("give either a modulus or blocks, not both")
     if isinstance(ctx, IntegerGroup) and modulus is not None:
         if modulus < 1:
             raise ValueError("modulus must be positive")

@@ -15,7 +15,7 @@ from math import gcd
 
 from .defsets import congruence_set, integer_ray
 from .groups import BackendMismatch, Group, IntegerGroup
-from .typespace import Limit, Realized, _interned, acting_set, contains, minimal_part
+from .typespace import Limit, _interned, acting_set, contains, minimal_part
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -25,17 +25,17 @@ def _product_level(ctx: Group, p, q) -> int:
     """The level at which p * q is determined when p or q is a limit point.
 
     A realized factor is exact, so the product keeps the limit factor's
-    level; its value must be an element of ctx, as the group law requires
+    level; it must be an element of ctx, as the group law requires
     of two realized factors. Limit points at levels m and n fix a + b only
     modulo gcd(m, n), so no result is finer than an input.
     """
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch(_LIMIT_PRODUCT_BACKENDS)
-    if isinstance(p, Realized):
-        ctx.check_element(p.value)
+    if not isinstance(p, Limit):
+        ctx.check_element(p)
         return q.modulus
-    if isinstance(q, Realized):
-        ctx.check_element(q.value)
+    if not isinstance(q, Limit):
+        ctx.check_element(q)
         return p.modulus
     return gcd(p.modulus, q.modulus)
 
@@ -61,12 +61,12 @@ def star(ctx: Group, p, q):
             level = gcd(level, q.modulus)
         key = (q.sign, (p.residue + q.residue) % level, level)
         return _interned(key) or Limit(*key)
-    if isinstance(p, Realized) and isinstance(q, Realized):
-        return Realized(ctx.compose(p.value, q.value))
+    if not isinstance(p, Limit) and not isinstance(q, Limit):
+        return ctx.compose(p, q)
     level = _product_level(ctx, p, q)
-    if isinstance(p, Realized):
-        return Limit(q.sign, (p.value + q.residue) % level, level)
-    return Limit(p.sign, (p.residue + q.value) % level, level)
+    if not isinstance(p, Limit):
+        return Limit(q.sign, (p + q.residue) % level, level)
+    return Limit(p.sign, (p.residue + q) % level, level)
 
 
 def star_via_schema(ctx: Group, p, q):
@@ -78,9 +78,9 @@ def star_via_schema(ctx: Group, p, q):
     a half line for the sign), so this path exercises acting sets and
     membership instead of the closed form.
     """
-    if isinstance(p, Realized) and isinstance(q, Realized):
+    if not isinstance(p, Limit) and not isinstance(q, Limit):
         # both factors realized: the product is realized by the group law
-        return Realized(ctx.compose(p.value, q.value))
+        return ctx.compose(p, q)
     level = _product_level(ctx, p, q)
     positive = contains(p, acting_set(ctx, q, integer_ray(1, 0)))
     sign = 1 if positive else -1

@@ -19,7 +19,7 @@ from .ellis import star
 from .groups import INTEGERS, BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, _closure, first_failing_pair
 from .typespace import (
     LevelError,
-    Realized,
+    Limit,
     _stable_on_witnesses,
     apply_group,
     check_level,
@@ -178,7 +178,7 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
     if not S:
         return False
     images = [set(map(partial(apply_group, ctx, g), S)) for g in ctx.generators or (ctx.identity,)]
-    wrong = {p.modulus for p in S if not isinstance(p, Realized)} - {level}
+    wrong = {p.modulus for p in S if isinstance(p, Limit)} - {level}
     if wrong:
         raise LevelError(f"point at level {min(wrong)} in a level-{level} check")
     if not all(image <= S for image in images):
@@ -209,9 +209,9 @@ class AmbitMorphism:
     limit_images: dict
 
     def apply(self, p):
-        if isinstance(p, Realized):
-            return self.realized_images[p.value % self.orbit_period]
-        return self.limit_images[p]
+        if isinstance(p, Limit):
+            return self.limit_images[p]
+        return self.realized_images[p % self.orbit_period]
 
     def certify(self) -> dict:
         """Surjectivity, equivariance and, over the integers, limit stability.
@@ -227,7 +227,7 @@ class AmbitMorphism:
         ctx = F.ctx
         surjective = set(self.realized_images) | set(self.limit_images.values())
         moves = {1: F.pi} if F.pi is not None else F.action
-        points = list(self.limit_images) + [Realized(v) for v in range(self.orbit_period)]
+        points = list(self.limit_images) + list(range(self.orbit_period))
         equivariant = _equivariant(ctx, points, self.apply, lambda g, x: moves[g][x])
         checks = {"surjective": surjective >= set(range(F.size)), "equivariant": equivariant}
         stable = _stable_on_witnesses(self.apply, self.limit_images, 3, 4)
@@ -362,8 +362,8 @@ class ExtendedMap:
     level: int
 
     def apply(self, p):
-        if isinstance(p, Realized):
-            return self.base.at(p.value)
+        if not isinstance(p, Limit):
+            return self.base.at(p)
         values = self.base.up_values if p.sign > 0 else self.base.down_values
         return values[p.residue % self.base.period]
 

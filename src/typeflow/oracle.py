@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import compress, count
 
 from .groups import Group, IntegerGroup
-from .typespace import Limit, Realized, apply_group, limit_points, point_key
+from .typespace import Limit, apply_group, limit_points, point_key
 
 EXHAUSTION_LEVEL_BOUND = 8
 # The most bits a window kernel may hold at once, checked before any
@@ -233,23 +233,23 @@ def oracle_star(ctx: Group, p, q, level: int):
     group law.
     """
     if not isinstance(ctx, IntegerGroup):
-        return Realized(ctx.compose(p.value, q.value))
+        return ctx.compose(p, q)
 
     def realize(point, magnitude):
-        if isinstance(point, Realized):
-            return point.value
+        if not isinstance(point, Limit):
+            return point
         return point.sign * magnitude * point.modulus + point.residue
 
     base_magnitude = 1000
     # a limit left factor must outgrow any fixed realized right factor
     left_magnitude = base_magnitude
-    if isinstance(q, Realized):
-        left_magnitude += abs(q.value)
+    if not isinstance(q, Limit):
+        left_magnitude += abs(q)
     a = realize(p, left_magnitude)
     b = realize(q, 1000 * max(base_magnitude, abs(a)))
     s = a + b
-    if isinstance(p, Realized) and isinstance(q, Realized):
-        return Realized(s)
+    if not isinstance(p, Limit) and not isinstance(q, Limit):
+        return s
     return Limit(1 if s > 0 else -1, s % level, level)
 
 

@@ -1,12 +1,14 @@
 """Complete types over a backend at a finite congruence level.
 
-A type point is either a realized group element (kept exact, never
-quotiented into the level) or a limit point: a sign direction together
-with a residue class at the level modulus. Limit points exist only over
-the integers; finite backends admit realized points only. The level
-topology: realized points are isolated, every subset of the limit part is
-closed, and a limit point is the limit of any integer sequence escaping in
-its direction within its residue class.
+A type point is either a realized point, which is the group element
+itself (an int, or a pair over a product), kept exact and never
+quotiented into the level, or a `Limit`: a sign direction together with
+a residue class at the level modulus; ``isinstance(p, Limit)`` tells
+them apart. Limit points exist only over the integers; finite backends
+admit realized points only. The level topology: realized points are
+isolated, every subset of the limit part is closed, and a limit point is
+the limit of any integer sequence escaping in its direction within its
+residue class.
 """
 
 from __future__ import annotations
@@ -20,32 +22,6 @@ TYPE_SPACE_BACKENDS = "type spaces are provided for integer and finite backends"
 
 class LevelError(ValueError):
     """Level and set period (or target level) are incompatible."""
-
-
-class Realized:
-    """The type of an actual group element.
-
-    Type points are values: their fields are never assigned after
-    construction, because the hash is computed once, in the constructor.
-    It equals ``hash((value,))``, the hash of the field tuple.
-    """
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value):
-        self.value = value
-        self._hash = hash((value,))
-
-    def __eq__(self, other):
-        if other.__class__ is not Realized:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Realized(value={self.value!r})"
 
 
 # The interned limit points, keyed by their (sign, residue, modulus) tuple of
@@ -64,8 +40,8 @@ _interned = _LIMITS.get
 class Limit:
     """A nonrealized complete type at a level: sign direction and residue.
 
-    A value like `Realized`: never assigned after construction, with the
-    hash of ``(sign, residue, modulus)`` computed in the constructor.
+    A value: never assigned after construction, with the hash of
+    ``(sign, residue, modulus)`` computed in the constructor.
 
     The three fields must be exact ints: a bool, float or any other type
     raises ``TypeError`` before the intern table is read, since ``True``
@@ -127,20 +103,18 @@ def point_key(p):
     """Deterministic ordering: + circle first, then residues ascending."""
     if isinstance(p, Limit):
         return (1, 0 if p.sign > 0 else 1, p.residue)
-    return (0, p.value)
+    return (0, p)
 
 
 def contains(p, Y) -> bool:
     """Does the definable set Y belong to the type p?
 
-    Realized points test actual membership. A limit point tests the
+    A realized point tests actual membership. A limit point tests the
     eventual residue pattern of Y in its direction, which requires Y's
     period to divide the point's level.
     """
-    if isinstance(p, Realized):
-        return member(Y, p.value)
     if not isinstance(p, Limit):
-        raise TypeError(f"not a type point: {p!r}")
+        return member(Y, p)
     if not isinstance(Y, IntegerSet):
         raise BackendMismatch("limit points live over the integers")
     if p.modulus % Y.period != 0:
@@ -152,7 +126,7 @@ def contains(p, Y) -> bool:
 
 def restrict(p, m: int):
     """Project a type point to a coarser level; m must divide the level."""
-    if isinstance(p, Realized):
+    if not isinstance(p, Limit):
         return p
     if p.modulus % m != 0:
         raise LevelError(f"{m} does not divide level {p.modulus}")
@@ -170,8 +144,8 @@ def apply_group(ctx: Group, g, p):
         key = (p.sign, (p.residue + g) % p.modulus, p.modulus)
         return _interned(key) or Limit(*key)
     ctx.check_element(g)
-    if isinstance(p, Realized):
-        return Realized(ctx.compose(g, p.value))
+    if not isinstance(p, Limit):
+        return ctx.compose(g, p)
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch("limit points live over the integers")
     return Limit(p.sign, (p.residue + g) % p.modulus, p.modulus)
@@ -183,9 +157,9 @@ def acting_set(ctx: Group, p, Y):
     This is the executable content of definability of the type p: the
     answer is always a canonical definable set for these backends.
     """
-    if isinstance(p, Realized):
-        # g.p realized at g.a, so the condition is g.a in Y
-        return right_translate(ctx.invert(p.value), Y)
+    if not isinstance(p, Limit):
+        # g.p is the element g * p, so the condition is g * p in Y
+        return right_translate(ctx.invert(p), Y)
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch("limit points live over the integers")
     if not isinstance(Y, IntegerSet):
@@ -232,7 +206,7 @@ def minimal_part(ctx: Group, level: int) -> list:
     checks it: over the integers the limit part (a closed invariant set
     holding a realized point is the whole space). A finite table has no
     limit part; its space is the group acting on itself, one orbit."""
-    return limit_points(ctx, level) or [Realized(g) for g in ctx.elements()]
+    return limit_points(ctx, level) or list(ctx.elements())
 
 
 def witness(p: Limit, count: int = 8, start: int = 0) -> list[int]:
@@ -249,7 +223,7 @@ def _stable_on_witnesses(f, points, start: int, count: int) -> bool:
     """Does f take the value f(p) at `count` witness terms of every limit
     point p, from the `start`-th term on? That is continuity of f at p,
     checked on a tail of one sequence converging to p."""
-    return all({f(Realized(a)) for a in witness(p, count, start)} == {f(p)} for p in points)
+    return all({f(a) for a in witness(p, count, start)} == {f(p)} for p in points)
 
 
 def is_closed_invariant(points) -> bool:
@@ -260,15 +234,14 @@ def is_closed_invariant(points) -> bool:
     invariant.
     """
     pts = frozenset(points)
-    if any(isinstance(p, Realized) for p in pts):
+    if not all(isinstance(p, Limit) for p in pts):
         return False
     return {apply_group(INTEGERS, 1, p) for p in pts} <= pts
 
 
 def point_to_json(p):
-    if isinstance(p, Realized):
-        value = list(p.value) if isinstance(p.value, tuple) else p.value
-        return {"kind": "realized", "value": value}
+    if not isinstance(p, Limit):
+        return {"kind": "realized", "value": list(p) if isinstance(p, tuple) else p}
     return {
         "kind": "limit",
         "sign": "+" if p.sign > 0 else "-",
@@ -282,9 +255,7 @@ def point_from_json(obj):
         raise ValueError("type point must be an object with a 'kind' field")
     if obj["kind"] == "realized":
         value = obj["value"]
-        if isinstance(value, list):
-            value = tuple(value)
-        return Realized(value)
+        return tuple(value) if isinstance(value, list) else value
     if obj["kind"] == "limit":
         sign = {"+": 1, "-": -1}.get(obj["sign"])
         if sign is None:

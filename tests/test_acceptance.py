@@ -50,7 +50,7 @@ from typeflow.oracle import (
     oracle_minimal_subflows,
     oracle_star,
 )
-from typeflow.typespace import LevelError, Limit, Realized, is_closed_invariant, limit_points, restrict
+from typeflow.typespace import LevelError, Limit, is_closed_invariant, limit_points, restrict
 
 LEVELS = range(1, 13)
 
@@ -62,7 +62,7 @@ def report(number, description, ok):
 
 def random_point(rng, level):
     if rng.random() < 0.4:
-        return Realized(rng.randint(-10**6, 10**6))
+        return rng.randint(-10**6, 10**6)
     return Limit(rng.choice([1, -1]), rng.randrange(level), level)
 
 
@@ -228,7 +228,7 @@ def test_criterion_07_pestov_criterion():
     trivial = cyclic_group(1)
     outcome = pestov_check(trivial)
     ok = ok and isinstance(outcome, PestovExhausted)
-    ok = ok and fixed_points(trivial, 1) == [Realized(0)]
+    ok = ok and fixed_points(trivial, 1) == [0]
     ok = ok and pestov_fixed_point_consistency(trivial, [1], 4).consistent
     report(7, "certificates for the integers and all bundled groups; trivial group exhausted with a fixed point", ok)
 

@@ -34,7 +34,7 @@ from typeflow.defsets import (
 )
 from typeflow.flows import FiniteFlowPresentation, kernel_of_action
 from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
-from typeflow.typespace import Limit, Realized, apply_group, limit_points
+from typeflow.typespace import Limit, apply_group, limit_points
 
 
 def test_canonical_level_measure():
@@ -80,7 +80,7 @@ def test_fixed_points():
         assert fixed_points(INTEGERS, n) == []
     c3 = cyclic_group(3)
     assert fixed_points(c3, 1) == []
-    assert fixed_points(cyclic_group(1), 1) == [Realized(0)]
+    assert fixed_points(cyclic_group(1), 1) == [0]
     rot = FiniteFlowPresentation(INTEGERS, 3, pi=[0, 2, 1])
     assert fixed_points_of_flow(rot) == [0]
 
@@ -108,7 +108,7 @@ def test_pestov_trivial_group():
     outcome = pestov_check(c1)
     assert isinstance(outcome, PestovExhausted)
     assert "not a proof" in outcome.note
-    assert fixed_points(c1, 1) == [Realized(0)]
+    assert fixed_points(c1, 1) == [0]
 
 
 def test_generated_family_deterministic_and_deduplicated():
@@ -307,9 +307,9 @@ def test_difference_ne_group_matches_no_fixed_points_at_even_levels():
 def test_non_invariant_measure_fails_on_s3():
     s3 = symmetric_group_3()
     assert verify_invariance(s3, 1, invariant_measure(s3, 1))
-    assert not verify_invariance(s3, 1, InvariantMeasure({Realized(0): 1}))
+    assert not verify_invariance(s3, 1, InvariantMeasure({0: 1}))
     # uniform on the rotations {e, r, r2}: kept by the rotations, moved by a reflection
-    rotations = InvariantMeasure({Realized(g): Fraction(1, 3) for g in (0, 1, 2)})
+    rotations = InvariantMeasure({g: Fraction(1, 3) for g in (0, 1, 2)})
     assert not verify_invariance(s3, 1, rotations)
 
 
@@ -320,7 +320,7 @@ def test_invariance_on_generators_agrees_with_every_element():
     for G in bundled_small_groups() + [cyclic_group(1)]:
         for mask in range(1, 1 << G.order):
             support = [g for g in G.elements() if mask >> g & 1]
-            mu = InvariantMeasure({Realized(g): Fraction(1, len(support)) for g in support})
+            mu = InvariantMeasure({g: Fraction(1, len(support)) for g in support})
             literal = all(
                 mu.weight(apply_group(G, g, p)) == w for g in G.elements() for p, w in mu.weights.items()
             )

@@ -53,6 +53,16 @@ def test_pestov_scenario():
     assert result["translate_cover"] == [0, 1]
 
 
+def test_pestov_scenario_over_the_trivial_group_is_exhausted():
+    report, code = run_scenario({"group": {"kind": "cyclic", "order": 1}, "tasks": [{"op": "pestov-check"}]})
+    assert code == 0
+    assert report["results"][0]["result"] == {
+        "verdict": "exhausted",
+        "family_size": 1,
+        "note": "no counterexample within the searched family; this is not a proof of extreme amenability",
+    }
+
+
 def test_report_determinism_modulo_timings():
     scenario = {
         "group": {"kind": "integers"},
@@ -394,6 +404,18 @@ PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
         (C3, 1, {"op": "logic-quotient", "modulus": 3}, "ValueError: unsupported equivalence for this backend"),
         (Z, 1, {"op": "logic-quotient", "blocks": [[0]]}, "ValueError: unsupported equivalence for this backend"),
         (
+            Z,
+            1,
+            {"op": "logic-quotient", "modulus": 2, "blocks": [[0]]},
+            "ValueError: give either a modulus or blocks, not both",
+        ),
+        (
+            C3,
+            1,
+            {"op": "logic-quotient", "modulus": 3, "blocks": [[0], [1], [2]]},
+            "ValueError: give either a modulus or blocks, not both",
+        ),
+        (
             S3,
             1,
             {"op": "universal-compactification", "targets": [[0, 3]]},
@@ -435,6 +457,8 @@ PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
         "blocks-miss",
         "modulus-over-c3",
         "blocks-over-Z",
+        "modulus-and-blocks-over-Z",
+        "modulus-and-blocks-over-c3",
         "non-normal-target",
         "too-few-values",
         "limit-contains-table",

@@ -138,6 +138,20 @@ def test_is_left_generic_examples():
         assert translates_cover(c3, verdict.translates, sub)
 
 
+def test_translates_cover_rejects_translates_that_leave_a_gap():
+    assert translates_cover(INTEGERS, [0], EVENS) is False
+    assert translates_cover(INTEGERS, [0, 1], EVENS) is True
+    c3 = cyclic_group(3)
+    zero = FiniteSubset(c3, [0])
+    assert translates_cover(c3, [0], zero) is False
+    assert translates_cover(c3, [0, 1, 2], zero) is True
+    c2 = cyclic_group(2)
+    ctx = ProductGroup(INTEGERS, c2)
+    Y = RectangleSet(ctx, [(EVENS, FiniteSubset(c2, [0]))])
+    assert translates_cover(ctx, [(0, 0), (1, 0)], Y) is False
+    assert translates_cover(ctx, [(0, 0), (1, 0), (0, 1), (1, 1)], Y) is True
+
+
 def test_empty_set_never_generic():
     assert not is_left_generic(INTEGERS, IntegerSet(1)).generic
     c1 = cyclic_group(1)

@@ -7,14 +7,14 @@ import pytest
 from typeflow.ellis import find_idempotents, star, star_via_schema
 from typeflow.groups import INTEGERS, BackendMismatch, FiniteGroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_star
-from typeflow.typespace import Limit, Realized, _stable_on_witnesses, apply_group, limit_points, restrict, witness
+from typeflow.typespace import Limit, _stable_on_witnesses, apply_group, limit_points, restrict, witness
 
 
 def mixed_points(level, rng, count):
     pts = []
     for _ in range(count):
         if rng.random() < 0.4:
-            pts.append(Realized(rng.randint(-10**6, 10**6)))
+            pts.append(rng.randint(-10**6, 10**6))
         else:
             pts.append(Limit(rng.choice([1, -1]), rng.randrange(level), level))
     return pts
@@ -22,9 +22,9 @@ def mixed_points(level, rng, count):
 
 def test_star_examples_against_numeric_oracle():
     cases = [
-        (Realized(5), Limit(1, 1, 4), Limit(1, 2, 4)),
+        (5, Limit(1, 1, 4), Limit(1, 2, 4)),
         (Limit(-1, 1, 4), Limit(1, 2, 4), Limit(1, 3, 4)),
-        (Realized(3), Realized(4), Realized(7)),
+        (3, 4, 7),
     ]
     for p, q, expected in cases:
         assert oracle_star(INTEGERS, p, q, 4) == expected
@@ -33,14 +33,12 @@ def test_star_examples_against_numeric_oracle():
 
 def test_star_on_finite_backend_is_group_law():
     c3 = cyclic_group(3)
-    assert star(c3, Realized(1), Realized(2)) == Realized(0)
+    assert star(c3, 1, 2) == 0
 
 
 def test_star_via_schema_equals_star_exhaustive():
     for n in (1, 2, 3, 4, 6):
-        pts = limit_points(INTEGERS, n) + [
-            Realized(v) for v in (-7, -1, 0, 2, 9)
-        ]
+        pts = limit_points(INTEGERS, n) + [-7, -1, 0, 2, 9]
         for p in pts:
             for q in pts:
                 assert star_via_schema(INTEGERS, p, q) == star(INTEGERS, p, q)
@@ -49,7 +47,7 @@ def test_star_via_schema_equals_star_exhaustive():
 def test_schema_examples():
     p = Limit(1, 0, 2)
     assert star_via_schema(INTEGERS, p, p) == p
-    assert star_via_schema(INTEGERS, Limit(1, 1, 3), Realized(0)) == Limit(1, 1, 3)
+    assert star_via_schema(INTEGERS, Limit(1, 1, 3), 0) == Limit(1, 1, 3)
 
 
 def test_associativity_small_levels_and_random():
@@ -71,7 +69,7 @@ def test_associativity_small_levels_and_random():
 def test_star_extends_group_action():
     for g in range(-8, 9):
         for q in limit_points(INTEGERS, 6):
-            assert star(INTEGERS, Realized(g), q) == apply_group(INTEGERS, g, q)
+            assert star(INTEGERS, g, q) == apply_group(INTEGERS, g, q)
 
 
 def test_left_continuity_at_level():
@@ -89,7 +87,7 @@ def test_left_continuity_at_level():
         for q in pts:
             target = star(INTEGERS, p, q)
             for a in witness(p, count=3, start=5):
-                assert star(INTEGERS, Realized(a), q) == target
+                assert star(INTEGERS, a, q) == target
 
 
 def test_right_continuity_fails_where_it_should():
@@ -98,7 +96,7 @@ def test_right_continuity_fails_where_it_should():
     q = Limit(-1, 0, 2)
     target = star(INTEGERS, p, q)
     assert target.sign == -1
-    approximations = [star(INTEGERS, p, Realized(b)) for b in witness(q, count=3, start=5)]
+    approximations = [star(INTEGERS, p, b) for b in witness(q, count=3, start=5)]
     assert all(a.sign == 1 for a in approximations)
 
 
@@ -113,8 +111,8 @@ def test_mixed_level_products_at_gcd():
     assert restrict(Limit(1, 3, 4), 2) == Limit(1, 1, 2)
     assert restrict(Limit(1, 3, 4), 2) == star(INTEGERS, Limit(1, 1, 2), Limit(1, 0, 4))
     # a realized factor keeps the limit factor's level
-    assert star(INTEGERS, Realized(5), Limit(-1, 1, 4)) == Limit(-1, 2, 4)
-    assert star(INTEGERS, Limit(1, 1, 3), Realized(7)) == Limit(1, 2, 3)
+    assert star(INTEGERS, 5, Limit(-1, 1, 4)) == Limit(-1, 2, 4)
+    assert star(INTEGERS, Limit(1, 1, 3), 7) == Limit(1, 2, 3)
 
 
 def all_points(levels):
@@ -123,7 +121,7 @@ def all_points(levels):
 
 def test_mixed_level_products_agree_three_ways():
     pts = all_points(range(1, 7))
-    pts += [Realized(v) for v in (-7, 0, 5)]
+    pts += [-7, 0, 5]
     for p in pts:
         for q in pts:
             direct = star(INTEGERS, p, q)
@@ -146,14 +144,14 @@ def test_finer_left_factor_restricts_to_the_product():
 def test_star_is_the_right_translation():
     # p -> p * q is the continuous map of the level space extending the
     # group action on q, at every level-1..6 q
-    identity = Realized(INTEGERS.identity)
+    identity = INTEGERS.identity
     for q in all_points(range(1, 7)):
         assert star(INTEGERS, identity, q) == q
         for g in range(-6, 7):
-            assert star(INTEGERS, Realized(g), q) == apply_group(INTEGERS, g, q)
+            assert star(INTEGERS, g, q) == apply_group(INTEGERS, g, q)
         right = partial(star, INTEGERS, q=q)
         assert _stable_on_witnesses(right, limit_points(INTEGERS, q.modulus), 4, 3)
-    for p in all_points(range(1, 7)) + [Realized(v) for v in range(-6, 7)]:
+    for p in all_points(range(1, 7)) + list(range(-6, 7)):
         assert star(INTEGERS, p, identity) == p
     q = Limit(1, 0, 2)
     assert {star(INTEGERS, p, q) for p in limit_points(INTEGERS, 2)} == {Limit(1, 0, 2), Limit(1, 1, 2)}
@@ -164,9 +162,9 @@ def test_star_restricted_on_product_backends():
 
     prod = ProductGroup(INTEGERS, cyclic_group(2))
     # realized points still multiply by the group law
-    assert star(prod, Realized((1, 1)), Realized((2, 1))) == Realized((3, 0))
+    assert star(prod, (1, 1), (2, 1)) == (3, 0)
     with pytest.raises(BackendMismatch):
-        star(prod, Limit(1, 0, 2), Realized((0, 0)))
+        star(prod, Limit(1, 0, 2), (0, 0))
     with pytest.raises(BackendMismatch):
         star(prod, Limit(1, 0, 2), Limit(-1, 1, 2))
     with pytest.raises(BackendMismatch):
@@ -182,7 +180,7 @@ def test_a_realized_factor_must_be_an_integer(value):
     calls = [
         (product, (INTEGERS, a, b))
         for product in (star, star_via_schema)
-        for a, b in ((Realized(value), p), (p, Realized(value)), (Realized(value), Realized(2)))
+        for a, b in ((value, p), (p, value), (value, 2))
     ]
     calls.append((apply_group, (INTEGERS, value, p)))
     for kernel, args in calls:
@@ -202,7 +200,7 @@ def test_find_idempotents():
     assert find_idempotents(INTEGERS, 4) == [Limit(1, 0, 4), Limit(-1, 0, 4)]
     assert find_idempotents(INTEGERS, 1) == [Limit(1, 0, 1), Limit(-1, 0, 1)]
     for G in finite_tables():
-        assert find_idempotents(G, 1) == [Realized(G.identity)], G.name
+        assert find_idempotents(G, 1) == [G.identity], G.name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12])

@@ -35,7 +35,7 @@ from typeflow.groups import (
     symmetric_group_3,
 )
 from typeflow.oracle import oracle_equivariant_maps, oracle_minimal_subflows
-from typeflow.typespace import LevelError, Limit, Realized, apply_group, is_closed_invariant, limit_points, restrict
+from typeflow.typespace import LevelError, Limit, apply_group, is_closed_invariant, limit_points, restrict
 
 
 def rotation(n, base=0):
@@ -72,7 +72,7 @@ def test_universal_ambit_morphism_examples():
     h = universal_ambit_morphism(6, rotation(6))
     # limit value arrived at through the witness sequence 4, 10, 16, ...
     assert h.apply(Limit(1, 4, 6)) == 4
-    assert h.apply(Realized(13)) == 1
+    assert h.apply(13) == 1
     checks = h.certify()
     assert all(checks.values())
 
@@ -130,7 +130,7 @@ def test_minimal_subflows_level_and_oracle():
         assert minimal_subflows(INTEGERS, n) == [frozenset(pts[:n]), frozenset(pts[n:])]
     # a finite backend is one orbit: the group acting on itself
     for G in finite_tables():
-        assert minimal_subflows(G, 1) == [frozenset(Realized(g) for g in G.elements())], G.name
+        assert minimal_subflows(G, 1) == [frozenset(G.elements())], G.name
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_minimal_subflows_level_and_oracle():
         lambda c3: universal_ambit_morphism(5, regular_flow(c3)),
         lambda c3: kernel_of_action(c3, 2),
         # the level is checked before the closure test, which {e} passes
-        lambda c3: is_left_ideal(c3, 2, {Realized(0)}),
+        lambda c3: is_left_ideal(c3, 2, {0}),
         lambda c3: g00_at_level(c3, 2),
     ],
     ids=[
@@ -185,10 +185,10 @@ def test_is_left_ideal_examples():
     assert not is_left_ideal(INTEGERS, 4, {Limit(1, 0, 4)})
     assert is_left_ideal(INTEGERS, 4, plus | minus)
     assert not is_left_ideal(INTEGERS, 4, frozenset())
-    assert not is_left_ideal(INTEGERS, 4, {Realized(0)})
+    assert not is_left_ideal(INTEGERS, 4, {0})
     c3 = cyclic_group(3)
-    assert is_left_ideal(c3, 1, {Realized(g) for g in range(3)})
-    assert not is_left_ideal(c3, 1, {Realized(0)})
+    assert is_left_ideal(c3, 1, set(range(3)))
+    assert not is_left_ideal(c3, 1, {0})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -202,7 +202,7 @@ def test_left_ideals_are_closed_invariant_sets_exhaustive(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_left_ideal_matches_the_literal_definition(n):
     pts = limit_points(INTEGERS, n)
-    left_factors = pts + [Realized(r) for r in range(n)]
+    left_factors = pts + list(range(n))
     for mask in range(1, 1 << len(pts)):
         S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
         literal = all(star(INTEGERS, s, l) in S for l in S for s in left_factors)
@@ -213,19 +213,19 @@ def test_left_ideal_matches_the_literal_definition(n):
 def test_left_ideal_with_a_realized_member_matches_the_literal_definition(n):
     pts = limit_points(INTEGERS, n)
     # a realized member a is sent out of a finite set by a + 1 or a - 1
-    left_factors = pts + [Realized(r) for r in range(-n, n + 1)]
+    left_factors = pts + list(range(-n, n + 1))
     for mask in range(1 << len(pts)):
-        S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1) | {Realized(n)}
+        S = frozenset(p for i, p in enumerate(pts) if mask >> i & 1) | {n}
         literal = all(star(INTEGERS, s, l) in S for l in S for s in left_factors)
         assert is_left_ideal(INTEGERS, n, S) == literal
 
 
 @pytest.mark.parametrize("G", [cyclic_group(4), symmetric_group_3()], ids=lambda G: G.name)
 def test_finite_left_ideal_matches_the_literal_definition(G):
-    space = [Realized(g) for g in G.elements()]
+    space = list(G.elements())
     seen = set()
     for mask in range(1, 1 << G.order):
-        S = frozenset(p for p in space if mask >> p.value & 1)
+        S = frozenset(p for p in space if mask >> p & 1)
         literal = all(star(G, s, l) in S for l in S for s in space)
         assert is_left_ideal(G, 1, S) == literal
         seen.add(literal)
@@ -235,8 +235,8 @@ def test_finite_left_ideal_matches_the_literal_definition(G):
 @pytest.mark.parametrize("G", [cyclic_group(1), cyclic_group(3)], ids=lambda G: G.name)
 def test_a_limit_member_over_a_table_is_a_backend_mismatch(G):
     # whichever member fails closure first, and over the trivial group too
-    whole = {Realized(g) for g in G.elements()}
-    for S in (whole | {Limit(1, 0, 1)}, {Realized(0), Limit(-1, 0, 1)}):
+    whole = set(G.elements())
+    for S in (whole | {Limit(1, 0, 1)}, {0, Limit(-1, 0, 1)}):
         with pytest.raises(BackendMismatch, match="^limit points live over the integers$"):
             is_left_ideal(G, 1, S)
 
@@ -279,9 +279,9 @@ def test_left_ideal_checks_every_level_before_a_realized_verdict():
     for a in range(40):
         for r in range(5):
             with pytest.raises(LevelError):
-                is_left_ideal(INTEGERS, 4, {Realized(a), Limit(1, r, 5)})
+                is_left_ideal(INTEGERS, 4, {a, Limit(1, r, 5)})
     # the error names the least wrong level
-    for points in ({Limit(1, 0, 6), Limit(1, 0, 5)}, {Limit(-1, 5, 7), Realized(0), Limit(1, 3, 5)}):
+    for points in ({Limit(1, 0, 6), Limit(1, 0, 5)}, {Limit(-1, 5, 7), 0, Limit(1, 3, 5)}):
         with pytest.raises(LevelError, match="^point at level 5 in a level-4 check$"):
             is_left_ideal(INTEGERS, 4, points)
 
@@ -320,8 +320,8 @@ def test_tampered_finite_subflow_isomorphism_is_not_equivariant():
     for x in s3.elements():
         # p -> p.x commutes with the action; p -> x.p only for central x
         for forward, equivariant in (
-            ({p: Realized(s3.compose(p.value, x)) for p in umf.subflow}, True),
-            ({p: Realized(s3.compose(x, p.value)) for p in umf.subflow}, x == s3.identity),
+            ({p: s3.compose(p, x) for p in umf.subflow}, True),
+            ({p: s3.compose(x, p) for p in umf.subflow}, x == s3.identity),
         ):
             backward = {q: p for p, q in forward.items()}
             iso = SubflowIsomorphism(umf.subflow, umf.subflow, forward, backward)
@@ -336,7 +336,7 @@ def test_isomorphism_to_a_set_without_idempotent_raises():
         umf.isomorphism_to({Limit(-1, 1, 4), Limit(-1, 3, 4)})
     s3 = symmetric_group_3()
     with pytest.raises(ValueError, match="^the set holds no idempotent$"):
-        universal_minimal_flow(s3, 1).isomorphism_to({Realized(1), Realized(2)})
+        universal_minimal_flow(s3, 1).isomorphism_to({1, 2})
 
 
 def test_every_equivariant_self_map_is_a_right_translation():
@@ -372,7 +372,7 @@ def test_extend_definable_map_examples():
     parity = EventuallyPeriodicMap(2, [0, 1], [0, 1])
     ext = extend_definable_map(parity, 2)
     assert ext.apply(Limit(1, 1, 2)) == 1
-    assert ext.apply(Realized(6)) == 0
+    assert ext.apply(6) == 0
     assert ext.certify()["singleton_limits"]
 
     constant = EventuallyPeriodicMap(1, ["a"], ["a"])
@@ -381,7 +381,7 @@ def test_extend_definable_map_examples():
 
     spiked = EventuallyPeriodicMap(1, [5], [5], {0: 9})
     ext = extend_definable_map(spiked, 1)
-    assert ext.apply(Realized(0)) == 9
+    assert ext.apply(0) == 9
     assert ext.apply(Limit(1, 0, 1)) == 5
     assert ext.certify()["singleton_limits"]
 

@@ -89,6 +89,53 @@ def finite_table_dynamics():
     }
 
 
+def realized_points_over_the_integers():
+    """Realized points in every product position, both product routes, and
+    realized acting sets and membership, over the integers at level 4."""
+    five = {"kind": "realized", "value": 5}
+    minus_three = {"kind": "realized", "value": -3}
+    limit = {"kind": "limit", "sign": "-", "res": 3, "mod": 4}
+    pairs = [(five, limit), (limit, minus_three), (five, minus_three)]
+    tasks = [{"op": op, "p": p, "q": q} for op in ("star", "star-via-schema") for p, q in pairs]
+    for p in (five, minus_three):
+        tasks.append({"op": "acting-set", "p": p, "set": "evens"})
+        tasks.append({"op": "contains", "p": p, "set": "odds"})
+        tasks.append({"op": "contains", "p": p, "set": "evens"})
+    tasks.append({"op": "acting-set", "p": minus_three, "set": {"mod": 3, "up": [1], "down": [2]}})
+    return {"group": {"kind": "integers"}, "level": 4, "tasks": tasks}
+
+
+def realized_points_over_s3():
+    """Products of non-commuting realized points over s3 in both orders, and
+    a realized acting set: right translation, which differs from left here."""
+    one, three = ({"kind": "realized", "value": g} for g in (1, 3))
+    return {
+        "group": {"kind": "bundled", "name": "s3"},
+        "tasks": [
+            {"op": "star", "p": one, "q": three},
+            {"op": "star", "p": three, "q": one},
+            {"op": "acting-set", "p": one, "set": [3]},
+            {"op": "contains", "p": three, "set": [3, 4]},
+        ],
+    }
+
+
+def realized_points_over_a_product():
+    """Realized pairs over Z x c2: their product, acting set and membership."""
+    p = {"kind": "realized", "value": [3, 1]}
+    q = {"kind": "realized", "value": [-5, 1]}
+    rectangles = {"rectangles": [["evens", [0]], [[1, 3, 7], [1]]]}
+    return {
+        "group": {"kind": "product", "left": {"kind": "integers"}, "right": {"kind": "cyclic", "order": 2}},
+        "tasks": [
+            {"op": "star", "p": p, "q": q},
+            {"op": "acting-set", "p": p, "set": rectangles},
+            {"op": "contains", "p": p, "set": rectangles},
+            {"op": "contains", "p": q, "set": rectangles},
+        ],
+    }
+
+
 def load(name):
     return json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
 
@@ -128,6 +175,31 @@ CASES = {
         finite_table_dynamics,
         False,
         "1f5cd5afc851b087de8d0f434c2eaabe18ed5988940bae37524d0a853797ef1b",
+    ),
+    "realized-points-integers": (
+        realized_points_over_the_integers,
+        False,
+        "46990acf285c34e78fffd9da40bd2831bd6e49c04ce42349c82ea20e8ce1c6d0",
+    ),
+    "realized-points-integers-oracle": (
+        realized_points_over_the_integers,
+        True,
+        "184e31e2698f56fc8e68b4218c899f7738811e4132431a4861c27966285c1479",
+    ),
+    "realized-points-s3": (
+        realized_points_over_s3,
+        False,
+        "8e8a47b27587b9c17cb23b3e932c8ef0c95f5581f786a9109a136a604e694eb8",
+    ),
+    "realized-points-product": (
+        realized_points_over_a_product,
+        False,
+        "8794e9a40069d1e889d9199e86877783a1d236804aaaa183aefb8a6c30084521",
+    ),
+    "realized-points-product-oracle": (
+        realized_points_over_a_product,
+        True,
+        "9a530480e522a53b366119dc340a42dd4f5128c6ccf90fb18fa54d1f0d8860e2",
     ),
 }
 

@@ -16,7 +16,6 @@ from typeflow.groups import INTEGERS, BackendMismatch, IntegerGroup, ProductGrou
 from typeflow.typespace import (
     LevelError,
     Limit,
-    Realized,
     acting_set,
     apply_group,
     contains,
@@ -42,7 +41,7 @@ def standard_family(level: int) -> list[IntegerSet]:
 def test_contains_examples():
     assert contains(Limit(1, 1, 2), EVENS) is False
     assert contains(Limit(-1, 0, 2), integer_ray(1, 0)) is False
-    assert contains(Realized(6), EVENS) is True
+    assert contains(6, EVENS) is True
 
 
 def test_contains_level_mismatch():
@@ -53,7 +52,7 @@ def test_contains_level_mismatch():
 def test_restrict_examples():
     assert restrict(Limit(1, 5, 6), 3) == Limit(1, 2, 3)
     assert restrict(Limit(-1, 5, 6), 6) == Limit(-1, 5, 6)
-    assert restrict(Realized(7), 4) == Realized(7)
+    assert restrict(7, 4) == 7
     with pytest.raises(LevelError):
         restrict(Limit(1, 0, 6), 4)
 
@@ -64,7 +63,7 @@ def test_apply_group_examples():
     assert apply_group(INTEGERS, 0, p) == p
     assert apply_group(INTEGERS, 3, Limit(-1, 1, 4)) == Limit(-1, 0, 4)
     c3 = cyclic_group(3)
-    assert apply_group(c3, 1, Realized(2)) == Realized(0)
+    assert apply_group(c3, 1, 2) == 0
 
 
 def test_apply_group_is_level_bijection_commuting_with_restrict():
@@ -88,7 +87,7 @@ def test_acting_set_examples():
     assert result == congruence_set(3, [1])
 
     Y = IntegerSet(4, up=[1, 2], down=[0], lo=-2, hi=2, bits=[1, 0, 0, 1, 0])
-    assert acting_set(INTEGERS, Realized(0), Y) == Y
+    assert acting_set(INTEGERS, 0, Y) == Y
     assert acting_set(INTEGERS, Limit(-1, 0, 2), integer_ray(1, 0)) == IntegerSet(1)
 
 
@@ -109,7 +108,7 @@ def test_acting_set_finite_backend():
 
     c3 = cyclic_group(3)
     Y = FiniteSubset(c3, [0, 1])
-    result = acting_set(c3, Realized(1), Y)
+    result = acting_set(c3, 1, Y)
     # oracle the defining condition pointwise
     expected = [g for g in range(3) if member(Y, c3.compose(g, 1))]
     assert result == FiniteSubset(c3, expected)
@@ -133,7 +132,7 @@ def test_witness_sequences_converge():
     for p in limit_points(INTEGERS, 6):
         for Y in family:
             tail = witness(p, count=4, start=3)
-            assert all(contains(Realized(a), Y) == contains(p, Y) for a in tail)
+            assert all(contains(a, Y) == contains(p, Y) for a in tail)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
@@ -150,7 +149,7 @@ def test_level_space_shape():
     assert len(limit_points(INTEGERS, 4)) == 8
     assert is_closed_invariant({Limit(1, r, 4) for r in range(4)})
     assert not is_closed_invariant({Limit(1, 0, 4)})
-    assert not is_closed_invariant({Realized(0)})
+    assert not is_closed_invariant({0})
     c3 = cyclic_group(3)
     assert limit_points(c3, 1) == []
     with pytest.raises(LevelError):
@@ -183,11 +182,11 @@ def test_limit_points_rejects_in_a_fixed_order(ctx, level, error, message):
 
 
 def test_point_json_round_trip():
-    pts = [Realized(7), Realized((2, 1)), Limit(1, 1, 4), Limit(-1, 3, 12)]
+    pts = [7, (2, 1), Limit(1, 1, 4), Limit(-1, 3, 12)]
     for p in pts:
         assert point_from_json(point_to_json(p)) == p
     assert point_to_json(Limit(1, 1, 4)) == {"kind": "limit", "sign": "+", "res": 1, "mod": 4}
-    assert point_to_json(Realized(7)) == {"kind": "realized", "value": 7}
+    assert point_to_json(7) == {"kind": "realized", "value": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +214,27 @@ def test_points_equal_only_points_of_their_class():
     assert Limit(1, 0, 6) != (1, 0, 6)
     assert (1, 0, 6) != Limit(1, 0, 6)
     assert Limit(1, 0, 6) not in {(1, 0, 6)}
-    assert Realized(0) == Realized(0)
-    assert Realized(0) != (0,)
     for p in limit_points(INTEGERS, 1):
-        assert Realized(0) != p and p != Realized(0)
+        assert 0 != p and p != 0
 
 
 @pytest.mark.parametrize("sign, residue, modulus", [(1, 0, 6), (-1, 5, 6), (1, 0, 1), (-1, 7, 120)])
 def test_point_hash_is_the_field_tuple_hash(sign, residue, modulus):
     assert hash(Limit(sign, residue, modulus)) == hash((sign, residue, modulus))
-    assert hash(Realized(residue)) == hash((residue,))
-    assert hash(Realized((residue, sign))) == hash(((residue, sign),))
+
+
+@pytest.mark.parametrize("value", [7, -3, (2, 1)])
+def test_a_realized_point_is_its_element(value):
+    obj = {"kind": "realized", "value": list(value) if isinstance(value, tuple) else value}
+    p = point_from_json(obj)
+    assert p == value and hash(p) == hash(value)
+    assert p in {value} and value in {p}
+    assert point_to_json(p) == obj
 
 
 def test_point_repr():
     assert repr(Limit(1, 0, 6)) == "Limit(sign=1, residue=0, modulus=6)"
     assert repr(Limit(-1, 3, 4)) == "Limit(sign=-1, residue=3, modulus=4)"
-    assert repr(Realized(5)) == "Realized(value=5)"
-    assert repr(Realized((1, 0))) == "Realized(value=(1, 0))"
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ def _positive_int(params, name: str, default):
     return value
 
 
+def _element_lists(params, name: str) -> list:
+    """A task parameter that must be a JSON list of element lists."""
+    value = params[name]
+    if not isinstance(value, list) or not all(isinstance(part, list) for part in value):
+        raise ValueError(f"{name} must be a list of element lists, not {value!r}")
+    return value
+
+
 def _point(ctx, obj):
     """A type point of the task; a realized value must be an element of ctx."""
     p = point_from_json(obj)
@@ -380,12 +388,11 @@ def _task_contains(ctx, level, params, opts):
 def _task_logic_quotient(ctx, level, params, opts):
     if "modulus" not in params and "blocks" not in params:
         raise ValueError("logic-quotient needs a modulus (integers) or blocks (finite)")
-    blocks = tuple(params["blocks"]) if "blocks" in params else None
+    blocks = _element_lists(params, "blocks") if "blocks" in params else None
     quotient = logic_quotient(ctx, modulus=_positive_int(params, "modulus", None), blocks=blocks)
     return {
         "size": quotient.size,
         "is_group": quotient.group is not None,
-        "discrete": quotient.discrete,
         "fibers": [set_to_json(f) for f in quotient.fibers],
     }
 
@@ -399,17 +406,17 @@ def _task_universal_compactification(ctx, level, params, opts):
     if isinstance(ctx, IntegerGroup):
         if not isinstance(targets, list) or any(type(m) is not int or m < 1 for m in targets):
             raise ValueError(f"targets must be a list of positive integers, not {targets!r}")
+    else:
+        _element_lists(params, "targets")
     result = universal_compactification(ctx, level, targets)
     return {
-        "quotient_size": result.quotient.size,
+        "quotient_size": result.quotient.order,
         "factors": [
             {
                 "target_size": f.target_size,
                 "images": list(f.images),
                 "homomorphism": f.homomorphism,
                 "surjective": f.surjective,
-                "commutes": f.commutes,
-                "unique": f.unique,
             }
             for f in result.factors
         ],
@@ -424,7 +431,10 @@ def _task_check_homomorphism(ctx, level, params, opts):
         target = bundled_group(target_spec)
     if not isinstance(target, FiniteGroup):
         raise ValueError("homomorphism target must be a finite group")
-    verdict = definable_homomorphism_check(ctx, params["values"], target, _positive_int(params, "level", None))
+    values = params["values"]
+    if not isinstance(values, list):
+        raise ValueError(f"values must be a list of target elements, not {values!r}")
+    verdict = definable_homomorphism_check(ctx, values, target, _positive_int(params, "level", None))
     out = {"valid": verdict.valid}
     if verdict.reason:
         out["reason"] = verdict.reason
@@ -432,7 +442,6 @@ def _task_check_homomorphism(ctx, level, params, opts):
         out["fiber_modulus"] = verdict.fiber_modulus
         out["fibers"] = [set_to_json(f) for f in verdict.fibers]
         out["factor_images"] = list(verdict.factor_images)
-        out["closure_identity_checked"] = verdict.closure_identity_checked
     return out
 
 

@@ -16,23 +16,19 @@ from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generato
 from .typespace import LevelError, check_level
 
 
+@dataclass
 class CompactQuotient:
-    """A finite quotient with definable fibers and the discrete logic
-    topology, carrying a group structure when the equivalence is coset
-    equivalence of a normal subgroup."""
+    """A finite quotient with definable fibers, and a group when the blocks
+    are the cosets of a normal subgroup. At finite index the logic topology
+    is discrete. Over the integers the group is Z/d, whose law is the
+    closure identity on congruence classes mod d that `_factor_map` checks."""
 
-    def __init__(self, fibers, group: FiniteGroup | None):
-        self.fibers = tuple(fibers)
-        self.group = group
-        self.discrete = True
+    fibers: tuple
+    group: FiniteGroup | None
 
     @property
     def size(self) -> int:
         return len(self.fibers)
-
-    def __repr__(self):
-        kind = "group" if self.group is not None else "space"
-        return f"CompactQuotient({kind}, size={self.size})"
 
 
 def _is_subgroup(ctx: FiniteGroup, elems: frozenset) -> bool:
@@ -98,13 +94,6 @@ def _fibers(ctx: FiniteGroup, labels, count: int) -> tuple:
     return tuple(FiniteSubset(ctx, mask=m) for m in masks)
 
 
-def _coset_quotient(ctx: FiniteGroup, N) -> tuple[CompactQuotient, tuple]:
-    """The quotient by a normal subgroup N, its fibres the cosets of N in
-    quotient order, and the projection onto it."""
-    group, projection = finite_quotient(ctx, N)
-    return CompactQuotient(_fibers(ctx, projection, group.order), group), projection
-
-
 def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> CompactQuotient:
     """Quotient by a bounded equivalence, given by exactly one of: congruence
     mod `modulus` on the integers, or the partition of a finite group into
@@ -117,7 +106,7 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
     if isinstance(ctx, IntegerGroup) and modulus is not None:
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        fibers = [congruence_set(modulus, [r]) for r in range(modulus)]
+        fibers = tuple(congruence_set(modulus, [r]) for r in range(modulus))
         return CompactQuotient(fibers, cyclic_group(modulus))
     if isinstance(ctx, FiniteGroup) and blocks is not None:
         blocks = [frozenset(map(ctx.check_element, b)) for b in blocks]
@@ -128,13 +117,14 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
             seen |= b
         if seen != set(ctx.elements()):
             raise ValueError("blocks do not cover the group")
-        fibers = [FiniteSubset(ctx, elements=b) for b in blocks]
+        fibers = tuple(FiniteSubset(ctx, elements=b) for b in blocks)
         N = next(b for b in blocks if ctx.identity in b)
         # cosets all have |N| elements; the test spares building a quotient
         if all(len(b) == len(N) for b in blocks) and _is_subgroup(ctx, N) and _is_normal(ctx, N):
-            quotient, _ = _coset_quotient(ctx, N)
-            if {f.mask for f in quotient.fibers} == {f.mask for f in fibers}:
-                return quotient
+            group, projection = finite_quotient(ctx, N)
+            cosets = _fibers(ctx, projection, group.order)
+            if {f.mask for f in cosets} == {f.mask for f in fibers}:
+                return CompactQuotient(cosets, group)
         return CompactQuotient(fibers, None)
     raise ValueError("unsupported equivalence for this backend")
 
@@ -143,9 +133,10 @@ def g00_at_level(ctx: Group, level: int) -> Subgroup:
     """Level approximation of the smallest bounded-index definable
     subgroup: the full congruence subgroup over the integers, trivial for
     finite backends. Coarser levels give larger subgroups. It is also the
-    kernel of the action on the level's minimal subflows, which
-    `flows.kernel_of_action` names. The level is checked first, by
-    `check_level`."""
+    kernel of the action on the level's minimal subflows: g shifts each
+    limit point's residue by g mod the level, and a table acts on itself
+    freely. `flows.kernel_of_action` is this function under that name.
+    The level is checked first, by `check_level`."""
     check_level(ctx, level)
     if isinstance(ctx, FiniteGroup):
         return Subgroup.of_elements({ctx.identity})
@@ -154,20 +145,21 @@ def g00_at_level(ctx: Group, level: int) -> Subgroup:
 
 @dataclass
 class FactorMap:
-    """A commuting surjective homomorphism from the universal quotient onto
-    a family member."""
+    """A map from the universal quotient onto a family member, with its
+    `_factor_map` verdicts: on Z/d the law is the closure identity on
+    congruence classes. images[i] is the member's class of any g in class
+    i, so the map commutes with the projections, and is unique, by
+    construction."""
 
     target_size: int
     images: tuple
     homomorphism: bool
     surjective: bool
-    commutes: bool
-    unique: bool = True
 
 
 @dataclass
 class UniversalCompactification:
-    quotient: CompactQuotient
+    quotient: FiniteGroup
     factors: tuple
 
 
@@ -185,44 +177,37 @@ def _factor_map(source: FiniteGroup, images, target_order: int, compose) -> tupl
 def universal_compactification(ctx: Group, level: int, targets) -> UniversalCompactification:
     """The level universal compactification with its universality witnesses.
 
-    Over the integers: the congruence quotient at the level together with
-    the reduction map onto each family modulus, each verified elementwise
-    to be a commuting surjective homomorphism and forced (hence unique) on
-    the image of the group. Family moduli must divide the level. Over a
-    finite group the quotient is by the intersection of the target normal
-    subgroups. Both backends check factor maps with `_factor_map`.
+    Over the integers: the quotient Z/level together with the reduction map
+    onto each family modulus, which must divide the level. Over a finite
+    group the quotient is by the intersection of the target normal
+    subgroups, and each factor sends a core coset to the target coset that
+    holds it. Both backends check factor maps with `_factor_map`.
     """
     if isinstance(ctx, IntegerGroup):
+        quotient, factors = cyclic_group(level), []
         for m in targets:
             if m < 1:
                 raise ValueError("target modulus must be positive")
             if level % m != 0:
                 raise LevelError(f"level too coarse: {m} does not divide {level}")
-        quotient = logic_quotient(ctx, modulus=level)
-        factors = []
-        for m in targets:
             images = tuple(i % m for i in range(level))
-            failure, surjective = _factor_map(quotient.group, images, m, lambda x, y: (x + y) % m)
-            commutes = all(images[g % level] == g % m for g in range(-2 * level, 2 * level + 1))
-            factors.append(FactorMap(m, images, failure is None, surjective, commutes))
+            failure, surjective = _factor_map(quotient, images, m, lambda x, y: (x + y) % m)
+            factors.append(FactorMap(m, images, failure is None, surjective))
         return UniversalCompactification(quotient, tuple(factors))
     if isinstance(ctx, FiniteGroup):
         subgroups = [frozenset(map(ctx.check_element, t)) for t in targets]
         for N in subgroups:
             if not (_is_subgroup(ctx, N) and _is_normal(ctx, N)):
                 raise ValueError("family members must be quotients by normal subgroups")
-        quotient, projection = _coset_quotient(ctx, frozenset(ctx.elements()).intersection(*subgroups))
+        quotient, projection = finite_quotient(ctx, frozenset(ctx.elements()).intersection(*subgroups))
         factors = []
         for N in subgroups:
             target, target_proj = finite_quotient(ctx, N)
-            images = [None] * quotient.size
-            for g, i in enumerate(projection):
-                images[i] = target_proj[g]
-            images = tuple(images)
-            commutes = all(images[i] == target_proj[g] for g, i in enumerate(projection))
+            image_of = dict(zip(projection, target_proj))
+            images = tuple(image_of[i] for i in range(quotient.order))
             table = target.table
-            failure, surjective = _factor_map(quotient.group, images, target.order, lambda x, y: table[x][y])
-            factors.append(FactorMap(target.order, images, failure is None, surjective, commutes))
+            failure, surjective = _factor_map(quotient, images, target.order, lambda x, y: table[x][y])
+            factors.append(FactorMap(target.order, images, failure is None, surjective))
         return UniversalCompactification(quotient, tuple(factors))
     raise ValueError("unsupported backend")
 
@@ -234,7 +219,6 @@ class HomomorphismVerdict:
     fibers: tuple | None = None
     fiber_modulus: int | None = None
     factor_images: tuple | None = None
-    closure_identity_checked: bool = False
 
 
 def definable_homomorphism_check(
@@ -246,11 +230,12 @@ def definable_homomorphism_check(
     exactly periodic), over a finite group by one value per element. Both
     check the identity, the homomorphism law (`_factor_map`, on Z/d's table
     over the integers) and dense (here surjective) image. Over the integers
-    the fibers are canonical definable sets, the map factors through the
-    universal quotient at the fiber modulus, and the closure identity
-    cl f(A . B) = cl f(A) . cl f(B) is verified on the witness families of
-    congruence classes. A value outside the target raises `BackendMismatch`
-    before any check runs.
+    the fibers are canonical definable sets and the map factors through the
+    universal quotient at the fiber modulus. The closure of the image of a
+    congruence class is the one value it maps to, so the closure identity
+    cl f(A . B) = cl f(A) . cl f(B) on congruence classes is the law on Z/d
+    that `_factor_map` checks. A value outside the target raises
+    `BackendMismatch` before any check runs.
     """
     values = tuple(values)
     for v in values:
@@ -274,8 +259,7 @@ def definable_homomorphism_check(
     if not surjective:
         return HomomorphismVerdict(False, reason="dense-image failure")
     if isinstance(ctx, FiniteGroup):
-        fibers = _fibers(ctx, values, target.order)
-        return HomomorphismVerdict(True, fibers=fibers, factor_images=values, closure_identity_checked=True)
+        return HomomorphismVerdict(True, fibers=_fibers(ctx, values, target.order), factor_images=values)
     d = len(values)
     fibers = tuple(
         congruence_set(d, [r for r in range(d) if values[r] == c])
@@ -285,17 +269,4 @@ def definable_homomorphism_check(
     if factor_level % d != 0:
         raise LevelError(f"level too coarse: {d} does not divide {factor_level}")
     factor_images = tuple(values[i % d] for i in range(factor_level))
-    # closure identity on witness families: the closure of the image of a
-    # congruence class is the single value it maps to
-    closure_ok = all(
-        {values[(a + b) % d]} == {target.compose(values[a], values[b])}
-        for a in range(d)
-        for b in range(d)
-    )
-    return HomomorphismVerdict(
-        True,
-        fibers=fibers,
-        fiber_modulus=d,
-        factor_images=factor_images,
-        closure_identity_checked=closure_ok,
-    )
+    return HomomorphismVerdict(True, fibers=fibers, fiber_modulus=d, factor_images=factor_images)

@@ -197,9 +197,10 @@ def test_criterion_05_universal_ambit_morphisms():
 def test_criterion_06_universal_compactification_at_24():
     divisors = [m for m in range(1, 25) if 24 % m == 0]
     result = universal_compactification(INTEGERS, 24, divisors)
-    ok = result.quotient.size == 24 and len(result.factors) == 8
+    ok = result.quotient.order == 24 and len(result.factors) == 8
     for factor in result.factors:
-        ok = ok and factor.homomorphism and factor.surjective and factor.commutes and factor.unique
+        ok = ok and factor.homomorphism and factor.surjective
+        # the triangle commutes on every g, which also forces the map
         m = factor.target_size
         for g in range(-48, 49):
             if factor.images[g % 24] != g % m:

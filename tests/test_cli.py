@@ -427,6 +427,26 @@ PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
             {"op": "check-homomorphism", "values": [0, 1], "target": {"kind": "cyclic", "order": 2}},
             "ValueError: need one value per group element",
         ),
+        (S3, 1, {"op": "logic-quotient", "blocks": None}, "ValueError: blocks must be a list of element lists, not None"),
+        (S3, 1, {"op": "logic-quotient", "blocks": "012"}, "ValueError: blocks must be a list of element lists, not '012'"),
+        (
+            S3,
+            1,
+            {"op": "universal-compactification", "targets": 5},
+            "ValueError: targets must be a list of element lists, not 5",
+        ),
+        (
+            S3,
+            1,
+            {"op": "universal-compactification", "targets": [5]},
+            "ValueError: targets must be a list of element lists, not [5]",
+        ),
+        (
+            Z,
+            1,
+            {"op": "check-homomorphism", "values": 5, "target": {"kind": "cyclic", "order": 2}},
+            "ValueError: values must be a list of target elements, not 5",
+        ),
         (C3, 1, {"op": "contains", "p": PLUS_0_1, "set": [0]}, "BackendMismatch: limit points live over the integers"),
         (C3, 1, {"op": "acting-set", "p": PLUS_0_1, "set": [0]}, "BackendMismatch: limit points live over the integers"),
         (
@@ -461,6 +481,11 @@ PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
         "modulus-and-blocks-over-c3",
         "non-normal-target",
         "too-few-values",
+        "blocks-null",
+        "blocks-string",
+        "targets-int",
+        "targets-int-list",
+        "values-int",
         "limit-contains-table",
         "limit-acting-set-table",
         "limit-over-product",

@@ -136,6 +136,22 @@ def realized_points_over_a_product():
     }
 
 
+def compactify_over_s3():
+    """The three compactify tasks over a table: a coset partition and a
+    lopsided one, two family members, and a valid and an invalid map."""
+    sign = {"kind": "cyclic", "order": 2}
+    return {
+        "group": {"kind": "bundled", "name": "s3"},
+        "tasks": [
+            {"op": "logic-quotient", "blocks": [[3, 4, 5], [0, 1, 2]]},
+            {"op": "logic-quotient", "blocks": [[0], [1, 2, 3, 4, 5]]},
+            {"op": "universal-compactification", "targets": [[0, 1, 2], [0]]},
+            {"op": "check-homomorphism", "values": [0, 0, 0, 1, 1, 1], "target": sign},
+            {"op": "check-homomorphism", "values": [0, 1, 0, 1, 0, 1], "target": sign},
+        ],
+    }
+
+
 def load(name):
     return json.loads((SCENARIOS / name).read_text(encoding="utf-8"))
 
@@ -144,12 +160,12 @@ CASES = {
     "integers-level4": (
         lambda: load("integers-level4.json"),
         False,
-        "9758c2d3eb09850c623020efb08f2308997dcea75e14ce9361d6bf1652de5530",
+        "cd9ec13f08e29a98992007ec1d491d04abccc7ffa2be98f176425510d4957eb6",
     ),
     "integers-level4-oracle": (
         lambda: load("integers-level4.json"),
         True,
-        "da2987d9c13aec00a9f5bcf86faf2eca9f7cf1e50b66c0d08169bc18d92bf949",
+        "c0ec01602b1b2059157ebcf6b5b1d365cec20379755ad036614fc4fffee0290f",
     ),
     "oracle-large-period": (
         lambda: load("oracle-large-period.json"),
@@ -169,7 +185,7 @@ CASES = {
     "every-task-integers-oracle": (
         every_task_over_the_integers,
         True,
-        "5a0db54842ce8289af5ebdf0747538615ef729c5cc82ecf3ffec654821adf9b6",
+        "37b71e85f920903445df3c59c05e8cb26d40994618c61828c7c27ba690d680dc",
     ),
     "finite-table-dynamics": (
         finite_table_dynamics,
@@ -200,6 +216,11 @@ CASES = {
         realized_points_over_a_product,
         True,
         "9a530480e522a53b366119dc340a42dd4f5128c6ccf90fb18fa54d1f0d8860e2",
+    ),
+    "compactify-s3": (
+        compactify_over_s3,
+        False,
+        "117df2e549644d5c075079897e7034ca808e45f48a4a7952cb0b964c0a0924df",
     ),
 }
 

@@ -179,6 +179,8 @@ def _task_universal_minimal_flow(ctx, level, params, opts):
 
 
 def _task_is_left_ideal(ctx, level, params, opts):
+    if not isinstance(params["points"], list):
+        raise ValueError(f"points must be a list of type points, not {params['points']!r}")
     points = frozenset(_point(ctx, p) for p in params["points"])
     return {"left_ideal": is_left_ideal(ctx, level, points)}
 
@@ -392,7 +394,7 @@ def _task_logic_quotient(ctx, level, params, opts):
     quotient = logic_quotient(ctx, modulus=_positive_int(params, "modulus", None), blocks=blocks)
     return {
         "size": quotient.size,
-        "is_group": quotient.group is not None,
+        "is_group": quotient.is_group,
         "fibers": [set_to_json(f) for f in quotient.fibers],
     }
 
@@ -410,16 +412,8 @@ def _task_universal_compactification(ctx, level, params, opts):
         _element_lists(params, "targets")
     result = universal_compactification(ctx, level, targets)
     return {
-        "quotient_size": result.quotient.order,
-        "factors": [
-            {
-                "target_size": f.target_size,
-                "images": list(f.images),
-                "homomorphism": f.homomorphism,
-                "surjective": f.surjective,
-            }
-            for f in result.factors
-        ],
+        "quotient_size": result.quotient_size,
+        "factors": [{"target_size": f.target_size, "images": list(f.images)} for f in result.factors],
     }
 
 

@@ -12,19 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsets import FiniteSubset, congruence_set
-from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generators, cyclic_group, first_failing_pair
+from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generators, first_failing_pair
 from .typespace import LevelError, check_level
 
 
 @dataclass
 class CompactQuotient:
-    """A finite quotient with definable fibers, and a group when the blocks
-    are the cosets of a normal subgroup. At finite index the logic topology
-    is discrete. Over the integers the group is Z/d, whose law is the
-    closure identity on congruence classes mod d that `_factor_map` checks."""
+    """A finite quotient with definable fibers, a group exactly when the
+    blocks are the cosets of a normal subgroup (always, mod d, over the
+    integers). At finite index the logic topology is discrete."""
 
     fibers: tuple
-    group: FiniteGroup | None
+    is_group: bool
 
     @property
     def size(self) -> int:
@@ -98,16 +97,16 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
     """Quotient by a bounded equivalence, given by exactly one of: congruence
     mod `modulus` on the integers, or the partition of a finite group into
     `blocks`. Fibers are canonical definable sets and the finite-index
-    logic topology is discrete. A partition carries a group, with fibers in
-    quotient order, exactly when its blocks are the cosets of a normal
-    subgroup."""
+    logic topology is discrete. A partition is a group quotient, with
+    fibers in quotient order, exactly when its blocks are the cosets of a
+    normal subgroup."""
     if modulus is not None and blocks is not None:
         raise ValueError("give either a modulus or blocks, not both")
     if isinstance(ctx, IntegerGroup) and modulus is not None:
         if modulus < 1:
             raise ValueError("modulus must be positive")
         fibers = tuple(congruence_set(modulus, [r]) for r in range(modulus))
-        return CompactQuotient(fibers, cyclic_group(modulus))
+        return CompactQuotient(fibers, True)
     if isinstance(ctx, FiniteGroup) and blocks is not None:
         blocks = [frozenset(map(ctx.check_element, b)) for b in blocks]
         seen: set[int] = set()
@@ -124,8 +123,8 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
             group, projection = finite_quotient(ctx, N)
             cosets = _fibers(ctx, projection, group.order)
             if {f.mask for f in cosets} == {f.mask for f in fibers}:
-                return CompactQuotient(cosets, group)
-        return CompactQuotient(fibers, None)
+                return CompactQuotient(cosets, True)
+        return CompactQuotient(fibers, False)
     raise ValueError("unsupported equivalence for this backend")
 
 
@@ -145,55 +144,37 @@ def g00_at_level(ctx: Group, level: int) -> Subgroup:
 
 @dataclass
 class FactorMap:
-    """A map from the universal quotient onto a family member, with its
-    `_factor_map` verdicts: on Z/d the law is the closure identity on
-    congruence classes. images[i] is the member's class of any g in class
-    i, so the map commutes with the projections, and is unique, by
-    construction."""
+    """A map from the universal quotient onto a family member: images[i] is
+    the member's class of any g in class i. So by construction it is a
+    surjective homomorphism, commutes with the projections, and is unique."""
 
     target_size: int
     images: tuple
-    homomorphism: bool
-    surjective: bool
 
 
 @dataclass
 class UniversalCompactification:
-    quotient: FiniteGroup
+    quotient_size: int
     factors: tuple
-
-
-def _factor_map(source: FiniteGroup, images, target_order: int, compose) -> tuple:
-    """Check i -> images[i] as a map onto the group on range(target_order)
-    with product `compose`: the first pair breaking f(ab) = f(a)f(b), or
-    None (by `first_failing_pair`), and whether the map is surjective."""
-    table = source.table
-    failure = first_failing_pair(
-        source, lambda a, b: images[table[a][b]] == compose(images[a], images[b])
-    )
-    return failure, set(images) == set(range(target_order))
 
 
 def universal_compactification(ctx: Group, level: int, targets) -> UniversalCompactification:
     """The level universal compactification with its universality witnesses.
 
     Over the integers: the quotient Z/level together with the reduction map
-    onto each family modulus, which must divide the level. Over a finite
-    group the quotient is by the intersection of the target normal
-    subgroups, and each factor sends a core coset to the target coset that
-    holds it. Both backends check factor maps with `_factor_map`.
+    i -> i mod m onto each family modulus m, which must divide the level.
+    Over a finite group the quotient is by the intersection of the target
+    normal subgroups, and each factor sends a core coset to the target
+    coset that holds it.
     """
     if isinstance(ctx, IntegerGroup):
-        quotient, factors = cyclic_group(level), []
+        check_level(ctx, level)
         for m in targets:
             if m < 1:
                 raise ValueError("target modulus must be positive")
             if level % m != 0:
                 raise LevelError(f"level too coarse: {m} does not divide {level}")
-            images = tuple(i % m for i in range(level))
-            failure, surjective = _factor_map(quotient, images, m, lambda x, y: (x + y) % m)
-            factors.append(FactorMap(m, images, failure is None, surjective))
-        return UniversalCompactification(quotient, tuple(factors))
+        return UniversalCompactification(level, tuple(FactorMap(m, tuple(i % m for i in range(level))) for m in targets))
     if isinstance(ctx, FiniteGroup):
         subgroups = [frozenset(map(ctx.check_element, t)) for t in targets]
         for N in subgroups:
@@ -204,11 +185,8 @@ def universal_compactification(ctx: Group, level: int, targets) -> UniversalComp
         for N in subgroups:
             target, target_proj = finite_quotient(ctx, N)
             image_of = dict(zip(projection, target_proj))
-            images = tuple(image_of[i] for i in range(quotient.order))
-            table = target.table
-            failure, surjective = _factor_map(quotient, images, target.order, lambda x, y: table[x][y])
-            factors.append(FactorMap(target.order, images, failure is None, surjective))
-        return UniversalCompactification(quotient, tuple(factors))
+            factors.append(FactorMap(target.order, tuple(image_of[i] for i in range(quotient.order))))
+        return UniversalCompactification(quotient.order, tuple(factors))
     raise ValueError("unsupported backend")
 
 
@@ -228,14 +206,13 @@ def definable_homomorphism_check(
 
     Over the integers the map is given by one period of d values (so it is
     exactly periodic), over a finite group by one value per element. Both
-    check the identity, the homomorphism law (`_factor_map`, on Z/d's table
-    over the integers) and dense (here surjective) image. Over the integers
-    the fibers are canonical definable sets and the map factors through the
-    universal quotient at the fiber modulus. The closure of the image of a
-    congruence class is the one value it maps to, so the closure identity
-    cl f(A . B) = cl f(A) . cl f(B) on congruence classes is the law on Z/d
-    that `_factor_map` checks. A value outside the target raises
-    `BackendMismatch` before any check runs.
+    check the identity, the homomorphism law (`first_failing_pair`; on Z/d
+    as (a + b) mod d, with no table) and dense (here surjective) image.
+    Over the integers the fibers are canonical definable sets and the map
+    factors through the universal quotient at the fiber modulus. The image
+    of a congruence class is one value, its own closure, so the closure
+    identity cl f(A . B) = cl f(A) . cl f(B) on classes is the law on Z/d.
+    A value outside the target raises `BackendMismatch` before any check.
     """
     values = tuple(values)
     for v in values:
@@ -243,30 +220,34 @@ def definable_homomorphism_check(
     if isinstance(ctx, IntegerGroup):
         if not values:
             raise ValueError("need at least one value")
-        source, identity_name = cyclic_group(len(values)), "0"
+        d = len(values)
+        # Z/d is generated by 1, which is the identity 0 when d = 1
+        elements, generators, identity, identity_name = range(d), (1 % d,), 0, "0"
+        product = lambda a, b: (a + b) % d
     elif isinstance(ctx, FiniteGroup):
         if len(values) != ctx.order:
             raise ValueError("need one value per group element")
-        source, identity_name = ctx, "the identity"
+        elements, generators, identity, identity_name = ctx.elements(), ctx.generators, ctx.identity, "the identity"
+        product = lambda a, b: ctx.table[a][b]
     else:
         raise ValueError("unsupported backend")
-    if values[source.identity] != target.identity:
+    if values[identity] != target.identity:
         return HomomorphismVerdict(False, reason=f"does not send {identity_name} to the identity")
-    table = target.table
-    failure, surjective = _factor_map(source, values, target.order, lambda x, y: table[x][y])
+    failure = first_failing_pair(
+        elements, generators, lambda a, b: values[product(a, b)] == target.table[values[a]][values[b]]
+    )
     if failure is not None:
         return HomomorphismVerdict(False, reason="not a homomorphism at ({},{})".format(*failure))
-    if not surjective:
+    if set(values) != set(target.elements()):
         return HomomorphismVerdict(False, reason="dense-image failure")
     if isinstance(ctx, FiniteGroup):
         return HomomorphismVerdict(True, fibers=_fibers(ctx, values, target.order), factor_images=values)
-    d = len(values)
-    fibers = tuple(
-        congruence_set(d, [r for r in range(d) if values[r] == c])
-        for c in target.elements()
-    )
+    residues = [[] for _ in target.elements()]
+    for r, c in enumerate(values):
+        residues[c].append(r)
     factor_level = d if level is None else level
     if factor_level % d != 0:
         raise LevelError(f"level too coarse: {d} does not divide {factor_level}")
     factor_images = tuple(values[i % d] for i in range(factor_level))
+    fibers = tuple(congruence_set(d, rs) for rs in residues)
     return HomomorphismVerdict(True, fibers=fibers, fiber_modulus=d, factor_images=factor_images)

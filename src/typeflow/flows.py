@@ -94,7 +94,9 @@ class FiniteFlowPresentation:
             if action[ctx.identity] != tuple(range(size)):
                 raise ValueError("identity element does not act trivially")
             failure = first_failing_pair(
-                ctx, lambda g, h: action[ctx.table[g][h]] == tuple(map(action[g].__getitem__, action[h]))
+                ctx.elements(),
+                ctx.generators,
+                lambda g, h: action[ctx.table[g][h]] == tuple(map(action[g].__getitem__, action[h])),
             )
             if failure is not None:
                 raise ValueError("action is not a homomorphism at ({},{})".format(*failure))
@@ -410,6 +412,8 @@ def flow_from_json(ctx: Group, obj) -> FiniteFlowPresentation:
     if "pi" in obj:
         return FiniteFlowPresentation(ctx, size, pi=json_ints(obj["pi"], "flow pi"), base=base)
     if "action" in obj:
+        if not isinstance(obj["action"], list):
+            raise ValueError(f"flow action must be a list of rows, got {obj['action']!r}")
         action = [json_ints(row, "flow action row") for row in obj["action"]]
         return FiniteFlowPresentation(ctx, size, action=action, base=base)
     raise ValueError("flow spec needs 'pi' (integers) or 'action' (finite backend)")

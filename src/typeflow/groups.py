@@ -195,8 +195,9 @@ class FiniteGroup(Group):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def first_failing_pair(ctx: FiniteGroup, holds):
-    """The first pair (a, b), in row-major order, at which a law fails.
+def first_failing_pair(elements, generators, holds):
+    """The first pair (a, b) of a finite group's `elements`, in row-major
+    order, at which a law fails; `generators` generate the group.
 
     `holds(a, b)` must test a law of the form f(ab) = f(a)f(b), where f maps
     the group into a group, or into maps of a carrier under composition.
@@ -208,14 +209,14 @@ def first_failing_pair(ctx: FiniteGroup, holds):
     f(a.bc) = f(ab.c) = f(ab)f(c) = f(a)f(b)f(c) = f(a)f(bc). So S ⊆ B
     implies B = G, at O(n |S|) cost with |S| <= log2(n) instead of O(n^2).
     In a finite group any nonempty set generating it as a group also does
-    as a semigroup, since e = g^|g|; the trivial group has no generators
-    and is checked at (e, e).
+    as a semigroup, since e = g^|g|; a trivial group given no generators
+    is checked at (e, e).
 
     When some generator pair fails, all pairs are scanned in row-major order
-    so that the pair returned does not depend on the generating set.
+    so that the pair returned does not depend on the generating set. No
+    table is read: Z/d is range(d) with generator 1 % d.
     """
-    elements = ctx.elements()
-    if all(holds(a, b) for b in ctx.generators or (ctx.identity,) for a in elements):
+    if all(holds(a, b) for b in generators or elements for a in elements):
         return None
     return next((a, b) for a in elements for b in elements if not holds(a, b))
 

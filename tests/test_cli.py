@@ -468,6 +468,13 @@ PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
             "ValueError: extend-map applies to the integer backend",
         ),
         (C3, 1, {"op": "g00", "level": 5}, "LevelError: finite backends have only the trivial level 1"),
+        (Z, 1, {"op": "is-left-ideal", "points": 5}, "ValueError: points must be a list of type points, not 5"),
+        (
+            S3,
+            1,
+            {"op": "fixed-points", "flow": {"carrier": 6, "action": 5}},
+            "ValueError: flow action must be a list of rows, got 5",
+        ),
     ],
     ids=[
         "mod-0",
@@ -492,6 +499,8 @@ PLUS_0_1 = {"kind": "limit", "sign": "+", "res": 0, "mod": 1}
         "period-not-dividing-level",
         "extend-map-over-c3",
         "g00-finite-level",
+        "points-int",
+        "flow-action-int",
     ],
 )
 def test_rejected_task_input_fails_the_task(group, level, task, error):

@@ -1,9 +1,9 @@
+import tracemalloc
 from functools import reduce
 
 import pytest
 
 from typeflow.compactify import (
-    _factor_map,
     definable_homomorphism_check,
     finite_quotient,
     g00_at_level,
@@ -15,6 +15,20 @@ from typeflow.groups import INTEGERS, BackendMismatch, Subgroup, cyclic_group, q
 from typeflow.typespace import LevelError
 
 
+def assert_surjective_homomorphism(images, source_law, source_order, target_law, target_order):
+    """images[i] is a surjective homomorphism from the group on
+    range(source_order) onto the group on range(target_order), checked on
+    every pair."""
+    for a in range(source_order):
+        for b in range(source_order):
+            assert images[source_law(a, b)] == target_law(images[a], images[b]), (a, b)
+    assert set(images) == set(range(target_order))
+
+
+def cyclic_law(n):
+    return lambda a, b: (a + b) % n
+
+
 def test_logic_quotient_integers():
     q = logic_quotient(INTEGERS, modulus=6)
     assert q.size == 6
@@ -22,7 +36,7 @@ def test_logic_quotient_integers():
     # fiber is clopen: the finite-index logic topology is discrete
     for i, fiber in enumerate(q.fibers):
         assert complement(fiber) == reduce(union, q.fibers[:i] + q.fibers[i + 1 :])
-    assert q.group is not None and q.group.order == 6
+    assert q.is_group
     assert q.fibers[1] == congruence_set(6, [1])
     assert [i for i, fiber in enumerate(q.fibers) if fiber.member(13)] == [1]
     assert [i for i, fiber in enumerate(q.fibers) if fiber.member(-1)] == [5]
@@ -37,18 +51,19 @@ def test_logic_quotient_finite():
     c3 = cyclic_group(3)
     equality = tuple(frozenset([i]) for i in range(3))
     q = logic_quotient(c3, blocks=equality)
-    assert q.size == 3 and q.group is not None and q.group.table == c3.table
+    assert q.size == 3 and q.is_group
+    assert [f.elements() for f in q.fibers] == [[0], [1], [2]]
 
     s3 = symmetric_group_3()
     # partition by the rotation subgroup {e, r, r2}: normal, so a group quotient
     rot = frozenset([0, 1, 2])
     cosets = (rot, frozenset([3, 4, 5]))
     q = logic_quotient(s3, blocks=cosets)
-    assert q.size == 2 and q.group is not None
+    assert q.size == 2 and q.is_group
 
     lopsided = (frozenset([0]), frozenset([1, 2, 3, 4, 5]))
     q = logic_quotient(s3, blocks=lopsided)
-    assert q.size == 2 and q.group is None
+    assert q.size == 2 and not q.is_group
 
     with pytest.raises(ValueError):
         logic_quotient(s3, blocks=(frozenset([0, 1]), frozenset([1, 2])))
@@ -71,10 +86,10 @@ def test_g00_coherent_along_divisors():
 
 def test_universal_compactification_integers():
     result = universal_compactification(INTEGERS, 6, [2, 3])
-    assert result.quotient.order == 6
+    assert result.quotient_size == 6
     assert [f.target_size for f in result.factors] == [2, 3]
     for f in result.factors:
-        assert f.homomorphism and f.surjective
+        assert_surjective_homomorphism(f.images, cyclic_law(6), 6, cyclic_law(f.target_size), f.target_size)
     # commuting triangle recomputed elementwise; it forces the map, so the
     # factor is unique
     for f in result.factors:
@@ -89,15 +104,19 @@ def test_universal_compactification_integers():
 def test_universal_compactification_finite():
     s3 = symmetric_group_3()
     result = universal_compactification(s3, 1, [[0]])
-    assert result.quotient.order == 6
-    assert result.factors[0].surjective and result.factors[0].homomorphism
+    assert result.quotient_size == 6
+    assert result.factors[0].images == tuple(range(6))
 
     q8 = quaternion_group_8()
     center = [0, 1]  # +1 and -1
     result = universal_compactification(q8, 1, [center, [0]])
-    assert result.quotient.order == 8  # intersection of the family is trivial
+    assert result.quotient_size == 8  # intersection of the family is trivial
     assert [f.target_size for f in result.factors] == [4, 8]
-    assert all(f.homomorphism and f.surjective for f in result.factors)
+    for N, f in zip([center, [0]], result.factors):
+        target, _ = finite_quotient(q8, N)
+        assert_surjective_homomorphism(
+            f.images, lambda a, b: q8.table[a][b], 8, lambda x, y: target.table[x][y], f.target_size
+        )
 
 
 @pytest.mark.parametrize(
@@ -110,9 +129,13 @@ def test_universal_compactification_finite_commutes(group, targets):
     ctx = group()
     result = universal_compactification(ctx, 1, targets)
     core = frozenset(ctx.elements()).intersection(*map(frozenset, targets))
-    _, core_proj = finite_quotient(ctx, core)
+    quotient, core_proj = finite_quotient(ctx, core)
+    assert result.quotient_size == quotient.order
     for N, f in zip(targets, result.factors):
-        _, proj = finite_quotient(ctx, N)
+        target, proj = finite_quotient(ctx, N)
+        assert_surjective_homomorphism(
+            f.images, lambda a, b: quotient.table[a][b], quotient.order, lambda x, y: target.table[x][y], target.order
+        )
         assert all(f.images[core_proj[g]] == proj[g] for g in ctx.elements())
         for g in ctx.elements():
             for h in ctx.elements():
@@ -185,23 +208,46 @@ def test_finite_quotient_machinery():
         finite_quotient(s3, [0, 3])  # order-2 subgroup, not normal in s3
 
 
-def test_factor_map_reports_a_broken_law_and_a_missed_element():
-    c4 = cyclic_group(4)
-    mod2 = lambda x, y: (x + y) % 2  # noqa: E731
-    assert _factor_map(c4, (0, 1, 0, 1), 2, mod2) == (None, True)
-    assert _factor_map(c4, (0, 1, 1, 1), 2, mod2) == ((1, 1), True)
-    assert _factor_map(c4, (0, 0, 0, 0), 2, mod2) == (None, False)
+@pytest.mark.parametrize("source", [cyclic_group(4), INTEGERS], ids=["c4", "integers"])
+def test_homomorphism_check_reports_a_broken_law_and_a_missed_element(source):
+    # over the integers the four values are one period, a map of Z/4
     c2 = cyclic_group(2)
-    assert _factor_map(c4, (0, 1, 0, 0), 2, lambda x, y: c2.table[x][y]) == ((1, 2), True)
+    assert definable_homomorphism_check(source, (0, 1, 0, 1), c2).valid
+    broken = definable_homomorphism_check(source, (0, 1, 1, 1), c2)
+    assert not broken.valid and broken.reason == "not a homomorphism at (1,1)"
+    broken = definable_homomorphism_check(source, (0, 1, 0, 0), c2)
+    assert not broken.valid and broken.reason == "not a homomorphism at (1,2)"
+    missed = definable_homomorphism_check(source, (0, 0, 0, 0), c2)
+    assert not missed.valid and missed.reason == "dense-image failure"
 
 
 def test_logic_quotient_needs_the_blocks_to_be_cosets():
     c4 = cyclic_group(4)
     # {0, 2} is a normal subgroup, but {1} and {3} are not its cosets
     q = logic_quotient(c4, blocks=({0, 2}, {1}, {3}))
-    assert q.group is None
+    assert not q.is_group
     assert [f.elements() for f in q.fibers] == [[0, 2], [1], [3]]
     # the cosets of {0, 2}, listed in either order, give the quotient in its own order
     q = logic_quotient(c4, blocks=({1, 3}, {0, 2}))
-    assert q.group is not None and q.group.order == 2
+    assert q.is_group and q.size == 2
     assert [f.elements() for f in q.fibers] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        lambda: logic_quotient(INTEGERS, modulus=2000),
+        lambda: universal_compactification(INTEGERS, 2000, [2, 1000]),
+        lambda: definable_homomorphism_check(INTEGERS, [i % 2 for i in range(2000)], cyclic_group(2)),
+    ],
+    ids=["logic-quotient", "universal-compactification", "check-homomorphism"],
+)
+def test_integer_tasks_build_no_table_of_the_modulus(task):
+    # Z/2000 as a table takes about 31 MiB; the tasks compute mod n instead
+    tracemalloc.start()
+    try:
+        task()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

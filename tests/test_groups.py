@@ -322,7 +322,7 @@ def test_generator_law_checks_agree_with_all_pairs(case):
         return action[G.table[a][b]] == [action[a][action[b][x]] for x in Q.elements()]
 
     for law in (hom_law, action_law):
-        assert first_failing_pair(G, law) == literal_first_failure(G, law)
+        assert first_failing_pair(G.elements(), G.generators, law) == literal_first_failure(G, law)
 
     failure = literal_first_failure(G, hom_law)
     verdict = definable_homomorphism_check(G, values, Q)
@@ -349,7 +349,7 @@ def test_first_failing_pair_may_have_a_non_generator_second_entry():
 
     # the generator scan fails first at (2, 1); the reported pair is (1, 2)
     assert not law(2, 1)
-    assert first_failing_pair(c4, law) == literal_first_failure(c4, law) == (1, 2)
+    assert first_failing_pair(c4.elements(), c4.generators, law) == literal_first_failure(c4, law) == (1, 2)
     verdict = definable_homomorphism_check(c4, values, c4)
     assert verdict.reason == "not a homomorphism at (1,2)"
     action = [[c4.table[v][x] for x in range(4)] for v in values]
@@ -359,12 +359,12 @@ def test_first_failing_pair_may_have_a_non_generator_second_entry():
 
 def test_trivial_group_law_is_checked_at_the_identity():
     c1 = cyclic_group(1)
-    assert first_failing_pair(c1, lambda a, b: True) is None
-    assert first_failing_pair(c1, lambda a, b: False) == (0, 0)
+    assert first_failing_pair(c1.elements(), c1.generators, lambda a, b: True) is None
+    assert first_failing_pair(c1.elements(), c1.generators, lambda a, b: False) == (0, 0)
     # the map from c1 onto the non-identity element of c2 breaks the law at (0, 0)
     c2, values = cyclic_group(2), [1]
     law = lambda a, b: values[c1.table[a][b]] == c2.table[values[a]][values[b]]  # noqa: E731
-    assert first_failing_pair(c1, law) == literal_first_failure(c1, law) == (0, 0)
+    assert first_failing_pair(c1.elements(), c1.generators, law) == literal_first_failure(c1, law) == (0, 0)
 
 
 @pytest.mark.parametrize("values, reason", [([0, 1, 0, 1], None), ([0, 1, 1, 1], "(1,1)"), ([0, 1, 0, 0], "(1,2)")])

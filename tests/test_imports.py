@@ -3,6 +3,7 @@ module-level private function or class is used somewhere in the package,
 every public one without a caller in the package is on a short list,
 every dataclass field is read as an attribute in the package or its tests,
 only tables that are groups by construction skip the group checks,
+only `groups` builds a cyclic group's table,
 only the `Limit` constructor writes the table of interned limit points,
 only the constructor and the level-point kernels read it, and the oracle
 imports none of the modules it certifies.
@@ -227,6 +228,29 @@ def test_only_tables_built_as_groups_skip_the_group_checks():
     # a table read from input must always go through FiniteGroup.__init__
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert by_construction_callers(sources) == ["compactify.py:finite_quotient", "groups.py:cyclic_group"]
+
+
+def cyclic_group_mentions(sources: dict[str, str]) -> list[str]:
+    """Where ``cyclic_group``, which builds an n x n table, is mentioned as
+    a name or an attribute (an import is not a mention)."""
+    return enclosing_functions(
+        sources, lambda node: getattr(node, "attr", getattr(node, "id", None)) == "cyclic_group"
+    )
+
+
+def test_the_guard_sees_every_use_of_cyclic_group():
+    sources = {
+        "a.py": "from .groups import cyclic_group\n\n\ndef f(n):\n    return cyclic_group(n)\n",
+        "b.py": "from . import groups\n\nmake = groups.cyclic_group\n",
+    }
+    assert cyclic_group_mentions(sources) == ["a.py:f", "b.py:<module>"]
+
+
+def test_only_groups_builds_cyclic_tables():
+    # Z/n from task input is computed mod n; a cyclic table is built only
+    # for a finite backend that a scenario names
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert {where.split(":")[0] for where in cyclic_group_mentions(sources)} == {"groups.py"}
 
 
 MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}

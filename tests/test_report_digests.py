@@ -160,12 +160,12 @@ CASES = {
     "integers-level4": (
         lambda: load("integers-level4.json"),
         False,
-        "cd9ec13f08e29a98992007ec1d491d04abccc7ffa2be98f176425510d4957eb6",
+        "c4ace6f687cca3cb5f9e22dd20bada2c0322d6d1fccee9d2b85343ff742ecb77",
     ),
     "integers-level4-oracle": (
         lambda: load("integers-level4.json"),
         True,
-        "c0ec01602b1b2059157ebcf6b5b1d365cec20379755ad036614fc4fffee0290f",
+        "92314d8eb7f2e604d654d17dea8a2a3614016a7dd041bc38a46e0ed2e751d80d",
     ),
     "oracle-large-period": (
         lambda: load("oracle-large-period.json"),
@@ -185,7 +185,7 @@ CASES = {
     "every-task-integers-oracle": (
         every_task_over_the_integers,
         True,
-        "37b71e85f920903445df3c59c05e8cb26d40994618c61828c7c27ba690d680dc",
+        "a31ceabeb6a635ab679afff29b82fc2e518006fdd444caa8ef229388d4e6b60e",
     ),
     "finite-table-dynamics": (
         finite_table_dynamics,
@@ -220,7 +220,7 @@ CASES = {
     "compactify-s3": (
         compactify_over_s3,
         False,
-        "117df2e549644d5c075079897e7034ca808e45f48a4a7952cb0b964c0a0924df",
+        "9fa0db66c7d26755697a2753ab8948b70e7c1fcf10036b2412e937f4a8f39768",
     ),
 }
 

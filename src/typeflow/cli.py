@@ -3,8 +3,8 @@
 A scenario file names a group backend, a level, and a list of tasks; the
 tool executes the tasks in order and emits one deterministic report (JSON
 by default, human-readable text with --text). Exit codes: 0 success, 2
-schema or parse error, 3 task error (the report is still emitted, flagged
-partial).
+schema, parse or render error, 3 task error (the report is still emitted,
+flagged partial).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .amenability import (
@@ -553,65 +552,13 @@ def run_scenario(scenario, with_oracle: bool = False):
 
 
 def render_json(report) -> str:
-    """The report as `json.dumps` writes it with a two-space indent and sorted keys.
+    """The report on one line, as the stdlib's C encoder writes it with sorted keys.
 
-    The stdlib cannot use its C encoder once an indent is set; this
-    renderer writes the same text into a single chunk list. Dict keys must be
-    strings, as in every report. Each nesting level costs one frame, as in
-    the stdlib encoder, so any document `json.load` accepts still renders:
-    the recursion therefore uses plain loops, since on Python 3.11 every
-    comprehension or generator expression adds a frame.
+    The separators are the defaults, `", "` and `": "`, and every non-ASCII
+    or control character is escaped. Raises `RecursionError` on a report
+    nested deeper than the encoder's stack allows.
     """
-    chunks = []
-    _render(report, "\n", chunks)
-    return "".join(chunks)
-
-
-def _render(o, newline: str, chunks: list) -> None:
-    kind = type(o)
-    if kind is str:
-        chunks.append(encode_basestring_ascii(o))
-    elif kind is int:
-        chunks.append(int.__repr__(o))
-    elif kind is dict:
-        if not o:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            chunks.append(sep + encode_basestring_ascii(key) + ": ")
-            _render(value, inner, chunks)
-            sep = "," + inner
-        chunks.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not o:
-            chunks.append("[]")
-            return
-        inner = newline + "  "
-        # windows, element lists and residues: plain ints, bools excluded
-        if set(map(type, o)) == {int}:
-            chunks.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in o:
-            chunks.append(sep)
-            _render(item, inner, chunks)
-            sep = "," + inner
-        chunks.append(newline + "]")
-    elif o is None:
-        chunks.append("null")
-    elif o is True:
-        chunks.append("true")
-    elif o is False:
-        chunks.append("false")
-    elif isinstance(o, dict):
-        _render(dict(o), newline, chunks)
-    elif isinstance(o, (list, tuple)):
-        _render(list(o), newline, chunks)
-    else:
-        # floats, NaN and infinities as the stdlib spells them
-        chunks.append(json.dumps(o))
+    return json.dumps(report, sort_keys=True)
 
 
 def render_text(report) -> str:
@@ -665,10 +612,13 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.text:
-        print(render_text(report))
-    else:
-        print(render_json(report))
+    try:
+        out = render_text(report) if args.text else render_json(report)
+    except RecursionError as exc:
+        # the scenario echo nests as deep as the file did
+        print(f"error: cannot render report: {exc}", file=sys.stderr)
+        return 2
+    print(out)
     return code
 
 

@@ -135,6 +135,22 @@ def fixed_points_of_flow(F: FiniteFlowPresentation) -> list[int]:
 # the generated set family used by certificate searches
 
 
+# The most residue masks (over the integers) or subsets (over a table) that
+# `generated_family` walks: max_modulus 15 or a table of order 16 at most.
+# Every family of the benchmark corpora and the tests is far below it.
+FAMILY_MASK_BOUND = 1 << 16
+
+
+def _require_family(bits: int, short: int):
+    """Refuse a family of 2^bits - short masks over FAMILY_MASK_BOUND before
+    any member is built. A width past the bound's own is over it already,
+    so 2^bits is never computed for a huge `bits`."""
+    if bits > FAMILY_MASK_BOUND.bit_length() or (1 << bits) - short > FAMILY_MASK_BOUND:
+        raise ValueError(
+            f"certificate family has 2^{bits} - {short} masks, over the bound of {FAMILY_MASK_BOUND}"
+        )
+
+
 def generated_family(ctx: Group, max_modulus: int = 4):
     """Deterministic enumeration of probe sets.
 
@@ -148,6 +164,7 @@ def generated_family(ctx: Group, max_modulus: int = 4):
     n. Finite backends: every nonempty subset in mask order.
     """
     if isinstance(ctx, IntegerGroup):
+        _require_family(max_modulus + 1, max_modulus + 2)
         out = []
         for n in range(1, max_modulus + 1):
             shifts = [n // q for q in _prime_divisors(n)]
@@ -158,6 +175,7 @@ def generated_family(ctx: Group, max_modulus: int = 4):
                 out.append(IntegerSet(n, residues, residues))
         return out
     if isinstance(ctx, FiniteGroup):
+        _require_family(ctx.order, 1)
         return [
             FiniteSubset(ctx, mask=mask) for mask in range(1, 1 << ctx.order)
         ]

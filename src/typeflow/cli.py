@@ -551,14 +551,20 @@ def run_scenario(scenario, with_oracle: bool = False):
     return report, (3 if partial else 0)
 
 
+# A report is a tree of fresh values and parsed JSON, so no container can
+# hold itself and the encoder skips its per-container cycle bookkeeping.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def render_json(report) -> str:
     """The report on one line, as the stdlib's C encoder writes it with sorted keys.
 
     The separators are the defaults, `", "` and `": "`, and every non-ASCII
-    or control character is escaped. Raises `RecursionError` on a report
-    nested deeper than the encoder's stack allows.
+    or control character is escaped. The encoder does not check for cycles:
+    a report nested deeper than its stack allows, or one that holds itself,
+    raises `RecursionError`, which `main` reports as a one-line error.
     """
-    return json.dumps(report, sort_keys=True)
+    return _ENCODER.encode(report)
 
 
 def render_text(report) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .defsets import congruence_set, integer_ray
+from .defsets import IntegerSet, _Mask, congruence_set, integer_ray
 from .groups import BackendMismatch, Group, IntegerGroup
 from .typespace import Limit, _interned, acting_set, contains, minimal_part
 
@@ -69,29 +69,51 @@ def star(ctx: Group, p, q):
     return Limit(p.sign, (p.residue + q) % level, level)
 
 
+def _bit_class(level: int, j: int) -> IntegerSet:
+    """{x : bit j of (x mod level) is 1}, built from its residue mask.
+
+    Over residues the bit is 1 on the upper half of each block of 2^(j+1),
+    so the mask is that block repeated and cut to `level` bits.
+    """
+    half = 1 << j
+    width = half << 1
+    blocks = -(-level // width)
+    repeat = ((1 << width * blocks) - 1) // ((1 << width) - 1)
+    pattern = _Mask((((1 << half) - 1) << half) * repeat & ((1 << level) - 1), level)
+    return IntegerSet(level, up=pattern, down=pattern)
+
+
 def star_via_schema(ctx: Group, p, q):
     """The semigroup product computed through defining schemas.
 
     Membership of Y in p * q is decided as: the acting set of q for Y
-    belongs to p. The result point is reconstructed from finitely many
-    probe sets (one congruence class per residue at `_product_level` plus
-    a half line for the sign), so this path exercises acting sets and
-    membership instead of the closed form.
+    belongs to p. The result point at `_product_level` is read off
+    ceil(log2 level) + 3 probe sets, so this path exercises acting sets and
+    membership instead of the closed form: a half line gives the sign, and
+    the classes {x : bit j of (x mod level) is 1} give the residue r in
+    binary. Two more probes confirm it: the class of r belongs to p * q
+    and its complement does not; if either fails, the probes do not
+    describe a point and `AssertionError` is raised.
     """
     if not isinstance(p, Limit) and not isinstance(q, Limit):
         # both factors realized: the product is realized by the group law
         return ctx.compose(p, q)
     level = _product_level(ctx, p, q)
-    positive = contains(p, acting_set(ctx, q, integer_ray(1, 0)))
-    sign = 1 if positive else -1
-    residues = [
-        r
-        for r in range(level)
-        if contains(p, acting_set(ctx, q, congruence_set(level, [r])))
-    ]
-    if len(residues) != 1:
-        raise AssertionError(f"schema probes selected {len(residues)} residues")
-    return Limit(sign, residues[0], level)
+
+    def holds(Y) -> bool:
+        return contains(p, acting_set(ctx, q, Y))
+
+    sign = 1 if holds(integer_ray(1, 0)) else -1
+    r = 0
+    for j in range((level - 1).bit_length()):
+        if holds(_bit_class(level, j)):
+            r |= 1 << j
+    if r >= level or not holds(congruence_set(level, [r])):
+        raise AssertionError(f"schema probes select residue {r}, whose class is not in the product")
+    rest = _Mask(((1 << level) - 1) ^ (1 << r), level)
+    if holds(IntegerSet(level, up=rest, down=rest)):
+        raise AssertionError(f"schema probes put residue {r} and its complement in the product")
+    return Limit(sign, r, level)
 
 
 def find_idempotents(ctx: Group, level: int) -> list:

@@ -23,6 +23,7 @@ from typeflow.amenability import (
     singleton_minimal_criterion,
     verify_invariance,
 )
+from typeflow.cli import run_scenario
 from typeflow.defsets import (
     FiniteSubset,
     congruence_set,
@@ -133,6 +134,66 @@ def literal_integer_family(max_modulus):
 def test_generated_family_over_the_integers_is_the_literal_family():
     for m in range(1, 10):
         assert generated_family(INTEGERS, m) == literal_integer_family(m)
+
+
+class Built(Exception):
+    """Raised by a member constructor patched in to show a member was built."""
+
+
+def refuse_members(monkeypatch):
+    """Make building a family member raise `Built`: every integer set, and
+    every finite subset given by its mask (`kernel_intersection` builds {e}
+    from its elements)."""
+
+    def integer_set(*args, **kwargs):
+        raise Built
+
+    def finite_subset(*args, **kwargs):
+        if "mask" in kwargs:
+            raise Built
+        return FiniteSubset(*args, **kwargs)
+
+    monkeypatch.setattr(amenability, "IntegerSet", integer_set)
+    monkeypatch.setattr(amenability, "FiniteSubset", finite_subset)
+
+
+def test_a_family_over_the_bound_fails_before_any_member_is_built(monkeypatch):
+    refuse_members(monkeypatch)
+    # at the bound the first member is built; one past it, none is
+    with pytest.raises(Built):
+        generated_family(INTEGERS, 15)
+    with pytest.raises(Built):
+        generated_family(cyclic_group(16))
+    for ctx, m, message in (
+        (INTEGERS, 16, "2^17 - 18"),
+        (INTEGERS, 40, "2^41 - 42"),
+        (INTEGERS, 10**100, f"2^{10**100 + 1} - {10**100 + 2}"),
+        (cyclic_group(17), 4, "2^17 - 1"),
+        (cyclic_group(40), 4, "2^40 - 1"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            generated_family(ctx, m)
+        assert str(excinfo.value) == (
+            f"certificate family has {message} masks, over the bound of {amenability.FAMILY_MASK_BOUND}"
+        )
+    assert amenability.FAMILY_MASK_BOUND == 1 << 16
+
+
+@pytest.mark.parametrize("op", ["pestov-check", "kernel-intersection", "singleton-minimal", "measure-definability"])
+@pytest.mark.parametrize("group", [{"kind": "integers"}, {"kind": "cyclic", "order": 40}])
+def test_family_tasks_over_the_bound_fail_fast(monkeypatch, op, group):
+    refuse_members(monkeypatch)
+    scenario = {"group": group, "tasks": [{"op": op, "max_modulus": 40}, {"op": "fixed-points"}]}
+    report, code = run_scenario(scenario)
+    first, second = report["results"]
+    assert second["ok"]
+    if op == "measure-definability" and group["kind"] == "cyclic":
+        # over a table every subset is definable, so no family is built
+        assert first["ok"] and code == 0
+        return
+    assert code == 3
+    bits = 41 if group["kind"] == "integers" else 40
+    assert first["error"].startswith(f"ValueError: certificate family has 2^{bits} - ")
 
 
 def test_integer_searches_agree_with_the_literal_family(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeflow import cli, oracle
+from typeflow import cli, ellis, oracle
 from typeflow.cli import SchemaError, list_capabilities, main, render_json, render_text, run_scenario
 from typeflow.defsets import IntegerSet, complement, congruence_set, intersect, member, set_from_json
 from typeflow.groups import INTEGERS, FiniteGroup, group_from_json
@@ -888,10 +888,8 @@ def test_a_finite_table_is_verified_once_per_scenario(tmp_path, capsys, monkeypa
 
 
 def test_assertion_error_in_a_task_gives_partial_report(tmp_path, capsys, monkeypatch):
-    def failing_schema(*args, **kwargs):
-        raise AssertionError("schema probes selected 2 residues")
-
-    monkeypatch.setattr(cli, "star_via_schema", failing_schema)
+    # a membership test that holds for every probe set describes no point
+    monkeypatch.setattr(ellis, "contains", lambda p, Y: True)
     path = tmp_path / "scenario.json"
     path.write_text(
         json.dumps(
@@ -912,7 +910,9 @@ def test_assertion_error_in_a_task_gives_partial_report(tmp_path, capsys, monkey
     assert main(["--scenario", str(path)]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["partial"]
-    assert report["results"][0]["error"] == "AssertionError: schema probes selected 2 residues"
+    assert report["results"][0]["error"] == (
+        "AssertionError: schema probes put residue 3 and its complement in the product"
+    )
     assert report["results"][1]["ok"]
 
 
@@ -1089,6 +1089,21 @@ def test_nesting_too_deep_to_render_is_a_clean_error(tmp_path, capsys):
             assert code == 2 and captured.out == ""
             assert captured.err.startswith("error: cannot ") and captured.err.count("\n") == 1
     assert codes == {0, 2}
+
+
+def test_a_report_that_holds_itself_is_a_clean_render_error(tmp_path, capsys, monkeypatch):
+    # no scenario builds such a report; the encoder does not look for
+    # cycles, so it runs out of stack and main reports one line
+    report = {"tool": "typeflow", "results": []}
+    report["results"].append(report)
+    monkeypatch.setattr(cli, "run_scenario", lambda scenario, with_oracle=False: (report, 0))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"group": {"kind": "integers"}, "tasks": []}))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot render report: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

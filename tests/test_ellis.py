@@ -1,10 +1,12 @@
 import random
 from functools import partial
-from math import gcd
+from math import ceil, gcd, log2
 
 import pytest
 
-from typeflow.ellis import find_idempotents, star, star_via_schema
+from typeflow import ellis
+from typeflow.defsets import congruence_set
+from typeflow.ellis import _bit_class, find_idempotents, star, star_via_schema
 from typeflow.groups import INTEGERS, BackendMismatch, FiniteGroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.oracle import oracle_star
 from typeflow.typespace import Limit, _stable_on_witnesses, apply_group, limit_points, restrict, witness
@@ -36,12 +38,73 @@ def test_star_on_finite_backend_is_group_law():
     assert star(c3, 1, 2) == 0
 
 
+SCHEMA_LEVELS = range(1, 18)
+
+
 def test_star_via_schema_equals_star_exhaustive():
-    for n in (1, 2, 3, 4, 6):
+    # every pair at each level 1..17, and realized x limit in both orders
+    for n in SCHEMA_LEVELS:
         pts = limit_points(INTEGERS, n) + [-7, -1, 0, 2, 9]
         for p in pts:
             for q in pts:
-                assert star_via_schema(INTEGERS, p, q) == star(INTEGERS, p, q)
+                assert star_via_schema(INTEGERS, p, q) == star(INTEGERS, p, q), (p, q)
+
+
+def test_star_via_schema_equals_star_across_levels():
+    # limit points at levels m and n are answered at gcd(m, n)
+    for m in SCHEMA_LEVELS:
+        for n in SCHEMA_LEVELS:
+            for p in (Limit(1, m // 2, m), Limit(-1, m - 1, m)):
+                for q in (Limit(1, n - 1, n), Limit(-1, n // 3, n)):
+                    product = star_via_schema(INTEGERS, p, q)
+                    assert product == star(INTEGERS, p, q), (p, q)
+                    assert product.modulus == gcd(m, n)
+
+
+def test_bit_classes_are_the_sets_they_name():
+    for n in SCHEMA_LEVELS:
+        for j in range((n - 1).bit_length()):
+            Y = _bit_class(n, j)
+            assert [Y.member(x) for x in range(-2 * n, 2 * n)] == [
+                bool((x % n) >> j & 1) for x in range(-2 * n, 2 * n)
+            ]
+
+
+@pytest.mark.parametrize("answer", [True, False])
+@pytest.mark.parametrize("n", [1, 5, 7, 8, 12, 16, 17])
+def test_schema_probes_that_describe_no_point_fail(monkeypatch, n, answer):
+    # a membership test that answers every probe alike selects no single
+    # residue: all False rejects the class of residue 0, all True accepts
+    # its complement too (or selects a residue past the level)
+    monkeypatch.setattr(ellis, "contains", lambda p, Y: answer)
+    for p, q in ((Limit(1, 0, n), Limit(-1, n - 1, n)), (3, Limit(1, 0, n)), (Limit(-1, 0, n), -2)):
+        with pytest.raises(AssertionError, match="schema probes"):
+            star_via_schema(INTEGERS, p, q)
+
+
+def test_bit_probes_past_the_level_fail(monkeypatch):
+    # every bit probe holds, so the bits read 7 at level 5; the class of
+    # 7 mod 5 = 2 holds and its complement does not, as they do for +2 mod 5
+    monkeypatch.setattr(ellis, "acting_set", lambda ctx, q, Y: Y)
+    monkeypatch.setattr(ellis, "_bit_class", lambda level, j: congruence_set(1, [0]))
+    with pytest.raises(AssertionError, match="schema probes select residue 7"):
+        star_via_schema(INTEGERS, Limit(1, 2, 5), Limit(1, 0, 5))
+
+
+def test_schema_probes_at_level_720_are_logarithmic(monkeypatch):
+    probes = []
+    original = ellis.acting_set
+
+    def counting(ctx, q, Y):
+        probes.append(Y)
+        return original(ctx, q, Y)
+
+    monkeypatch.setattr(ellis, "acting_set", counting)
+    bound = ceil(log2(720)) + 3
+    for p, q in ((Limit(1, 719, 720), Limit(-1, 5, 720)), (Limit(-1, 3, 720), 11), (-4, Limit(1, 700, 720))):
+        probes.clear()
+        assert star_via_schema(INTEGERS, p, q) == star(INTEGERS, p, q)
+        assert len(probes) <= bound == 13
 
 
 def test_schema_examples():

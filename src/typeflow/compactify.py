@@ -71,6 +71,17 @@ def finite_quotient(ctx: FiniteGroup, normal_elems) -> tuple[FiniteGroup, tuple]
         raise ValueError("not a subgroup")
     if not _is_normal(ctx, N):
         raise ValueError("subgroup is not normal")
+    reps, projection = _cosets(ctx, N)
+    table = tuple(tuple(projection[ctx.table[a][b]] for b in reps) for a in reps)
+    inverse = (projection[ctx.inverse[a]] for a in reps)
+    return FiniteGroup._by_construction(table, inverse, f"{ctx.name}/N{len(N)}"), tuple(projection)
+
+
+def _cosets(ctx: FiniteGroup, N: frozenset) -> tuple[list, list]:
+    """The cosets gN of a subgroup N, which the caller has checked: a
+    representative per coset, the identity first and then the least
+    element of each coset not yet reached, and the projection sending each
+    element to the index of its coset. It builds no quotient table."""
     projection = [None] * ctx.order
     reps = []
     for g in [ctx.identity] + [x for x in ctx.elements() if x != ctx.identity]:
@@ -80,9 +91,7 @@ def finite_quotient(ctx: FiniteGroup, normal_elems) -> tuple[FiniteGroup, tuple]
         reps.append(g)
         for n in N:
             projection[ctx.table[g][n]] = idx
-    table = tuple(tuple(projection[ctx.table[a][b]] for b in reps) for a in reps)
-    inverse = (projection[ctx.inverse[a]] for a in reps)
-    return FiniteGroup._by_construction(table, inverse, f"{ctx.name}/N{len(N)}"), tuple(projection)
+    return reps, projection
 
 
 def _fibers(ctx: FiniteGroup, labels, count: int) -> tuple:
@@ -120,8 +129,8 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
         N = next(b for b in blocks if ctx.identity in b)
         # cosets all have |N| elements; the test spares building a quotient
         if all(len(b) == len(N) for b in blocks) and _is_subgroup(ctx, N) and _is_normal(ctx, N):
-            group, projection = finite_quotient(ctx, N)
-            cosets = _fibers(ctx, projection, group.order)
+            reps, projection = _cosets(ctx, N)
+            cosets = _fibers(ctx, projection, len(reps))
             if {f.mask for f in cosets} == {f.mask for f in fibers}:
                 return CompactQuotient(cosets, True)
         return CompactQuotient(fibers, False)
@@ -180,13 +189,14 @@ def universal_compactification(ctx: Group, level: int, targets) -> UniversalComp
         for N in subgroups:
             if not (_is_subgroup(ctx, N) and _is_normal(ctx, N)):
                 raise ValueError("family members must be quotients by normal subgroups")
-        quotient, projection = finite_quotient(ctx, frozenset(ctx.elements()).intersection(*subgroups))
+        # an intersection of normal subgroups is a normal subgroup
+        core_reps, projection = _cosets(ctx, frozenset(ctx.elements()).intersection(*subgroups))
         factors = []
         for N in subgroups:
-            target, target_proj = finite_quotient(ctx, N)
+            target_reps, target_proj = _cosets(ctx, N)
             image_of = dict(zip(projection, target_proj))
-            factors.append(FactorMap(target.order, tuple(image_of[i] for i in range(quotient.order))))
-        return UniversalCompactification(quotient.order, tuple(factors))
+            factors.append(FactorMap(len(target_reps), tuple(image_of[i] for i in range(len(core_reps)))))
+        return UniversalCompactification(len(core_reps), tuple(factors))
     raise ValueError("unsupported backend")
 
 

@@ -124,15 +124,22 @@ class _Mask:
         return self.width
 
 
+def _pattern(residues, period: int) -> _Mask:
+    """Residues that are exact ints, packed into a period-bit pattern."""
+    flags = bytearray(period)
+    for r in residues:
+        flags[r % period] = 1
+    return _Mask(_mask_of_flags(flags), period)
+
+
 def _residue_mask(residues, period: int) -> int:
     if isinstance(residues, _Mask):
         return residues.value
-    flags = bytearray(period)
+    residues = tuple(residues)
     for r in residues:
         if type(r) is not int:
             raise TypeError(f"residues must be ints, got {r!r}")
-        flags[r % period] = 1
-    return _mask_of_flags(flags)
+    return _pattern(residues, period).value
 
 
 def _canonical_form(period, up, down, lo, hi, window):
@@ -194,7 +201,19 @@ def _canonical_form(period, up, down, lo, hi, window):
 
 
 def _residues(mask: int, period: int) -> tuple:
-    """The residues whose bits are set in a period-bit mask, ascending."""
+    """The residues whose bits are set in a period-bit mask, ascending.
+
+    A mask with fewer than one set bit in 32 is walked set bit by set bit,
+    so that n classes of one residue each print in time linear in n; a
+    denser one is read in one pass over its flags, which is faster there.
+    """
+    if mask.bit_count() * 32 < period:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
     return tuple(compress(range(period), _flags_of_mask(mask, period)))
 
 
@@ -217,7 +236,7 @@ class IntegerSet:
     __slots__ = ("period", "lo", "hi", "up_mask", "down_mask", "window_mask")
     group = INTEGERS
 
-    def __init__(self, period, up=(), down=(), lo=0, hi=-1, bits=()):
+    def __init__(self, period, up=(), down=(), lo=0, hi=-1, bits=_Mask(0, 0)):
         if not (type(period) is int and type(lo) is int and type(hi) is int):
             raise TypeError(f"period, lo and hi must be ints, got {period!r}, {lo!r} and {hi!r}")
         if period < 1:
@@ -465,24 +484,34 @@ def congruence_set(modulus: int, residues) -> IntegerSet:
 def integer_ray(sign: int, bound: int) -> IntegerSet:
     """{x : x >= bound} for sign +1, {x : x <= bound} for sign -1."""
     if sign > 0:
-        return IntegerSet(1, up=[0], down=(), lo=bound, hi=bound - 1, bits=())
-    return IntegerSet(1, up=(), down=[0], lo=bound + 1, hi=bound, bits=())
+        return IntegerSet(1, up=[0], lo=bound, hi=bound - 1)
+    return IntegerSet(1, down=[0], lo=bound + 1, hi=bound)
+
+
+# Reading a set packs its residues into a flag table as long as its period,
+# and a list into one as long as its span. A period or span over this bound
+# is refused with OverflowError before any table is allocated.
+READ_BOUND = 1 << 24
 
 
 def integers_from(elems) -> IntegerSet:
-    """Finite set of integers; every element must be an exact int."""
-    present = set()
-    for x in elems:
-        if type(x) is not int:
-            raise TypeError(f"elements must be ints, got {x!r}")
-        present.add(x)
-    if not present:
+    """Finite set of integers; every element must be an exact int.
+
+    Its span, max - min + 1, is bounded as a read is (see `READ_BOUND`)."""
+    elems = list(elems)
+    if set(map(type, elems)) - {int}:
+        bad = next(x for x in elems if type(x) is not int)
+        raise TypeError(f"elements must be ints, got {bad!r}")
+    if not elems:
         return IntegerSet(1)
-    lo, hi = min(present), max(present)
-    flags = bytearray(hi - lo + 1)
-    for x in present:
+    lo, hi = min(elems), max(elems)
+    width = hi - lo + 1
+    if width > READ_BOUND:
+        raise OverflowError(f"integer set list spans {width} points, over the bound of {READ_BOUND}")
+    flags = bytearray(width)
+    for x in elems:
         flags[x - lo] = 1
-    return IntegerSet(1, lo=lo, hi=hi, bits=flags)
+    return IntegerSet(1, lo=lo, hi=hi, bits=_Mask(_mask_of_flags(flags), width))
 
 
 _MASK = operator.attrgetter("mask")
@@ -861,6 +890,20 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def _window_flags(bits) -> bytes:
+    """JSON window bits, which must be a list of 0, 1, true or false, as
+    one byte of 0 or 1 each."""
+    if isinstance(bits, list):
+        try:
+            flags = bytes(bits)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not flags.translate(None, b"\x00\x01"):
+                return flags
+    raise ValueError(f"integer set window bits must be a list of 0, 1, true or false, got {bits!r}")
+
+
 def json_ints(values, field: str) -> list:
     """The value, which must be a JSON list of integers."""
     if not isinstance(values, list):
@@ -879,22 +922,33 @@ def set_from_json(ctx: Group, obj):
                 return _NAMED_INTEGER_SETS[obj]()
             raise ValueError(f"unknown named set {obj!r}")
         if isinstance(obj, list):
-            return integers_from(json_ints(obj, "integer set list elements"))
+            try:
+                return integers_from(obj)
+            except TypeError:
+                # only a non-int element raises it: check again for the reader's message
+                json_ints(obj, "integer set list elements")
+                raise
         if isinstance(obj, dict):
+            # each value is checked once, and the order of the checks decides
+            # which message a set with several faults gets; the checked
+            # values reach the constructor packed into masks
             window = obj.get("window", {})
             if not isinstance(window, dict):
                 raise ValueError(f"integer set window must be an object, got {window!r}")
-            bits = window.get("bits", [])
-            if not isinstance(bits, list) or set(map(type, bits)) - {int, bool} or set(bits) - {0, 1}:
-                raise ValueError(f"integer set window bits must be a list of 0, 1, true or false, got {bits!r}")
-            return IntegerSet(
-                json_int(obj.get("mod", 1), "integer set mod"),
-                up=json_ints(obj.get("up", []), "integer set up residues"),
-                down=json_ints(obj.get("down", []), "integer set down residues"),
-                lo=json_int(window.get("lo", 0), "integer set window lo"),
-                hi=json_int(window.get("hi", -1), "integer set window hi"),
-                bits=bits,
-            )
+            flags = _window_flags(window.get("bits", []))
+            period = json_int(obj.get("mod", 1), "integer set mod")
+            up = json_ints(obj.get("up", []), "integer set up residues")
+            down = json_ints(obj.get("down", []), "integer set down residues")
+            lo = json_int(window.get("lo", 0), "integer set window lo")
+            hi = json_int(window.get("hi", -1), "integer set window hi")
+            if period < 1:
+                raise ValueError("period must be at least 1")
+            if len(flags) != hi - lo + 1:
+                raise ValueError("window bits do not match window bounds")
+            if period > READ_BOUND:
+                raise OverflowError(f"integer set mod {period} is over the bound of {READ_BOUND}")
+            window_mask = _Mask(_mask_of_flags(flags), len(flags))
+            return IntegerSet(period, _pattern(up, period), _pattern(down, period), lo, hi, window_mask)
         raise ValueError(f"cannot parse integer set from {obj!r}")
     if isinstance(ctx, FiniteGroup):
         if isinstance(obj, list):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeflow import cli, ellis, oracle
+from typeflow import cli, defsets, ellis, oracle
 from typeflow.cli import SchemaError, list_capabilities, main, render_json, render_text, run_scenario
 from typeflow.defsets import IntegerSet, complement, congruence_set, intersect, member, set_from_json
 from typeflow.groups import INTEGERS, FiniteGroup, group_from_json
@@ -948,6 +948,59 @@ def test_malformed_integer_set_is_a_task_error(bad_set, tmp_path, capsys):
     assert report["results"][1]["ok"]
 
 
+_BITS_ERROR = "ValueError: integer set window bits must be a list of 0, 1, true or false, got "
+
+
+@pytest.mark.parametrize(
+    "bad_set, error",
+    [
+        ({"mod": 2, "up": [0], "window": [1]}, "ValueError: integer set window must be an object, got [1]"),
+        ({"window": "lo"}, "ValueError: integer set window must be an object, got 'lo'"),
+        ({"window": {"lo": 0, "hi": 0, "bits": "1"}}, _BITS_ERROR + "'1'"),
+        ({"window": {"lo": 0, "hi": 0, "bits": {"0": 1}}}, _BITS_ERROR + "{'0': 1}"),
+        ({"window": {"lo": 0, "hi": 0, "bits": 1}}, _BITS_ERROR + "1"),
+        *(
+            ({"window": {"lo": 0, "hi": 1, "bits": [1, bad]}}, _BITS_ERROR + f"[1, {bad!r}]")
+            for bad in (2, -1, 256, 1.0, "1", None, [1])
+        ),
+        # the bits are checked before the mod, and the mod before the residues
+        ({"mod": 0, "up": ["0"], "window": {"bits": [2]}}, _BITS_ERROR + "[2]"),
+        ({"mod": 0}, "ValueError: period must be at least 1"),
+        ({"mod": -3, "up": [1]}, "ValueError: period must be at least 1"),
+        ({"mod": True}, "ValueError: integer set mod must be an integer, got True"),
+        ({"mod": 1.5, "up": [0]}, "ValueError: integer set mod must be an integer, got 1.5"),
+        ({"mod": True, "up": ["0"]}, "ValueError: integer set mod must be an integer, got True"),
+        ({"mod": 1.5, "down": [True]}, "ValueError: integer set mod must be an integer, got 1.5"),
+        ({"mod": 0, "up": [1.0]}, "ValueError: integer set up residues must be integers, got 1.0"),
+        ({"mod": 0, "down": ["0"]}, "ValueError: integer set down residues must be integers, got '0'"),
+        ({"mod": 2, "up": [0, True]}, "ValueError: integer set up residues must be integers, got True"),
+        ({"mod": 2, "up": [1.0]}, "ValueError: integer set up residues must be integers, got 1.0"),
+        ({"mod": 2, "down": [1, "0"]}, "ValueError: integer set down residues must be integers, got '0'"),
+        ({"mod": 2, "up": 0}, "ValueError: integer set up residues must be a list of integers, got 0"),
+        ({"mod": 2, "up": ["0"], "down": [True]}, "ValueError: integer set up residues must be integers, got '0'"),
+        ({"mod": 2, "down": [True], "window": {"lo": "0"}}, "ValueError: integer set down residues must be integers, got True"),
+        ({"window": {"lo": 0.0, "hi": 0, "bits": [1]}}, "ValueError: integer set window lo must be an integer, got 0.0"),
+        ({"window": {"lo": 0, "hi": None, "bits": [1]}}, "ValueError: integer set window hi must be an integer, got None"),
+        ([1, True], "ValueError: integer set list elements must be integers, got True"),
+        ([1.5, 2], "ValueError: integer set list elements must be integers, got 1.5"),
+        ([0, 10**12, "3"], "ValueError: integer set list elements must be integers, got '3'"),
+        ({"window": {"lo": 0, "hi": 1, "bits": [1]}}, "ValueError: window bits do not match window bounds"),
+        ({"window": {"lo": 5, "hi": 0, "bits": []}}, "ValueError: window bits do not match window bounds"),
+        ({"window": {"bits": [0]}}, "ValueError: window bits do not match window bounds"),
+        ({"mod": 0, "window": {"bits": [0]}}, "ValueError: period must be at least 1"),
+        ({"mod": 10**12, "window": {"bits": [0]}}, "ValueError: window bits do not match window bounds"),
+        ({"mod": 10**12, "up": [True]}, "ValueError: integer set up residues must be integers, got True"),
+        ("odd", "ValueError: unknown named set 'odd'"),
+        (3, "ValueError: cannot parse integer set from 3"),
+    ],
+)
+def test_integer_set_reader_messages_are_pinned(bad_set, error):
+    scenario = {"group": {"kind": "integers"}, "tasks": [{"op": "is-generic", "set": bad_set}]}
+    report, code = run_scenario(scenario)
+    assert code == 3 and report["partial"]
+    assert report["results"][0]["error"] == error
+
+
 @pytest.mark.parametrize(
     "task",
     [
@@ -963,6 +1016,28 @@ def test_modulus_too_large_to_index_is_a_task_error(task, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["partial"]
     assert report["results"][0]["error"].startswith("OverflowError: ")
+    assert report["results"][1]["ok"]
+
+
+@pytest.mark.parametrize(
+    "bad_set, error",
+    [
+        ({"mod": 2**24 + 1}, "integer set mod 16777217 is over the bound of 16777216"),
+        ({"mod": 10**9}, "integer set mod 1000000000 is over the bound of 16777216"),
+        ({"mod": 10**12, "up": [0]}, "integer set mod 1000000000000 is over the bound of 16777216"),
+        ([0, 2**24], "integer set list spans 16777217 points, over the bound of 16777216"),
+        ([10**9, 0, 5], "integer set list spans 1000000001 points, over the bound of 16777216"),
+    ],
+)
+def test_a_set_over_the_read_bound_fails_before_any_table_is_allocated(bad_set, error, monkeypatch):
+    def no_table(size):
+        raise AssertionError(f"a flag table of {size} flags was allocated")
+
+    monkeypatch.setattr(defsets, "bytearray", no_table, raising=False)
+    tasks = [{"op": "is-generic", "set": bad_set}, {"op": "idempotents"}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": tasks})
+    assert code == 3 and report["partial"]
+    assert report["results"][0]["error"] == "OverflowError: " + error
     assert report["results"][1]["ok"]
 
 

@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+from typeflow import compactify
 from typeflow.compactify import (
     definable_homomorphism_check,
     finite_quotient,
@@ -231,6 +232,26 @@ def test_logic_quotient_needs_the_blocks_to_be_cosets():
     q = logic_quotient(c4, blocks=({1, 3}, {0, 2}))
     assert q.is_group and q.size == 2
     assert [f.elements() for f in q.fibers] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize(
+    "task, checked",
+    [
+        (lambda: logic_quotient(symmetric_group_3(), blocks=([0, 1, 2], [3, 4, 5])), 1),
+        (lambda: logic_quotient(quaternion_group_8(), blocks=([0, 1], [2, 3], [4, 5], [6, 7])), 1),
+        (lambda: universal_compactification(quaternion_group_8(), 1, [[0, 1], [0]]), 2),
+        (lambda: universal_compactification(quaternion_group_8(), 1, [[0, 1, 2, 3], [0, 1], [0, 1]]), 3),
+    ],
+    ids=["logic-quotient-s3", "logic-quotient-q8", "universal-two", "universal-three"],
+)
+def test_each_normal_subgroup_is_checked_once(task, checked, monkeypatch):
+    # the core of a universal compactification is normal by construction
+    calls = []
+    for name in ("_is_subgroup", "_is_normal"):
+        check = getattr(compactify, name)
+        monkeypatch.setattr(compactify, name, lambda ctx, N, check=check, name=name: calls.append(name) or check(ctx, N))
+    task()
+    assert sorted(calls) == ["_is_normal"] * checked + ["_is_subgroup"] * checked
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typeflow import defsets
 from typeflow.defsets import (
     FiniteSubset,
     IntegerSet,
     RectangleSet,
     _canonical_form,
+    _residues,
     boolean_op,
     complement,
     congruence_set,
@@ -216,6 +218,17 @@ def test_congruence_sets_and_finite_sets_take_exact_ints(build, bad):
     # int() would truncate 1.7 and read True and "3" as integers
     with pytest.raises(TypeError, match=f"must be (an )?ints?, got {re.escape(bad)}$"):
         build()
+
+
+def test_the_read_bound_admits_its_own_value(monkeypatch):
+    monkeypatch.setattr(defsets, "READ_BOUND", 6)
+    assert set_from_json(INTEGERS, {"mod": 6, "up": [1, 8], "down": [-5, 2]}) == congruence_set(6, [1, 2])
+    assert set_from_json(INTEGERS, [5, 0]) == integers_from([0, 5])
+    with pytest.raises(OverflowError, match="^integer set mod 7 is over the bound of 6$"):
+        set_from_json(INTEGERS, {"mod": 7})
+    for read in (lambda elems: set_from_json(INTEGERS, elems), integers_from):
+        with pytest.raises(OverflowError, match="^integer set list spans 7 points, over the bound of 6$"):
+            read([-1, 5])
 
 
 def test_backend_mismatch_raises():
@@ -776,6 +789,66 @@ def test_stored_masks_agree_with_the_fields(raw):
     assert len(Y.bits) == Y.hi - Y.lo + 1
     assert all(0 <= r < Y.period for r in Y.up | Y.down)
     assert Y.is_empty == (not Y.up and not Y.down and not any(Y.bits))
+
+
+@st.composite
+def period_masks(draw):
+    """A period and a mask of that many bits: a random one, which is dense;
+    one with at most 40 set bits, which is sparse from period 1,281 on; or
+    the complement of such a one."""
+    p = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(["random", "few", "all but few"]))
+    if kind == "random":
+        return p, draw(st.integers(0, (1 << p) - 1))
+    few = sum(1 << r for r in draw(st.sets(st.integers(0, p - 1), max_size=40)))
+    return p, few if kind == "few" else ((1 << p) - 1) ^ few
+
+
+@PROPERTIES
+@given(period_masks())
+def test_residues_lists_the_set_bits(case):
+    p, mask = case
+    assert _residues(mask, p) == tuple(i for i in range(p) if mask >> i & 1)
+
+
+@st.composite
+def json_integer_sets(draw):
+    """A general-form JSON integer set, with residues that may be negative,
+    repeated or past the period, window bits mixing 0, 1, true and false,
+    and keys left out where they have defaults; with the same values as
+    public-constructor arguments."""
+    period = draw(st.integers(1, 40))
+    residues = st.lists(st.integers(-3 * period, 3 * period), max_size=12)
+    up, down = draw(residues), draw(residues)
+    lo = draw(st.integers(-60, 60))
+    bits = draw(st.lists(st.sampled_from([0, 1, True, False]), max_size=30))
+    obj = {"mod": period, "up": up, "down": down, "window": {"lo": lo, "hi": lo + len(bits) - 1, "bits": bits}}
+    if not bits and draw(st.booleans()):
+        del obj["window"]
+        lo = 0
+    for key, default in (("mod", 1), ("up", []), ("down", [])):
+        if obj[key] == default and draw(st.booleans()):
+            del obj[key]
+    return obj, (period, up, down, lo, lo + len(bits) - 1, bits)
+
+
+@PROPERTIES
+@given(json_integer_sets())
+def test_reading_a_set_equals_the_public_constructor(case):
+    obj, args = case
+    assert set_from_json(INTEGERS, obj) == IntegerSet(*args)
+
+
+@PROPERTIES
+@given(st.lists(st.integers(-300, 300), max_size=60))
+def test_reading_a_list_equals_the_public_constructor(elems):
+    # repeated elements collapse; the empty list is the empty set
+    if elems:
+        lo, hi = min(elems), max(elems)
+        expected = IntegerSet(1, lo=lo, hi=hi, bits=[x in elems for x in range(lo, hi + 1)])
+    else:
+        expected = IntegerSet(1)
+    assert set_from_json(INTEGERS, elems) == expected == integers_from(elems)
 
 
 @PROPERTIES

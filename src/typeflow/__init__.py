@@ -14,7 +14,6 @@ from .groups import (
     IntegerGroup,
     INTEGERS,
     ProductGroup,
-    Subgroup,
     bundled_small_groups,
     cyclic_group,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "IntegerGroup",
     "INTEGERS",
     "ProductGroup",
-    "Subgroup",
     "bundled_small_groups",
     "cyclic_group",
     "FiniteSubset",

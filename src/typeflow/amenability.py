@@ -32,7 +32,7 @@ from .defsets import (
     translate,
 )
 from .flows import FiniteFlowPresentation, _equivariant, minimal_subflows
-from .groups import FiniteGroup, Group, IntegerGroup, Subgroup
+from .groups import FiniteGroup, Group, IntegerGroup
 from .typespace import Limit, contains, limit_points, restrict
 
 
@@ -102,7 +102,7 @@ def invariant_measure_of_flow(F: FiniteFlowPresentation) -> InvariantMeasure:
     return _uniform(F.orbits)
 
 
-def verify_invariance(ctx: Group, level: int, mu: InvariantMeasure) -> bool:
+def verify_invariance(ctx: Group, mu: InvariantMeasure) -> bool:
     """Exact check that every group generator preserves every atom weight.
 
     Weights are nonnegative, so a permutation that keeps each atom's weight
@@ -111,7 +111,7 @@ def verify_invariance(ctx: Group, level: int, mu: InvariantMeasure) -> bool:
     return _equivariant(ctx, mu.weights, mu.weight, lambda g, w: w)
 
 
-def pushforward_measure(ctx: Group, mu: InvariantMeasure, target_level: int) -> InvariantMeasure:
+def pushforward_measure(mu: InvariantMeasure, target_level: int) -> InvariantMeasure:
     """Image of a level measure under restriction to a divisor level."""
     out: dict = {}
     for p, w in mu.weights.items():
@@ -182,7 +182,7 @@ def generated_family(ctx: Group, max_modulus: int = 4):
     raise ValueError("certificate families are provided for integer and finite backends")
 
 
-def _some_missing_element(ctx: Group, Y):
+def _some_missing_element(Y):
     """A concrete witness in the complement of Y, smallest first."""
     comp = complement(Y)
     if isinstance(comp, FiniteSubset):
@@ -239,7 +239,7 @@ def pestov_check(ctx: Group, max_modulus: int = 4):
             witness_set=Y,
             genericity=verdict,
             difference=diff,
-            missed_element=_some_missing_element(ctx, diff),
+            missed_element=_some_missing_element(diff),
         )
     return PestovExhausted(family_size=count)
 
@@ -247,9 +247,11 @@ def pestov_check(ctx: Group, max_modulus: int = 4):
 def kernel_intersection(ctx: Group, max_modulus: int = 4):
     """Intersection of the difference sets of all generic family members.
 
-    Returns (descriptor, exact set). The descriptor is the recognized
-    subgroup form; over the integers the intersection is a full congruence
-    subgroup at these scales.
+    Over the integers it is lcm(1, ..., max_modulus)Z: for each n up to
+    the bound, {0 mod n} is a generic member with difference set nZ, and
+    every generic member's difference set holds the multiples of its
+    period (see below). Over a table it is {e}: the member {e} is generic,
+    as every nonempty subset of a finite group is.
 
     Over the integers a member Y of canonical period p is skipped, before
     its genericity test, when the running intersection already lies in pZ.
@@ -281,13 +283,7 @@ def kernel_intersection(ctx: Group, max_modulus: int = 4):
         in_multiples.clear()
         if acc == trivial:
             break
-    if isinstance(acc, FiniteSubset):
-        return Subgroup.of_elements(acc.elements()), acc
-    if isinstance(acc, IntegerSet):
-        if acc == congruence_set(acc.period, [0]):
-            return Subgroup.congruence(acc.period), acc
-        return None, acc
-    raise ValueError("unsupported backend for kernel intersection")
+    return acc
 
 
 @dataclass

@@ -42,6 +42,7 @@ from .defsets import (
     json_int,
     set_from_json,
     set_to_json,
+    subgroup_to_json,
     translate,
 )
 from .ellis import find_idempotents, star, star_via_schema
@@ -51,7 +52,6 @@ from .flows import (
     extend_definable_map,
     flow_from_json,
     is_left_ideal,
-    kernel_of_action,
     kernel_of_flow,
     minimal_subflows,
     universal_ambit_morphism,
@@ -248,8 +248,9 @@ def _task_extend_map(ctx, level, params, opts):
 
 def _task_kernel_of_action(ctx, level, params, opts):
     if "flow" in params:
-        return {"kernel": kernel_of_flow(flow_from_json(ctx, params["flow"])).to_json()}
-    return {"kernel": kernel_of_action(ctx, level).to_json()}
+        return {"kernel": subgroup_to_json(kernel_of_flow(flow_from_json(ctx, params["flow"])))}
+    # the kernel of the action on the level's minimal subflows
+    return {"kernel": subgroup_to_json(g00_at_level(ctx, level))}
 
 
 def _task_fixed_points(ctx, level, params, opts):
@@ -271,7 +272,7 @@ def _task_invariant_measure(ctx, level, params, opts):
             [point_to_json(p), _frac(w)]
             for p, w in sorted(mu.weights.items(), key=lambda kv: point_key(kv[0]))
         ],
-        "invariant": verify_invariance(ctx, level, mu),
+        "invariant": verify_invariance(ctx, mu),
     }
 
 
@@ -290,11 +291,8 @@ def _task_pestov_check(ctx, level, params, opts):
 
 
 def _task_kernel_intersection(ctx, level, params, opts):
-    descriptor, exact = kernel_intersection(ctx, _positive_int(params, "max_modulus", 4))
-    out = {"intersection": set_to_json(exact)}
-    if descriptor is not None:
-        out["subgroup"] = descriptor.to_json()
-    return out
+    kernel = kernel_intersection(ctx, _positive_int(params, "max_modulus", 4))
+    return {"intersection": set_to_json(kernel), "subgroup": subgroup_to_json(kernel)}
 
 
 def _task_singleton_minimal(ctx, level, params, opts):
@@ -399,7 +397,7 @@ def _task_logic_quotient(ctx, level, params, opts):
 
 
 def _task_g00(ctx, level, params, opts):
-    return {"subgroup": g00_at_level(ctx, _positive_int(params, "level", level)).to_json()}
+    return {"subgroup": subgroup_to_json(g00_at_level(ctx, _positive_int(params, "level", level)))}
 
 
 def _task_universal_compactification(ctx, level, params, opts):

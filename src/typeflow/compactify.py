@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .defsets import FiniteSubset, congruence_set
-from .groups import FiniteGroup, Group, IntegerGroup, Subgroup, _greedy_generators, first_failing_pair
+from .groups import FiniteGroup, Group, IntegerGroup, _greedy_generators, first_failing_pair
 from .typespace import LevelError, check_level
 
 
@@ -137,18 +137,18 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
     raise ValueError("unsupported equivalence for this backend")
 
 
-def g00_at_level(ctx: Group, level: int) -> Subgroup:
+def g00_at_level(ctx: Group, level: int):
     """Level approximation of the smallest bounded-index definable
-    subgroup: the full congruence subgroup over the integers, trivial for
-    finite backends. Coarser levels give larger subgroups. It is also the
-    kernel of the action on the level's minimal subflows: g shifts each
-    limit point's residue by g mod the level, and a table acts on itself
-    freely. `flows.kernel_of_action` is this function under that name.
-    The level is checked first, by `check_level`."""
+    subgroup, as a definable set: the congruence subgroup (level)Z over
+    the integers, {e} for finite backends. Coarser levels give larger
+    subgroups. It is also the kernel of the action on the level's minimal
+    subflows: g shifts each limit point's residue by g mod the level, and
+    a table acts on itself freely. The level is checked first, by
+    `check_level`."""
     check_level(ctx, level)
     if isinstance(ctx, FiniteGroup):
-        return Subgroup.of_elements({ctx.identity})
-    return Subgroup.congruence(level)
+        return FiniteSubset(ctx, [ctx.identity])
+    return congruence_set(level, [0])
 
 
 @dataclass

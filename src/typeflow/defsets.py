@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
-from math import lcm
+from math import gcd, lcm
 
 from .groups import (
     BackendMismatch,
@@ -160,6 +160,12 @@ def _canonical_form(period, up, down, lo, hi, window):
     d were not d0, some prime q of d/d0 would divide the period, and
     d0 | d/q would have passed q's test, a contradiction.
 
+    Only the primes of g = gcd(period, |up|, |down|) are tried, |m| being
+    the number of set bits of m: each mask repeats its d0-bit block
+    period/d0 times, so period/d0 divides g, and every prime of d/d0
+    divides it too. A pattern with a single residue, as nZ has, thus gets
+    no trial division and no rotation, whatever its period.
+
     The window is the least interval outside of which membership agrees
     with the eventual patterns: its top is the highest point whose bit
     disagrees with ``up``, its bottom the lowest one that disagrees with
@@ -169,7 +175,7 @@ def _canonical_form(period, up, down, lo, hi, window):
     two-sided pattern everywhere gets the fixed empty window (0, -1).
     """
     d = period
-    for q in _prime_divisors(period):
+    for q in _prime_divisors(gcd(period, up.bit_count(), down.bit_count())):
         while d % q == 0:
             e = d // q
             if _rotate(up, e, period) != up or _rotate(down, e, period) != down:
@@ -985,3 +991,14 @@ def set_to_json(Y):
             "rectangles": [[set_to_json(c), set_to_json(f)] for c, f in Y.columns]
         }
     raise TypeError(f"not a definable set: {Y!r}")
+
+
+def subgroup_to_json(S):
+    """A subgroup as reports print it: nZ by its modulus, a finite subgroup
+    by its elements. Any other set raises ValueError."""
+    # in canonical form nZ is the one set with up = down = {0} and no window
+    if isinstance(S, IntegerSet) and S.up_mask == S.down_mask == 1 and S.hi < S.lo:
+        return {"kind": "congruence", "modulus": S.period}
+    if isinstance(S, FiniteSubset):
+        return {"kind": "elements", "elements": S.elements()}
+    raise ValueError(f"not a subgroup in printable form: {S!r}")

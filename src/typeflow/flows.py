@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import partial
 from math import lcm
 
-from .compactify import g00_at_level
-from .defsets import json_int, json_ints
+from .defsets import FiniteSubset, congruence_set, json_int, json_ints
 from .ellis import star
-from .groups import INTEGERS, BackendMismatch, FiniteGroup, Group, IntegerGroup, Subgroup, _closure, first_failing_pair
+from .groups import INTEGERS, BackendMismatch, FiniteGroup, Group, IntegerGroup, _closure, first_failing_pair
 from .typespace import (
     LevelError,
     Limit,
@@ -216,28 +215,25 @@ class AmbitMorphism:
         return self.realized_images[p % self.orbit_period]
 
     def certify(self) -> dict:
-        """Surjectivity, equivariance and, over the integers, limit stability.
+        """Equivariance and, over the integers, limit stability.
 
         Equivariance is checked on the generators (`_equivariant`), which
         act on the flow by ``pi`` over the integers and by their rows of the
         action table over a finite group. The points are the limit points
         and one realized point per orbit position, which cover every realized
         point: `apply` reads a realized value modulo the orbit period, which
-        over a finite group is its order.
+        over a finite group is its order. Realized values are forced by
+        equivariance from the base point and limit values by continuity, so
+        the two checks together are uniqueness. Surjectivity is not checked:
+        `universal_ambit_morphism` admits only a dense base orbit, whose
+        realized images alone cover the carrier.
         """
         F = self.flow
-        ctx = F.ctx
-        surjective = set(self.realized_images) | set(self.limit_images.values())
         moves = {1: F.pi} if F.pi is not None else F.action
         points = list(self.limit_images) + list(range(self.orbit_period))
-        equivariant = _equivariant(ctx, points, self.apply, lambda g, x: moves[g][x])
-        checks = {"surjective": surjective >= set(range(F.size)), "equivariant": equivariant}
-        stable = _stable_on_witnesses(self.apply, self.limit_images, 3, 4)
-        if isinstance(ctx, IntegerGroup):
-            checks["limits_stable_on_witnesses"] = stable
-        # realized values are forced by equivariance from the base point,
-        # and limit values by continuity, so agreement there is uniqueness
-        checks["unique"] = equivariant and stable
+        checks = {"equivariant": _equivariant(F.ctx, points, self.apply, lambda g, x: moves[g][x])}
+        if isinstance(F.ctx, IntegerGroup):
+            checks["limits_stable_on_witnesses"] = _stable_on_witnesses(self.apply, self.limit_images, 3, 4)
         return checks
 
 
@@ -386,16 +382,15 @@ def extend_definable_map(f: EventuallyPeriodicMap, level: int) -> ExtendedMap:
 # kernels
 
 
-# the elements acting as the identity on the level minimal subflows: the
-# level's congruence subgroup over the integers, {e} over a table
-kernel_of_action = g00_at_level
-
-
-def kernel_of_flow(F: FiniteFlowPresentation) -> Subgroup:
+def kernel_of_flow(F: FiniteFlowPresentation):
+    """The elements that act trivially on F, as a definable set: nZ with n
+    the lcm of the orbit sizes over the integers, the elements whose
+    permutation is the identity over a table. The kernel of the action on
+    the level space's minimal subflows is `compactify.g00_at_level`."""
     if F.pi is not None:
-        return Subgroup.congruence(lcm(*map(len, F.orbits)))
+        return congruence_set(lcm(*map(len, F.orbits)), [0])
     ident = tuple(range(F.size))
-    return Subgroup.of_elements(g for g in F.ctx.elements() if F.action[g] == ident)
+    return FiniteSubset(F.ctx, [g for g in F.ctx.elements() if F.action[g] == ident])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class BackendMismatch(ValueError):
     """An element or set was used with a context it does not belong to."""
@@ -301,30 +299,6 @@ class ProductGroup(Group):
 
     def __repr__(self):
         return f"ProductGroup({self.left!r}, {self.right!r})"
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup descriptor: a congruence nZ of the integers, or an explicit
-    finite element set."""
-
-    modulus: int | None = None
-    elements: frozenset | None = None
-
-    @staticmethod
-    def congruence(n: int) -> "Subgroup":
-        if n < 1:
-            raise ValueError("congruence modulus must be positive")
-        return Subgroup(modulus=n)
-
-    @staticmethod
-    def of_elements(elems) -> "Subgroup":
-        return Subgroup(elements=frozenset(elems))
-
-    def to_json(self):
-        if self.modulus is not None:
-            return {"kind": "congruence", "modulus": self.modulus}
-        return {"kind": "elements", "elements": sorted(self.elements)}
 
 
 # ---------------------------------------------------------------------------

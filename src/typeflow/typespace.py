@@ -222,8 +222,10 @@ def witness(p: Limit, count: int = 8, start: int = 0) -> list[int]:
 def _stable_on_witnesses(f, points, start: int, count: int) -> bool:
     """Does f take the value f(p) at `count` witness terms of every limit
     point p, from the `start`-th term on? That is continuity of f at p,
-    checked on a tail of one sequence converging to p."""
-    return all({f(a) for a in witness(p, count, start)} == {f(p)} for p in points)
+    checked on a tail of one sequence converging to p. Values are compared
+    as list items are, by identity and then `==`, so they need not be
+    hashable."""
+    return all([f(a) for a in witness(p, count, start)] == [f(p)] * count for p in points)
 
 
 def is_closed_invariant(points) -> bool:

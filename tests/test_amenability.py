@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from typeflow.amenability import (
     verify_invariance,
 )
 from typeflow.cli import run_scenario
+from typeflow.compactify import g00_at_level
 from typeflow.defsets import (
     FiniteSubset,
     congruence_set,
@@ -33,8 +35,8 @@ from typeflow.defsets import (
     is_left_generic,
     translates_cover,
 )
-from typeflow.flows import FiniteFlowPresentation, kernel_of_action
-from typeflow.groups import INTEGERS, FiniteGroup, Subgroup, bundled_small_groups, cyclic_group, symmetric_group_3
+from typeflow.flows import FiniteFlowPresentation
+from typeflow.groups import INTEGERS, FiniteGroup, bundled_small_groups, cyclic_group, symmetric_group_3
 from typeflow.typespace import Limit, apply_group, limit_points
 
 
@@ -42,7 +44,7 @@ def test_canonical_level_measure():
     mu = invariant_measure(INTEGERS, 4)
     assert len(mu.weights) == 8
     assert all(w == Fraction(1, 8) for w in mu.weights.values())
-    assert verify_invariance(INTEGERS, 4, mu)
+    assert verify_invariance(INTEGERS, mu)
 
 
 def test_flow_measures():
@@ -72,7 +74,7 @@ def test_level_coherent_pushforward():
         for m in range(1, n + 1):
             if n % m:
                 continue
-            assert pushforward_measure(INTEGERS, mu, m) == invariant_measure(INTEGERS, m)
+            assert pushforward_measure(mu, m) == invariant_measure(INTEGERS, m)
 
 
 def test_fixed_points():
@@ -207,16 +209,14 @@ def test_integer_searches_agree_with_the_literal_family(monkeypatch):
 
 
 def test_kernel_intersection_integers():
-    sub, exact = kernel_intersection(INTEGERS, 6)
-    assert sub == Subgroup.congruence(60)
-    assert exact == congruence_set(60, [0])
-    assert kernel_of_action(INTEGERS, 60) == sub
+    kernel = kernel_intersection(INTEGERS, 6)
+    assert kernel == congruence_set(60, [0])
+    assert g00_at_level(INTEGERS, 60) == kernel
 
 
 def test_kernel_intersection_finite():
     c3 = cyclic_group(3)
-    sub, exact = kernel_intersection(c3, 4)
-    assert sorted(sub.elements) == [0]
+    assert kernel_intersection(c3, 4).elements() == [0]
     # exhaustive recomputation over all 7 nonempty subsets
     masks = [m for m in range(1, 8)]
     acc = set(range(3))
@@ -227,8 +227,7 @@ def test_kernel_intersection_finite():
     assert acc == {0}
 
     c1 = cyclic_group(1)
-    sub1, _ = kernel_intersection(c1, 2)
-    assert sorted(sub1.elements) == [0]
+    assert kernel_intersection(c1, 2).elements() == [0]
 
 
 def relabelled_dihedral(m, perm):
@@ -259,9 +258,9 @@ def test_kernel_intersection_matches_the_whole_family():
             if is_left_generic(G, Y).generic:
                 members = Y.elements()
                 literal &= {G.table[a][G.inverse[b]] for a in members for b in members}
-        sub, exact = kernel_intersection(G)
-        assert exact == FiniteSubset(G, sorted(literal))
-        assert sub == Subgroup.of_elements(literal)
+        kernel = kernel_intersection(G)
+        assert kernel == FiniteSubset(G, sorted(literal))
+        assert kernel == g00_at_level(G, 1)
 
 
 def test_integer_kernel_intersection_matches_the_whole_family():
@@ -270,9 +269,9 @@ def test_integer_kernel_intersection_matches_the_whole_family():
         for Y in literal_integer_family(m):
             if is_left_generic(INTEGERS, Y).generic:
                 literal = intersect(literal, difference_set(Y))
-        sub, exact = kernel_intersection(INTEGERS, m)
-        assert exact == literal
-        assert sub == Subgroup.congruence(literal.period)
+        kernel = kernel_intersection(INTEGERS, m)
+        assert kernel == literal
+        assert kernel == g00_at_level(INTEGERS, lcm(*range(1, m + 1)))
 
 
 def test_integer_kernel_intersection_skips_periods_it_already_divides(monkeypatch):
@@ -285,8 +284,7 @@ def test_integer_kernel_intersection_skips_periods_it_already_divides(monkeypatc
         return difference_set(Y)
 
     monkeypatch.setattr(amenability, "difference_set", counting)
-    sub, exact = kernel_intersection(INTEGERS, 6)
-    assert exact == congruence_set(60, [0])
+    assert kernel_intersection(INTEGERS, 6) == congruence_set(60, [0])
     assert periods == [2, 3, 4, 5]
 
 
@@ -302,8 +300,7 @@ def test_kernel_intersection_stops_at_the_identity(monkeypatch):
         return difference_set(Y)
 
     monkeypatch.setattr(amenability, "difference_set", counting)
-    sub, exact = kernel_intersection(G)
-    assert exact.elements() == [3] and sub == Subgroup.of_elements({3})
+    assert kernel_intersection(G).elements() == [3]
     assert calls == [FiniteSubset(G, [0])]
 
 
@@ -338,7 +335,7 @@ def test_measure_definability_diagnostic():
     from typeflow.amenability import InvariantMeasure
 
     point_mass = InvariantMeasure({Limit(1, 0, 1): Fraction(1)})
-    assert verify_invariance(INTEGERS, 1, point_mass)
+    assert verify_invariance(INTEGERS, point_mass)
     report = measure_definability_check(INTEGERS, 1, point_mass, 2)
     assert report.definable
 
@@ -367,11 +364,11 @@ def test_difference_ne_group_matches_no_fixed_points_at_even_levels():
 
 def test_non_invariant_measure_fails_on_s3():
     s3 = symmetric_group_3()
-    assert verify_invariance(s3, 1, invariant_measure(s3, 1))
-    assert not verify_invariance(s3, 1, InvariantMeasure({0: 1}))
+    assert verify_invariance(s3, invariant_measure(s3, 1))
+    assert not verify_invariance(s3, InvariantMeasure({0: 1}))
     # uniform on the rotations {e, r, r2}: kept by the rotations, moved by a reflection
     rotations = InvariantMeasure({g: Fraction(1, 3) for g in (0, 1, 2)})
-    assert not verify_invariance(s3, 1, rotations)
+    assert not verify_invariance(s3, rotations)
 
 
 def test_invariance_on_generators_agrees_with_every_element():
@@ -385,7 +382,7 @@ def test_invariance_on_generators_agrees_with_every_element():
             literal = all(
                 mu.weight(apply_group(G, g, p)) == w for g in G.elements() for p, w in mu.weights.items()
             )
-            assert verify_invariance(G, 1, mu) == literal, (G.name, support)
+            assert verify_invariance(G, mu) == literal, (G.name, support)
             seen.add(literal)
     assert seen == {True, False}
 

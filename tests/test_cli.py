@@ -757,6 +757,27 @@ def test_malformed_extend_map_fails_the_task(spec, error):
     assert report["results"][0]["error"].startswith(f"ValueError: {error}")
 
 
+def test_extend_map_takes_arrays_and_objects_as_values():
+    # limit values are compared as list items are, so they need not be hashable
+    values = [[1], {"a": [2]}]
+    spec = {"period": 2, "up": values, "down": values, "window": {"0": [9]}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 2, "tasks": [{"op": "extend-map", "map": spec}]})
+    assert code == 0
+    assert report["results"][0]["result"] == {
+        "limit_values": {"+0": [1], "+1": {"a": [2]}, "-0": [1], "-1": {"a": [2]}},
+        "checks": {"singleton_limits": True},
+    }
+
+
+def test_extend_map_with_a_nan_value_is_a_singleton_limit(tmp_path, capsys):
+    # NaN != NaN, but every witness term reads the one NaN object of the map
+    path = tmp_path / "scenario.json"
+    path.write_text('{"group": {"kind": "integers"}, "tasks": [{"op": "extend-map", "map": {"period": 1, "up": [NaN], "down": [NaN]}}]}')
+    assert main(["--scenario", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]["result"]
+    assert result["checks"] == {"singleton_limits": True}
+
+
 @pytest.mark.parametrize("group", [{"kind": "cyclic"}, {"kind": "finite", "table": 5}])
 def test_malformed_group_is_a_one_line_schema_error(group, tmp_path, capsys):
     path = tmp_path / "scenario.json"
@@ -1237,6 +1258,42 @@ def test_task_level_must_be_a_positive_integer(level):
     for entry in report["results"][:2]:
         assert entry["error"] == f"ValueError: level must be a positive integer, not {level!r}"
     assert report["results"][2]["result"] == {"subgroup": {"kind": "congruence", "modulus": 2}}
+
+
+def test_a_subgroup_of_any_modulus_prints_without_period_sized_work(monkeypatch):
+    # nZ is built and printed in time independent of n: trial division of n
+    # or an n-bit rotation would fail the task here instead of running
+    def bounded(kernel):
+        def call(*args):
+            assert args[-1] < 1 << 20, f"{kernel.__name__} ran at {args[-1]}"
+            return kernel(*args)
+
+        return call
+
+    monkeypatch.setattr(defsets, "_prime_divisors", bounded(defsets._prime_divisors))
+    monkeypatch.setattr(defsets, "_rotate", bounded(defsets._rotate))
+    # one cycle of each prime length up to 53: the orbit sizes' lcm is over 2**64
+    primes = [q for q in range(2, 54) if all(q % d for d in range(2, q))]
+    pi, start = [], 0
+    for q in primes:
+        pi += [start + (i + 1) % q for i in range(q)]
+        start += q
+    big_prime = (1 << 61) - 1
+    tasks = [
+        {"op": "g00", "level": 10**12},
+        {"op": "g00", "level": big_prime},
+        {"op": "g00"},
+        {"op": "kernel-of-action"},
+        {"op": "kernel-of-action", "flow": {"carrier": len(pi), "pi": pi}},
+    ]
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": big_prime, "tasks": tasks})
+    assert code == 0
+    moduli = [entry["result"].get("subgroup", entry["result"].get("kernel")) for entry in report["results"]]
+    product = 1
+    for q in primes:
+        product *= q
+    assert product > 1 << 64
+    assert moduli == [{"kind": "congruence", "modulus": n} for n in (10**12, big_prime, big_prime, big_prime, product)]
 
 
 # ---------------------------------------------------------------------------

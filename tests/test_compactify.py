@@ -11,8 +11,8 @@ from typeflow.compactify import (
     logic_quotient,
     universal_compactification,
 )
-from typeflow.defsets import complement, congruence_set, union
-from typeflow.groups import INTEGERS, BackendMismatch, Subgroup, cyclic_group, quaternion_group_8, symmetric_group_3
+from typeflow.defsets import FiniteSubset, complement, congruence_set, union
+from typeflow.groups import INTEGERS, BackendMismatch, cyclic_group, quaternion_group_8, symmetric_group_3
 from typeflow.typespace import LevelError
 
 
@@ -71,8 +71,9 @@ def test_logic_quotient_finite():
 
 
 def test_g00_levels():
-    assert g00_at_level(INTEGERS, 12) == Subgroup.congruence(12)
-    assert g00_at_level(cyclic_group(5), 1) == Subgroup.of_elements({0})
+    assert g00_at_level(INTEGERS, 12) == congruence_set(12, [0])
+    c5 = cyclic_group(5)
+    assert g00_at_level(c5, 1) == FiniteSubset(c5, [0])
 
 
 def test_g00_coherent_along_divisors():
@@ -80,9 +81,8 @@ def test_g00_coherent_along_divisors():
     from typeflow.defsets import intersect
 
     for coarse, fine in [(6, 12), (3, 6), (4, 8), (1, 5)]:
-        big = congruence_set(g00_at_level(INTEGERS, coarse).modulus, [0])
-        small = congruence_set(g00_at_level(INTEGERS, fine).modulus, [0])
-        assert intersect(big, small) == small
+        small = g00_at_level(INTEGERS, fine)
+        assert intersect(g00_at_level(INTEGERS, coarse), small) == small
 
 
 def test_universal_compactification_integers():

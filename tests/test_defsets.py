@@ -29,6 +29,7 @@ from typeflow.defsets import (
     right_translate,
     set_from_json,
     set_to_json,
+    subgroup_to_json,
     translate,
     translates_cover,
     union,
@@ -689,6 +690,17 @@ def test_set_json_round_trip():
     ctx = ProductGroup(INTEGERS, c3)
     Y = RectangleSet(ctx, [(EVENS, sub)])
     assert set_from_json(ctx, set_to_json(Y)) == Y
+
+
+def test_subgroup_json():
+    assert subgroup_to_json(congruence_set(6, [0])) == {"kind": "congruence", "modulus": 6}
+    assert subgroup_to_json(full_set(INTEGERS)) == {"kind": "congruence", "modulus": 1}
+    s3 = symmetric_group_3()
+    assert subgroup_to_json(FiniteSubset(s3, [2, 0, 1])) == {"kind": "elements", "elements": [0, 1, 2]}
+    # evens with 1 added is not nZ, though its period and tails are those of 2Z
+    for S in (union(EVENS, integers_from([1])), ODDS, integer_ray(1, 0), RectangleSet(ProductGroup(INTEGERS, s3), [])):
+        with pytest.raises(ValueError, match="not a subgroup"):
+            subgroup_to_json(S)
 
 
 def test_empty_window_boundary_is_canonical():

@@ -2,6 +2,7 @@
 module-level private function or class is used somewhere in the package,
 every public one without a caller in the package is on a short list,
 every dataclass field is read as an attribute in the package or its tests,
+every function parameter is read in its body,
 only tables that are groups by construction skip the group checks,
 only `groups` builds a cyclic group's table,
 only the `Limit` constructor writes the table of interned limit points,
@@ -186,6 +187,71 @@ def test_every_dataclass_field_is_read():
     tests = pathlib.Path(__file__).resolve().parent
     readers = {p.name: p.read_text(encoding="utf-8") for p in tests.glob("*.py")}
     assert unread_dataclass_fields(sources, readers) == []
+
+
+def _only_raises_not_implemented(node: ast.FunctionDef) -> bool:
+    """Is the body, after any docstring, one `raise NotImplementedError`?"""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """"file:function.parameter" for each parameter of a `def` in `sources`
+    that its body never loads as a name, nested functions and lambdas
+    included, sorted.
+
+    `self` and `cls` are exempt, as are bodies that only raise
+    `NotImplementedError` (an interface method) and the `cli._task_*`
+    handlers, which share one signature because `TASKS` dispatches them
+    alike.
+    """
+    out = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _only_raises_not_implemented(node):
+                continue
+            if name == "cli.py" and node.name.startswith("_task_"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            loaded = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            out += [f"{name}:{node.name}.{p}" for p in params if p not in loaded and p not in ("self", "cls")]
+    return sorted(out)
+
+
+def test_the_guard_sees_an_unread_parameter():
+    sources = {
+        "a.py": (
+            "def area(ctx, w, h, *, unit=None, **extra):\n    return w * h\n\n\n"
+            "def outer(f, x):\n    def inner(y):\n        return f(x)\n    return inner\n\n\n"
+            "class Shape:\n    def scale(self, k):\n        pass\n\n"
+            "    @classmethod\n    def make(cls, spec):\n        return spec\n\n"
+            "    def contains(self, p):\n        \"\"\"Interface.\"\"\"\n        raise NotImplementedError\n"
+        ),
+        "cli.py": "def _task_star(ctx, level, params, opts):\n    return params\n\n\ndef helper(ctx, level):\n    return ctx\n",
+    }
+    assert unread_parameters(sources) == [
+        "a.py:area.ctx",
+        "a.py:area.extra",
+        "a.py:area.unit",
+        "a.py:inner.y",
+        "a.py:scale.k",
+        "cli.py:helper.level",
+    ]
+
+
+def test_every_parameter_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_parameters(sources) == []
 
 
 def enclosing_functions(sources: dict[str, str], matches) -> list[str]:

@@ -164,12 +164,12 @@ CASES = {
     "integers-level4": (
         lambda: load("integers-level4.json"),
         False,
-        "7e51ff370cdb9ad0bb7fcf0998178c3487ece7f7bc557888b1cf29417f6dc80a",
+        "a1b6b88f1a04c3fa4e9886afb8f7f38652b0adcfcace439e3d27e3fec407e862",
     ),
     "integers-level4-oracle": (
         lambda: load("integers-level4.json"),
         True,
-        "500e57c9ca6aa4409e0f2c2c42a8f298b681c964c118a5e56d6ad4313f96c4db",
+        "2e45d7486fdecf6e8a8e7827d51fc17ed158395b471cfd36990ccd594e9097f5",
     ),
     "oracle-large-period": (
         lambda: load("oracle-large-period.json"),
@@ -189,12 +189,12 @@ CASES = {
     "every-task-integers-oracle": (
         every_task_over_the_integers,
         True,
-        "0238b90534b89bc50e59096df6db5be228ba613c828af6a5c315bbebc85f5b51",
+        "bcb9938cf4ff4d8c7c3b85261bcf7cd292d4652556e27744ed8554f32dd9e22c",
     ),
     "finite-table-dynamics": (
         finite_table_dynamics,
         False,
-        "9d7626492c923be37f17e9f20c3d717311c97ad3dd8adacb0bd2b64109c95eba",
+        "401ccd780510374ed748c30b0b35de112d4f83e71db39b37b5ebce5309eca7e9",
     ),
     "realized-points-integers": (
         realized_points_over_the_integers,

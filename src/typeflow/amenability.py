@@ -3,9 +3,13 @@
 Invariant measures are exact rational weights. Extreme-amenability
 verdicts are certificate based: a left generic set whose difference set
 misses part of the group witnesses failure, and an exhausted search is
-reported as exactly that, never as a proof. Every finite-level flow here
-is a permutation action, so an invariant measure always exists and the
-checks verify invariance rather than existence.
+reported as exactly that, never as a proof. One search, `pestov_check`,
+walks the generated family for such a set; the bounded side of the
+singleton-minimal equivalence is its answer. Every family member is
+generic by construction, so only the witness a search returns is tested
+for genericity. Every finite-level flow here is a permutation action, so
+an invariant measure always exists and the checks verify invariance
+rather than existence.
 """
 
 from __future__ import annotations
@@ -162,6 +166,10 @@ def generated_family(ctx: Group, max_modulus: int = 4):
     the mask itself. The rotations fixing a mask form a subgroup of Z/n, so
     some proper divisor fixes it exactly when n/q does for some prime q of
     n. Finite backends: every nonempty subset in mask order.
+
+    Every member is left generic: a modulus-n member holds a class m + nZ,
+    and n translates of that class cover Z; a nonempty subset of a finite
+    group covers it with |G| translates.
     """
     if isinstance(ctx, IntegerGroup):
         _require_family(max_modulus + 1, max_modulus + 2)
@@ -182,20 +190,17 @@ def generated_family(ctx: Group, max_modulus: int = 4):
     raise ValueError("certificate families are provided for integer and finite backends")
 
 
-def _some_missing_element(Y):
-    """A concrete witness in the complement of Y, smallest first."""
-    comp = complement(Y)
+def _some_missing_element(diff):
+    """A concrete element outside a difference set that is not the whole
+    group, smallest first. A nonempty integer set has a member within a
+    period past its window, so the radius loop always finds one."""
+    comp = complement(diff)
     if isinstance(comp, FiniteSubset):
-        elems = comp.elements()
-        return elems[0] if elems else None
-    if isinstance(comp, IntegerSet):
-        if comp.is_empty:
-            return None
-        for radius in range(0, 10 * comp.period + abs(comp.lo) + abs(comp.hi) + 1):
-            for x in (radius, -radius) if radius else (0,):
-                if comp.member(x):
-                    return x
-    return None
+        return comp.elements()[0]
+    for radius in range(0, 10 * comp.period + abs(comp.lo) + abs(comp.hi) + 1):
+        for x in (radius, -radius) if radius else (0,):
+            if comp.member(x):
+                return x
 
 
 @dataclass
@@ -223,29 +228,32 @@ def pestov_check(ctx: Group, max_modulus: int = 4):
     """Search the generated family for a generic Y with Y Y^{-1} != G.
 
     Returns the lexicographically first certificate in enumeration order,
-    or an exhausted verdict with an explicit soundness note.
+    or an exhausted verdict with an explicit soundness note. Members are
+    generic by construction, so only the witness is tested, once, for the
+    translate cover its certificate prints; a witness that is not generic
+    raises `AssertionError` rather than print a false certificate.
     """
     full = full_set(ctx)
-    count = 0
-    for Y in generated_family(ctx, max_modulus):
-        count += 1
-        verdict = is_left_generic(ctx, Y)
-        if not verdict.generic:
-            continue
+    family = generated_family(ctx, max_modulus)
+    for Y in family:
         diff = difference_set(Y)
         if diff == full:
             continue
+        verdict = is_left_generic(ctx, Y)
+        if not verdict.generic:
+            raise AssertionError(f"family member {Y!r} is not left generic")
         return PestovCertificate(
             witness_set=Y,
             genericity=verdict,
             difference=diff,
             missed_element=_some_missing_element(diff),
         )
-    return PestovExhausted(family_size=count)
+    return PestovExhausted(family_size=len(family))
 
 
 def kernel_intersection(ctx: Group, max_modulus: int = 4):
-    """Intersection of the difference sets of all generic family members.
+    """Intersection of the difference sets of all family members, each of
+    them generic by construction (see `generated_family`).
 
     Over the integers it is lcm(1, ..., max_modulus)Z: for each n up to
     the bound, {0 mod n} is a generic member with difference set nZ, and
@@ -253,8 +261,8 @@ def kernel_intersection(ctx: Group, max_modulus: int = 4):
     period (see below). Over a table it is {e}: the member {e} is generic,
     as every nonempty subset of a finite group is.
 
-    Over the integers a member Y of canonical period p is skipped, before
-    its genericity test, when the running intersection already lies in pZ.
+    Over the integers a member Y of canonical period p is skipped when the
+    running intersection already lies in pZ.
     This is exact: a generic Y has a nonempty eventual pattern of period p,
     and for y far out in one of its tail classes, y + kp lies in Y for
     every k >= 0, so every multiple of p lies in Y Y^{-1}; the intersection
@@ -277,8 +285,6 @@ def kernel_intersection(ctx: Group, max_modulus: int = 4):
                 in_multiples[p] = intersect(acc, congruence_set(p, [0])) == acc
             if in_multiples[p]:
                 continue
-        if not is_left_generic(ctx, Y).generic:
-            continue
         acc = intersect(acc, difference_set(Y))
         in_multiples.clear()
         if acc == trivial:
@@ -300,23 +306,15 @@ def singleton_minimal_criterion(ctx: Group, level: int, max_modulus: int = 4) ->
     Side one: every minimal subflow of the level space is a singleton.
     Side two: every family set that meets some minimal subflow (as a
     clopen set of the space) has difference set equal to the whole group.
+    Every member meets one: over the integers its nonempty residue pattern
+    lies in some limit point of each sign circle, and over a table the one
+    minimal subflow is G. So side two holds exactly when `pestov_check`
+    finds no certificate, and the witness is the certificate's set.
     """
-    flows = minimal_subflows(ctx, level)
-    side_a = all(len(flow) == 1 for flow in flows)
-    full = full_set(ctx)
-    side_b = True
-    witness = None
-    for Y in generated_family(ctx, max_modulus):
-        if isinstance(Y, IntegerSet):
-            meets = bool(Y.up_mask or Y.down_mask)
-        else:
-            meets = any(any(contains(p, Y) for p in flow) for flow in flows)
-        if not meets:
-            continue
-        if difference_set(Y) != full:
-            side_b = False
-            witness = Y
-            break
+    side_a = all(len(flow) == 1 for flow in minimal_subflows(ctx, level))
+    cert = pestov_check(ctx, max_modulus)
+    side_b = isinstance(cert, PestovExhausted)
+    witness = None if side_b else cert.witness_set
     return SingletonReport(side_a, side_b, side_a == side_b, witness)
 
 
@@ -374,28 +372,3 @@ def measure_definability_check(
         )
         ok = ok and separable
     return MeasureDefinabilityReport(ok, entries)
-
-
-# ---------------------------------------------------------------------------
-# consistency of the two extreme-amenability diagnostics
-
-
-@dataclass
-class ConsistencyReport:
-    fixed_points_at_all_levels: bool
-    certificate_found: bool
-    consistent: bool
-
-
-def pestov_fixed_point_consistency(
-    ctx: Group, levels, max_modulus: int = 4
-) -> ConsistencyReport:
-    """Fixed points at every level of a divisor chain must exclude a
-    certificate, and a certificate must kill fixed points somewhere."""
-    all_fixed = all(bool(fixed_points(ctx, n)) for n in levels)
-    cert = pestov_check(ctx, max_modulus)
-    found = isinstance(cert, PestovCertificate)
-    consistent = not (all_fixed and found)
-    if found and not any(not fixed_points(ctx, n) for n in levels):
-        consistent = False
-    return ConsistencyReport(all_fixed, found, consistent)

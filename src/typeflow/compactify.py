@@ -16,6 +16,12 @@ from .groups import FiniteGroup, Group, IntegerGroup, _greedy_generators, first_
 from .typespace import LevelError, check_level
 
 
+# The largest modulus `logic_quotient` splits the integers by. It builds one
+# fiber per residue, each with a mask as long as the modulus, so memory grows
+# as the square of the modulus: under 100 MB at the bound.
+QUOTIENT_MODULUS_BOUND = 1 << 15
+
+
 @dataclass
 class CompactQuotient:
     """A finite quotient with definable fibers, a group exactly when the
@@ -114,6 +120,8 @@ def logic_quotient(ctx: Group, *, modulus: int | None = None, blocks=None) -> Co
     if isinstance(ctx, IntegerGroup) and modulus is not None:
         if modulus < 1:
             raise ValueError("modulus must be positive")
+        if modulus > QUOTIENT_MODULUS_BOUND:
+            raise ValueError(f"modulus {modulus} is over the bound of {QUOTIENT_MODULUS_BOUND}")
         fibers = tuple(congruence_set(modulus, [r]) for r in range(modulus))
         return CompactQuotient(fibers, True)
     if isinstance(ctx, FiniteGroup) and blocks is not None:

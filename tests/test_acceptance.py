@@ -17,8 +17,8 @@ from typeflow.amenability import (
     kernel_intersection,
     measure_definability_check,
     pestov_check,
-    pestov_fixed_point_consistency,
     pushforward_measure,
+    singleton_minimal_criterion,
     verify_invariance,
 )
 from typeflow.compactify import g00_at_level, universal_compactification
@@ -220,19 +220,20 @@ def test_criterion_07_pestov_criterion():
     ok = ok and cert.difference == congruence_set(2, [0])
     ok = ok and cert.difference != full_set(INTEGERS)
     ok = ok and all(fixed_points(INTEGERS, n) == [] for n in range(2, 13))
-    ok = ok and pestov_fixed_point_consistency(INTEGERS, LEVELS, 4).consistent
+    # at level 1 each sign circle is one point, so the equivalence starts at level 2
+    ok = ok and all(singleton_minimal_criterion(INTEGERS, n, 4).agree for n in range(2, 13))
 
     for group in bundled_small_groups():
         cert = pestov_check(group)
         ok = ok and isinstance(cert, PestovCertificate)
         ok = ok and cert.witness_set.elements() == [group.identity]
-        ok = ok and pestov_fixed_point_consistency(group, [1], 3).consistent
+        ok = ok and singleton_minimal_criterion(group, 1, 3).agree
 
     trivial = cyclic_group(1)
     outcome = pestov_check(trivial)
     ok = ok and isinstance(outcome, PestovExhausted)
     ok = ok and fixed_points(trivial, 1) == [0]
-    ok = ok and pestov_fixed_point_consistency(trivial, [1], 4).consistent
+    ok = ok and singleton_minimal_criterion(trivial, 1, 4).agree
     report(7, "certificates for the integers and all bundled groups; trivial group exhausted with a fixed point", ok)
 
 

@@ -19,7 +19,6 @@ from typeflow.amenability import (
     kernel_intersection,
     measure_definability_check,
     pestov_check,
-    pestov_fixed_point_consistency,
     pushforward_measure,
     singleton_minimal_criterion,
     verify_invariance,
@@ -31,6 +30,7 @@ from typeflow.defsets import (
     congruence_set,
     difference_set,
     full_set,
+    integers_from,
     intersect,
     is_left_generic,
     translates_cover,
@@ -135,7 +135,10 @@ def literal_integer_family(max_modulus):
 
 def test_generated_family_over_the_integers_is_the_literal_family():
     for m in range(1, 10):
-        assert generated_family(INTEGERS, m) == literal_integer_family(m)
+        family = generated_family(INTEGERS, m)
+        assert family == literal_integer_family(m)
+        # every member is generic, which the searches no longer test
+        assert all(not Y.is_empty and is_left_generic(INTEGERS, Y).generic for Y in family)
 
 
 class Built(Exception):
@@ -203,9 +206,23 @@ def test_integer_searches_agree_with_the_literal_family(monkeypatch):
         m: (pestov_check(INTEGERS, m), singleton_minimal_criterion(INTEGERS, 4, m))
         for m in range(1, 9)
     }
+    for cert, report in found.values():
+        # singleton-minimal's bounded side is pestov_check's search
+        assert report.witness == (cert.witness_set if isinstance(cert, PestovCertificate) else None)
     monkeypatch.setattr(amenability, "generated_family", lambda ctx, m: literal_integer_family(m))
     for m, answers in found.items():
         assert answers == (pestov_check(INTEGERS, m), singleton_minimal_criterion(INTEGERS, 4, m))
+
+
+def test_a_witness_that_is_not_generic_is_refused(monkeypatch):
+    # {0} misses 1 in its difference set but is not generic: no family
+    # builds it, and a certificate must not print its translate cover
+    family = generated_family
+    monkeypatch.setattr(amenability, "generated_family", lambda ctx, m: [integers_from([0])] + family(ctx, m))
+    with pytest.raises(AssertionError, match="is not left generic"):
+        pestov_check(INTEGERS, 4)
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [{"op": "pestov-check"}]})
+    assert code == 3 and report["results"][0]["error"].startswith("AssertionError: family member")
 
 
 def test_kernel_intersection_integers():
@@ -255,9 +272,10 @@ def test_kernel_intersection_matches_the_whole_family():
     for G in groups:
         literal = set(G.elements())
         for Y in generated_family(G):
-            if is_left_generic(G, Y).generic:
-                members = Y.elements()
-                literal &= {G.table[a][G.inverse[b]] for a in members for b in members}
+            # every member is generic, which the searches no longer test
+            members = Y.elements()
+            assert members and is_left_generic(G, Y).generic
+            literal &= {G.table[a][G.inverse[b]] for a in members for b in members}
         kernel = kernel_intersection(G)
         assert kernel == FiniteSubset(G, sorted(literal))
         assert kernel == g00_at_level(G, 1)
@@ -267,8 +285,7 @@ def test_integer_kernel_intersection_matches_the_whole_family():
     for m in range(1, 9):
         literal = full_set(INTEGERS)
         for Y in literal_integer_family(m):
-            if is_left_generic(INTEGERS, Y).generic:
-                literal = intersect(literal, difference_set(Y))
+            literal = intersect(literal, difference_set(Y))
         kernel = kernel_intersection(INTEGERS, m)
         assert kernel == literal
         assert kernel == g00_at_level(INTEGERS, lcm(*range(1, m + 1)))
@@ -317,6 +334,10 @@ def test_singleton_minimal_criterion():
     assert not r2.all_minimal_singletons and not r2.meeting_sets_have_full_difference
     assert r2.agree
 
+    for g in bundled_small_groups():
+        r = singleton_minimal_criterion(g, 1, 3)
+        assert r.agree and r.witness == pestov_check(g, 3).witness_set
+
 
 def test_measure_definability_diagnostic():
     mu = invariant_measure(INTEGERS, 4)
@@ -338,20 +359,6 @@ def test_measure_definability_diagnostic():
     assert verify_invariance(INTEGERS, point_mass)
     report = measure_definability_check(INTEGERS, 1, point_mass, 2)
     assert report.definable
-
-
-def test_consistency_of_diagnostics():
-    chain = range(1, 13)
-    report = pestov_fixed_point_consistency(INTEGERS, chain, 4)
-    assert report.consistent and report.certificate_found and not report.fixed_points_at_all_levels
-
-    trivial = pestov_fixed_point_consistency(cyclic_group(1), [1], 4)
-    assert trivial.consistent and not trivial.certificate_found
-    assert trivial.fixed_points_at_all_levels
-
-    for g in bundled_small_groups():
-        rep = pestov_fixed_point_consistency(g, [1], 3)
-        assert rep.consistent and rep.certificate_found
 
 
 def test_difference_ne_group_matches_no_fixed_points_at_even_levels():

@@ -1470,6 +1470,147 @@ def test_bad_finite_elements_never_escape_main(scenario):
 
 
 # ---------------------------------------------------------------------------
+# whole-scenario fuzz: every op over every backend kind, each parameter
+# either near its schema or arbitrary JSON. Every integer stays within
+# |x| <= 50 and `max_modulus` is at most 5 or past the family bound, so
+# that no unbudgeted search runs long.
+
+_INTS = st.integers(-50, 50)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | st.floats(-50, 50) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_SMALL_GROUPS = st.one_of(
+    st.just({"kind": "integers"}),
+    st.builds(lambda n: {"kind": "cyclic", "order": n}, st.integers(1, 50)),
+    st.builds(lambda name: {"kind": "bundled", "name": name}, st.sampled_from(["c1", "c2", "v4", "s3", "d4", "q8"])),
+    st.just({"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+)
+_GROUPS = st.one_of(
+    _SMALL_GROUPS,
+    _SMALL_GROUPS,
+    _SMALL_GROUPS,
+    st.builds(lambda a, b: {"kind": "product", "left": a, "right": b}, _SMALL_GROUPS, _SMALL_GROUPS),
+    st.builds(lambda n: {"kind": "cyclic", "order": n}, _INTS | _JSON),
+    st.builds(lambda rows: {"kind": "finite", "table": rows}, st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=4)),
+    _JSON,
+)
+_POINTS = st.one_of(
+    st.builds(lambda v: {"kind": "realized", "value": v}, _INTS | st.lists(_INTS, max_size=2)),
+    st.builds(
+        lambda sign, res, mod: {"kind": "limit", "sign": sign, "res": res, "mod": mod},
+        st.sampled_from(["+", "-", "x"]),
+        _INTS,
+        _INTS,
+    ),
+    _JSON,
+)
+
+
+def _window(lo, bits, slack):
+    return {"lo": lo, "hi": lo + len(bits) - 1 + slack, "bits": bits}
+
+
+_BASE_SETS = st.one_of(
+    st.sampled_from(["evens", "odds", "all", "empty", "nonneg", "nonpos", "x"]),
+    st.lists(_INTS, max_size=5),
+    st.builds(
+        lambda mod, up, down, window: {"mod": mod, "up": up, "down": down, "window": window},
+        _INTS,
+        st.lists(_INTS, max_size=3),
+        st.lists(_INTS, max_size=3),
+        st.builds(_window, _INTS, st.lists(st.integers(0, 1), max_size=6), st.integers(-1, 1)),
+    ),
+    st.builds(lambda elems: {"elements": elems}, st.lists(_INTS, max_size=4)),
+)
+_SETS = st.one_of(
+    _BASE_SETS,
+    st.builds(lambda pairs: {"rectangles": pairs}, st.lists(st.lists(_BASE_SETS, min_size=2, max_size=2), max_size=2)),
+    _JSON,
+)
+_FLOWS = st.one_of(
+    st.integers(-1, 5).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {"carrier": st.just(n)},
+            optional={
+                "pi": st.permutations(range(max(n, 0))) | st.lists(st.integers(-1, 5), max_size=5),
+                "action": st.lists(st.permutations(range(max(n, 0))) | _JSON, max_size=8),
+                "base": st.integers(-1, 5),
+            },
+        )
+    ),
+    _JSON,
+)
+_MAPS = st.one_of(
+    st.integers(-1, 4).flatmap(
+        lambda p: st.fixed_dictionaries(
+            {
+                "period": st.just(p),
+                "up": st.lists(st.integers(0, 3), min_size=max(p, 0), max_size=max(p, 0)),
+                "down": st.lists(st.integers(0, 3), min_size=max(p, 0), max_size=max(p, 0)),
+            },
+            optional={"window": st.dictionaries(st.sampled_from(["0", "-3", "7", "03"]), _INTS, max_size=2)},
+        )
+    ),
+    _JSON,
+)
+_PARAMS = {
+    "p": _POINTS,
+    "q": _POINTS,
+    "points": st.lists(_POINTS, max_size=4) | _JSON,
+    "flow": _FLOWS,
+    "map": _MAPS,
+    "max_modulus": st.integers(-1, 5) | st.sampled_from([16, 50]) | _JSON,
+    "set": _SETS,
+    "a": _SETS,
+    "b": _SETS,
+    "kind": st.sampled_from(["union", "intersection", "complement", "x"]) | _JSON,
+    "g": _INTS | st.lists(_INTS, max_size=2) | _JSON,
+    "modulus": _INTS | _JSON,
+    "blocks": st.lists(st.lists(st.integers(-1, 8), max_size=4), max_size=4) | _JSON,
+    "level": _INTS | _JSON,
+    "targets": st.lists(_INTS | st.lists(st.integers(-1, 8), max_size=4), max_size=3) | _JSON,
+    "values": st.lists(st.integers(-1, 4), max_size=8) | _JSON,
+    "target": st.sampled_from(["c2", "c3", "s3", "x"]) | _SMALL_GROUPS | _JSON,
+}
+
+
+@st.composite
+def _tasks(draw):
+    op = draw(st.sampled_from(sorted(cli.TASKS)))
+    task = {"op": op}
+    for name in cli.TASKS[op][1]:
+        # a required parameter is left out now and then, an optional one often
+        if draw(st.integers(0, 19 if name in cli.TASKS[op][2] else 2)):
+            task[name] = draw(_PARAMS[name])
+    return task
+
+
+@st.composite
+def _scenarios(draw):
+    """Mostly a valid group with a level it admits and a list of tasks."""
+    scenario = {"group": draw(_GROUPS)}
+    if not draw(st.integers(0, 9)):
+        scenario["level"] = draw(st.integers(-1, 50) | _JSON)
+    elif scenario["group"] == {"kind": "integers"}:
+        scenario["level"] = draw(st.integers(1, 50))
+    scenario["tasks"] = draw(st.lists(_tasks(), max_size=3) if draw(st.integers(0, 9)) else _JSON)
+    return scenario
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_scenarios(), st.booleans())
+def test_whole_scenarios_exit_0_or_3_or_raise_schema_errors(scenario, with_oracle):
+    try:
+        report, code = run_scenario(scenario, with_oracle)
+    except SchemaError:
+        return
+    assert code in (0, 3)
+    assert json.loads(render_json(report))["partial"] == (code == 3)
+
+
+# ---------------------------------------------------------------------------
 # extend-map window keys are canonical decimals
 
 

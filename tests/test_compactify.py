@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 from typeflow import compactify
+from typeflow.cli import run_scenario
 from typeflow.compactify import (
     definable_homomorphism_check,
     finite_quotient,
@@ -272,3 +273,27 @@ def test_integer_tasks_build_no_table_of_the_modulus(task):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+class Built(Exception):
+    """Raised by a `congruence_set` patched in to show a fibre was built."""
+
+
+def test_a_logic_quotient_over_the_modulus_bound_fails_before_any_fiber_is_built(monkeypatch):
+    def congruence(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(compactify, "congruence_set", congruence)
+    bound = compactify.QUOTIENT_MODULUS_BOUND
+    assert bound == 1 << 15
+    # at the bound the first fibre is built; past it, none is
+    with pytest.raises(Built):
+        logic_quotient(INTEGERS, modulus=bound)
+    for modulus in (bound + 1, 10**6, 10**100):
+        with pytest.raises(ValueError) as excinfo:
+            logic_quotient(INTEGERS, modulus=modulus)
+        assert str(excinfo.value) == f"modulus {modulus} is over the bound of {bound}"
+    task = {"op": "logic-quotient", "modulus": 10**6}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: modulus 1000000 is over the bound of {bound}"

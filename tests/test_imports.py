@@ -118,7 +118,6 @@ def test_the_guard_sees_an_unused_public_function():
 # fast paths against, and level-tower checks that no task runs yet. A name
 # leaves this list once code in the package calls it.
 TEST_ONLY_PUBLIC_NAMES = [
-    "amenability.py:pestov_fixed_point_consistency",
     "amenability.py:pushforward_measure",
     "compactify.py:finite_quotient",
     "defsets.py:translates_cover",

@@ -21,6 +21,12 @@ from .typespace import LevelError, check_level
 # as the square of the modulus: under 100 MB at the bound.
 QUOTIENT_MODULUS_BOUND = 1 << 15
 
+# The finest level `definable_homomorphism_check` lists factor images at. It
+# builds one image per residue, so time and report size grow linearly: a
+# `check-homomorphism` task at the bound takes about 0.15 s and reports about
+# 3 MB.
+FACTOR_LEVEL_BOUND = 1 << 20
+
 
 @dataclass
 class CompactQuotient:
@@ -230,8 +236,11 @@ def definable_homomorphism_check(
     factors through the universal quotient at the fiber modulus. The image
     of a congruence class is one value, its own closure, so the closure
     identity cl f(A . B) = cl f(A) . cl f(B) on classes is the law on Z/d.
-    A value outside the target raises `BackendMismatch` before any check.
+    A value outside the target raises `BackendMismatch` before any check,
+    and a level over FACTOR_LEVEL_BOUND a `ValueError` before anything.
     """
+    if level is not None and level > FACTOR_LEVEL_BOUND:
+        raise ValueError(f"level {level} is over the bound of {FACTOR_LEVEL_BOUND}")
     values = tuple(values)
     for v in values:
         target.check_element(v)

@@ -50,8 +50,9 @@ def star(ctx: Group, p, q):
     `_product_level`: the limit factor's own level, or gcd(levels).
 
     Two limit points, the case of every hot caller, are tested first. At
-    equal levels no gcd is taken, and the result is read from the intern
-    table, as `Limit(...)` would return it.
+    equal levels no gcd is taken, and the result is read from the right
+    factor's circle, or from the intern table when it has none, as
+    `Limit(...)` would return it.
     """
     if p.__class__ is Limit is q.__class__:
         if not isinstance(ctx, IntegerGroup):
@@ -59,6 +60,8 @@ def star(ctx: Group, p, q):
         level = p.modulus
         if q.modulus != level:
             level = gcd(level, q.modulus)
+        elif q._circle is not None:
+            return q._circle[(p.residue + q.residue) % level]
         key = (q.sign, (p.residue + q.residue) % level, level)
         return _interned(key) or Limit(*key)
     if not isinstance(p, Limit) and not isinstance(q, Limit):

@@ -330,6 +330,13 @@ def universal_minimal_flow(ctx: Group, level: int) -> UniversalMinimalFlow:
 # extension of eventually periodic maps to the level space
 
 
+# The finest level `extend_definable_map` extends a map to. The extension has
+# 2 * level limit values, each reported and checked on witness terms, so time
+# and report size grow linearly: an `extend-map` task at the bound takes about
+# 1 s and reports about 1.7 MB.
+EXTENSION_LEVEL_BOUND = 1 << 16
+
+
 class EventuallyPeriodicMap:
     """A map from the integers to a finite value set, periodic toward both
     infinities with finitely many exceptional values."""
@@ -373,6 +380,8 @@ class ExtendedMap:
 
 
 def extend_definable_map(f: EventuallyPeriodicMap, level: int) -> ExtendedMap:
+    if level > EXTENSION_LEVEL_BOUND:
+        raise ValueError(f"level {level} is over the bound of {EXTENSION_LEVEL_BOUND}")
     if level % f.period != 0:
         raise LevelError(f"map period {f.period} does not divide level {level}")
     return ExtendedMap(f, level)

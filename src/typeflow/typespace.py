@@ -31,7 +31,9 @@ class LevelError(ValueError):
 # never rebound, so `_interned`, its bound `get`, always reads the live table.
 # The readers are `Limit.__new__` and the level-point kernels `apply_group`,
 # `limit_points` and `ellis.star`, which look up an exact-int result directly
-# and call `Limit(...)` only on a miss or for other field types.
+# and call `Limit(...)` only on a miss or for other field types. `apply_group`
+# and same-level `star` read the table only for a point without a circle
+# (see `Limit`).
 _LIMITS: dict = {}
 _LIMITS_CAP = 1 << 16
 _interned = _LIMITS.get
@@ -40,8 +42,8 @@ _interned = _LIMITS.get
 class Limit:
     """A nonrealized complete type at a level: sign direction and residue.
 
-    A value: never assigned after construction, with the hash of
-    ``(sign, residue, modulus)`` computed in the constructor.
+    A value: its fields are never assigned after construction, and the
+    hash of ``(sign, residue, modulus)`` is computed in the constructor.
 
     The three fields must be exact ints: a bool, float or any other type
     raises ``TypeError`` before the intern table is read, since ``True``
@@ -52,9 +54,19 @@ class Limit:
     Interning is only a fast path: equality and hashing stay by value, so
     a point built while the bounded table was full or just cleared still
     equals its interned twin.
+
+    A point may also know its circle: ``_circle`` is ``None`` from the
+    constructor, and `limit_points` sets it on every point it returns to
+    the tuple of that point's sign circle, residues ascending. It is the
+    one cache on a point and takes no part in equality or hashing.
+    `apply_group` and same-level `star` index it instead of the intern
+    table. A circle that outlives a clear of the table still holds points
+    equal to the interned ones, so the kernels answer the same values.
+    Two threads that set a circle at once write equal tuples, so either
+    write may win.
     """
 
-    __slots__ = ("sign", "residue", "modulus", "_hash")
+    __slots__ = ("sign", "residue", "modulus", "_hash", "_circle")
 
     def __new__(cls, sign: int, residue: int, modulus: int):
         if not (type(sign) is int and type(residue) is int and type(modulus) is int):
@@ -74,6 +86,7 @@ class Limit:
         point.residue = residue
         point.modulus = modulus
         point._hash = hash(key)
+        point._circle = None
         _LIMITS[key] = point
         if len(_LIMITS) > _LIMITS_CAP:
             _LIMITS.clear()
@@ -138,9 +151,13 @@ def apply_group(ctx: Group, g, p):
 
     An exact `Limit` moved by an int over the exact integer backend, the
     case of every hot caller, is answered first: the result is read from
-    the intern table. Every other input takes the checked path below.
+    the point's circle, or from the intern table when it has none. Every
+    other input takes the checked path below.
     """
     if p.__class__ is Limit and ctx.__class__ is IntegerGroup and g.__class__ is int:
+        circle = p._circle
+        if circle is not None:
+            return circle[(p.residue + g) % p.modulus]
         key = (p.sign, (p.residue + g) % p.modulus, p.modulus)
         return _interned(key) or Limit(*key)
     ctx.check_element(g)
@@ -193,12 +210,19 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
 
     The limit part is {+,-} x Z/n over the integers and empty over finite
     backends (see `check_level`). The points are read from the intern
-    table, and built only when missing.
+    table, and built only when missing. Each point's circle is set to the
+    tuple of its sign circle.
     """
     check_level(ctx, level)
     if isinstance(ctx, FiniteGroup):
         return []
-    return [_interned((sign, r, level)) or Limit(sign, r, level) for sign in (1, -1) for r in range(level)]
+    points = []
+    for sign in (1, -1):
+        circle = tuple([_interned((sign, r, level)) or Limit(sign, r, level) for r in range(level)])
+        for p in circle:
+            p._circle = circle
+        points += circle
+    return points
 
 
 def minimal_part(ctx: Group, level: int) -> list:

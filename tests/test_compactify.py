@@ -297,3 +297,28 @@ def test_a_logic_quotient_over_the_modulus_bound_fails_before_any_fiber_is_built
     report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
     assert code == 3
     assert report["results"][0]["error"] == f"ValueError: modulus 1000000 is over the bound of {bound}"
+
+
+class Checked(Exception):
+    """Raised by a `first_failing_pair` patched in to show the check began."""
+
+
+def test_a_homomorphism_check_over_the_level_bound_fails_before_any_image_is_built(monkeypatch):
+    def first_failing_pair(*args, **kwargs):
+        raise Checked
+
+    monkeypatch.setattr(compactify, "first_failing_pair", first_failing_pair)
+    bound = compactify.FACTOR_LEVEL_BOUND
+    assert bound == 1 << 20
+    c2 = cyclic_group(2)
+    # at the bound the check runs on to the homomorphism law; past it, nothing runs
+    with pytest.raises(Checked):
+        definable_homomorphism_check(INTEGERS, [0, 1], c2, level=bound)
+    for level in (bound + 2, 10**6 * 2, 10**100):
+        with pytest.raises(ValueError) as excinfo:
+            definable_homomorphism_check(INTEGERS, [0, 1], c2, level=level)
+        assert str(excinfo.value) == f"level {level} is over the bound of {bound}"
+    task = {"op": "check-homomorphism", "values": [0, 1], "target": "c2", "level": 10**7}
+    report, code = run_scenario({"group": {"kind": "integers"}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: level 10000000 is over the bound of {bound}"

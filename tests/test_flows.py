@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from typeflow import flows
 from typeflow.amenability import fixed_points, fixed_points_of_flow, invariant_measure, invariant_measure_of_flow
+from typeflow.cli import run_scenario
 from typeflow.compactify import g00_at_level
 from typeflow.defsets import FiniteSubset, congruence_set
 from typeflow.ellis import find_idempotents, star
@@ -385,6 +386,31 @@ def test_extend_definable_map_examples():
 
     with pytest.raises(LevelError):
         extend_definable_map(parity, 3)
+
+
+class Extended(Exception):
+    """Raised by an `ExtendedMap` patched in to show the extension was built."""
+
+
+def test_an_extension_over_the_level_bound_fails_before_it_is_built(monkeypatch):
+    def extended_map(*args, **kwargs):
+        raise Extended
+
+    monkeypatch.setattr(flows, "ExtendedMap", extended_map)
+    bound = flows.EXTENSION_LEVEL_BOUND
+    assert bound == 1 << 16
+    parity = EventuallyPeriodicMap(2, [0, 1], [0, 1])
+    # at the bound the extension is built; past it, it is not
+    with pytest.raises(Extended):
+        extend_definable_map(parity, bound)
+    for level in (bound + 2, 10**6, 10**100):
+        with pytest.raises(ValueError) as excinfo:
+            extend_definable_map(parity, level)
+        assert str(excinfo.value) == f"level {level} is over the bound of {bound}"
+    task = {"op": "extend-map", "map": {"period": 2, "up": [0, 1], "down": [0, 1]}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 10**6, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: level 1000000 is over the bound of {bound}"
 
 
 def test_extended_map_at_a_level_the_period_does_not_divide_is_not_a_singleton_limit():

@@ -6,7 +6,8 @@ every function parameter is read in its body,
 only tables that are groups by construction skip the group checks,
 only `groups` builds a cyclic group's table,
 only the `Limit` constructor writes the table of interned limit points,
-only the constructor and the level-point kernels read it, and the oracle
+only the constructor and the level-point kernels read it, only the
+constructor and `limit_points` write a point's circle, and the oracle
 imports none of the modules it certifies.
 
 ``__init__.py`` is exempt from the import check: its imports are the
@@ -363,6 +364,46 @@ def test_only_the_limit_constructor_writes_the_intern_table():
     # every other module reads the table or calls Limit(...), which validates
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert limit_table_writers(sources) == ["typespace.py:<module>", "typespace.py:__new__"]
+
+
+SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def _writes_circle(node) -> bool:
+    """An assignment or deletion of a point's ``_circle``, or a call of
+    ``setattr``, ``delattr`` or a ``__setattr__``/``__delattr__`` that names
+    it by string."""
+    if isinstance(node, ast.Attribute) and node.attr == "_circle":
+        return isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Call):
+        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return called in SETTERS and any(
+            isinstance(arg, ast.Constant) and arg.value == "_circle" for arg in node.args
+        )
+    return False
+
+
+def circle_writers(sources: dict[str, str]) -> list[str]:
+    return enclosing_functions(sources, _writes_circle)
+
+
+def test_the_guard_sees_a_stray_write_to_a_circle():
+    sources = {
+        "a.py": "def step(p, g):\n    return p._circle[(p.residue + g) % p.modulus]\n",
+        "b.py": (
+            "def seed(p, c):\n    p._circle = c\n\n\n"
+            "def forget(p):\n    del p._circle\n\n\n"
+            "def poke(p, c):\n    setattr(p, '_circle', c)\n\n\n"
+            "def force(p, c):\n    object.__setattr__(p, '_circle', c)\n"
+        ),
+    }
+    assert circle_writers(sources) == ["b.py:force", "b.py:forget", "b.py:poke", "b.py:seed"]
+
+
+def test_only_the_limit_constructor_and_limit_points_write_a_circle():
+    # a circle must hold the point's own sign circle, residues ascending
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert circle_writers(sources) == ["typespace.py:__new__", "typespace.py:limit_points"]
 
 
 # the table and its bound get, the one handle the kernels read it through

@@ -425,21 +425,44 @@ def test_a_bool_or_float_level_raises_whatever_the_table_holds(level):
 @given(st.data(), level_pairs(), st.integers(min_value=-30, max_value=30))
 def test_a_point_built_after_the_table_was_cleared_equals_its_later_twin(data, levels, g):
     m, n = levels
-    p = Limit(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, m - 1)), m)
-    q = Limit(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, n - 1)), n)
+    fields = [
+        (data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, m - 1)), m),
+        (data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, n - 1)), n),
+    ]
     kernels = [
-        lambda: [star(INTEGERS, p, q)],
-        lambda: [apply_group(INTEGERS, g, p)],
-        lambda: limit_points(INTEGERS, m),
+        lambda p, q: [star(INTEGERS, p, q)],
+        lambda p, q: [apply_group(INTEGERS, g, p)],
+        lambda p, q: limit_points(INTEGERS, m),
     ]
     for kernel in kernels:
-        before = kernel()
+        limit_points(INTEGERS, m), limit_points(INTEGERS, n)
+        p, q = (Limit(*f) for f in fields)
+        before = kernel(p, q)
         typespace._LIMITS.clear()
-        # built afresh on a miss, then interned and shared from then on
-        after = kernel()
+        # arguments built before the clear still carry their old circle
+        again = kernel(p, q)
+        assert again == before and list(map(hash, again)) == list(map(hash, before))
+        # arguments built after it carry none: results are built afresh on a
+        # miss, then interned and shared from then on
+        p, q = (Limit(*f) for f in fields)
+        after = kernel(p, q)
         assert after == before and list(map(hash, after)) == list(map(hash, before))
         assert all(a is not b for a, b in zip(after, before))
-        assert all(a is b for a, b in zip(after, kernel()))
+        assert all(a is b for a, b in zip(after, kernel(p, q)))
+
+
+@KERNEL_PROPERTIES
+@given(st.data(), level_pairs(), st.integers(min_value=-30, max_value=30), st.booleans())
+def test_the_kernels_match_the_reference_with_and_without_a_circle(data, levels, g, circles):
+    m, n = levels
+    typespace._LIMITS.clear()
+    if circles:
+        limit_points(INTEGERS, m), limit_points(INTEGERS, n)
+    p, q = data.draw(point_at(m)), data.draw(point_at(n))
+    assert (p._circle is not None, q._circle is not None) == (circles, circles)
+    for ctx in CONTEXTS:
+        assert_same_outcome(outcome(star, ctx, p, q), outcome(reference_star, ctx, p, q))
+        assert_same_outcome(outcome(apply_group, ctx, g, p), outcome(reference_apply_group, ctx, g, p))
 
 
 @pytest.mark.parametrize(

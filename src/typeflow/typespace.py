@@ -57,13 +57,12 @@ class Limit:
 
     A point may also know its circle: ``_circle`` is ``None`` from the
     constructor, and `limit_points` sets it on every point it returns to
-    the tuple of that point's sign circle, residues ascending. It is the
-    one cache on a point and takes no part in equality or hashing.
-    `apply_group` and same-level `star` index it instead of the intern
-    table. A circle that outlives a clear of the table still holds points
-    equal to the interned ones, so the kernels answer the same values.
-    Two threads that set a circle at once write equal tuples, so either
-    write may win.
+    the tuple of that point's sign circle, residues ascending. It takes no
+    part in equality or hashing. `apply_group` and same-level `star` index
+    it instead of the intern table. A circle that outlives a clear of the
+    table still holds points equal to the interned ones, so the kernels
+    answer the same values. Two threads that set a circle at once write
+    equal tuples, so either write may win.
     """
 
     __slots__ = ("sign", "residue", "modulus", "_hash", "_circle")

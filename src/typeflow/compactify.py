@@ -237,7 +237,8 @@ def definable_homomorphism_check(
     of a congruence class is one value, its own closure, so the closure
     identity cl f(A . B) = cl f(A) . cl f(B) on classes is the law on Z/d.
     A value outside the target raises `BackendMismatch` before any check,
-    and a level over FACTOR_LEVEL_BOUND a `ValueError` before anything.
+    and a level over FACTOR_LEVEL_BOUND a `ValueError` before anything. A
+    finite backend has only the trivial level 1 (`check_level`).
     """
     if level is not None and level > FACTOR_LEVEL_BOUND:
         raise ValueError(f"level {level} is over the bound of {FACTOR_LEVEL_BOUND}")
@@ -252,6 +253,8 @@ def definable_homomorphism_check(
         elements, generators, identity, identity_name = range(d), (1 % d,), 0, "0"
         product = lambda a, b: (a + b) % d
     elif isinstance(ctx, FiniteGroup):
+        if level is not None:
+            check_level(ctx, level)
         if len(values) != ctx.order:
             raise ValueError("need one value per group element")
         elements, generators, identity, identity_name = ctx.elements(), ctx.generators, ctx.identity, "the identity"

@@ -25,47 +25,49 @@ class LevelError(ValueError):
 
 
 # The interned limit points, keyed by their (sign, residue, modulus) tuple of
-# exact ints. Written only by `Limit.__new__`. A write that takes it past
-# _LIMITS_CAP points clears it, so between constructor calls it never holds
-# more, even when threads build points at once. It is cleared in place and
-# never rebound, so `_interned`, its bound `get`, always reads the live table.
-# The readers are `Limit.__new__` and the level-point kernels `apply_group`,
-# `limit_points` and `ellis.star`, which look up an exact-int result directly
-# and call `Limit(...)` only on a miss or for other field types. `apply_group`
-# and same-level `star` read the table only for a point without a circle
-# (see `Limit`).
+# exact ints: one object per value for the life of the process. Written only
+# by `Limit.__new__`, which publishes a new point with `setdefault`, a single
+# atomic step for a key of ints, so threads that build one value at once all
+# get the object published first. Nothing removes an entry: a point costs
+# about 210 bytes while the process lives, and `limit_points` bounds the
+# level at which whole circles are built (LEVEL_BOUND). `_interned`, its
+# bound `get`, is read by `Limit.__new__` and the level-point kernels
+# `apply_group`, `limit_points` and `ellis.star`, which look up an exact-int
+# result directly and call `Limit(...)` only on a miss. `apply_group` and
+# same-level `star` read the table only for a point without a circle (see
+# `Limit`).
 _LIMITS: dict = {}
-_LIMITS_CAP = 1 << 16
 _interned = _LIMITS.get
+
+# The finest level at which `limit_points` builds the limit part. Built
+# points stay in `_LIMITS`, so the 2 * level points at the bound hold about
+# 55 MB (tracemalloc) for the rest of the process.
+LEVEL_BOUND = 1 << 17
 
 
 class Limit:
     """A nonrealized complete type at a level: sign direction and residue.
 
-    A value: its fields are never assigned after construction, and the
-    hash of ``(sign, residue, modulus)`` is computed in the constructor.
+    A value: its fields are never assigned after construction. The three
+    fields must be exact ints: a bool, float or any other type raises
+    ``TypeError`` before the intern table is read, since ``True`` and
+    ``6.0`` hash and compare equal to the ints 1 and 6.
 
-    The three fields must be exact ints: a bool, float or any other type
-    raises ``TypeError`` before the intern table is read, since ``True``
-    and ``6.0`` hash and compare equal to the ints 1 and 6. Limit points
-    are interned: each is built once and then shared, so
-    ``Limit(1, 5, 120)`` returns the same object to every caller and a set
-    of points matches a product by identity before it calls `__eq__`.
-    Interning is only a fast path: equality and hashing stay by value, so
-    a point built while the bounded table was full or just cleared still
-    equals its interned twin.
+    Limit points are interned exactly: ``Limit(1, 5, 120)`` returns the same
+    object to every caller for the life of the process, and no other
+    object has those fields. So equality and hashing are by identity, the
+    defaults that `object` gives in C, and a set of points finds a product
+    without running Python code.
 
     A point may also know its circle: ``_circle`` is ``None`` from the
     constructor, and `limit_points` sets it on every point it returns to
-    the tuple of that point's sign circle, residues ascending. It takes no
-    part in equality or hashing. `apply_group` and same-level `star` index
-    it instead of the intern table. A circle that outlives a clear of the
-    table still holds points equal to the interned ones, so the kernels
-    answer the same values. Two threads that set a circle at once write
-    equal tuples, so either write may win.
+    the tuple of that point's sign circle, residues ascending. `apply_group`
+    and same-level `star` index it instead of the intern table. Two threads
+    that set a circle at once write tuples of the same points, so either
+    write may win.
     """
 
-    __slots__ = ("sign", "residue", "modulus", "_hash", "_circle")
+    __slots__ = ("sign", "residue", "modulus", "_circle")
 
     def __new__(cls, sign: int, residue: int, modulus: int):
         if not (type(sign) is int and type(residue) is int and type(modulus) is int):
@@ -84,28 +86,12 @@ class Limit:
         point.sign = sign
         point.residue = residue
         point.modulus = modulus
-        point._hash = hash(key)
         point._circle = None
-        _LIMITS[key] = point
-        if len(_LIMITS) > _LIMITS_CAP:
-            _LIMITS.clear()
-        return point
+        return _LIMITS.setdefault(key, point)
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor
         return (Limit, (self.sign, self.residue, self.modulus))
-
-    def __eq__(self, other):
-        if other.__class__ is not Limit:
-            return NotImplemented
-        return (
-            self.residue == other.residue
-            and self.sign == other.sign
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Limit(sign={self.sign!r}, residue={self.residue!r}, modulus={self.modulus!r})"
@@ -208,11 +194,14 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
     then the - circle, residues ascending.
 
     The limit part is {+,-} x Z/n over the integers and empty over finite
-    backends (see `check_level`). The points are read from the intern
-    table, and built only when missing. Each point's circle is set to the
-    tuple of its sign circle.
+    backends (see `check_level`). A level over LEVEL_BOUND raises
+    `ValueError` before any point is built. The points are read from the
+    intern table, and built only when missing. Each point's circle is set
+    to the tuple of its sign circle.
     """
     check_level(ctx, level)
+    if level > LEVEL_BOUND:
+        raise ValueError(f"level {level} is over the bound of {LEVEL_BOUND}")
     if isinstance(ctx, FiniteGroup):
         return []
     points = []

@@ -188,6 +188,19 @@ def test_homomorphism_check_finite():
     assert not verdict.valid and verdict.reason == "dense-image failure"
 
 
+def test_a_homomorphism_check_over_a_table_rejects_a_level_other_than_1():
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    assert definable_homomorphism_check(c4, [0, 1, 0, 1], c2, level=1).valid
+    for level in (2, 7):
+        with pytest.raises(LevelError) as excinfo:
+            definable_homomorphism_check(c4, [0, 1, 0, 1], c2, level=level)
+        assert str(excinfo.value) == "finite backends have only the trivial level 1"
+    task = {"op": "check-homomorphism", "values": [0, 1, 0, 1], "target": "c2", "level": 7}
+    report, code = run_scenario({"group": {"kind": "cyclic", "order": 4}, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == "LevelError: finite backends have only the trivial level 1"
+
+
 @pytest.mark.parametrize("values", [[9], [0, 9]])
 def test_homomorphism_values_outside_the_target_integers(values):
     with pytest.raises(BackendMismatch):

@@ -440,7 +440,8 @@ def test_the_guard_sees_a_stray_read_of_the_intern_table():
 
 
 def test_only_the_constructor_and_the_level_point_kernels_read_the_intern_table():
-    # a change to the cap or the clear policy must hold for each of these
+    # each of these takes the point it reads as the one object of its value,
+    # so a change to how the table is written must hold for each of them
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert limit_table_readers(sources) == [
         "ellis.py:<module>",

@@ -171,6 +171,11 @@ CASES = {
         True,
         "2e45d7486fdecf6e8a8e7827d51fc17ed158395b471cfd36990ccd594e9097f5",
     ),
+    "integers-level48": (
+        lambda: load("integers-level48.json"),
+        False,
+        "2e4b71a0d97e4408bfe8dfa15c438525e6176a55a7bd2af01f2490ffef405a76",
+    ),
     "oracle-large-period": (
         lambda: load("oracle-large-period.json"),
         False,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeflow import typespace
+from typeflow.cli import run_scenario
 from typeflow.defsets import IntegerSet, complement, congruence_set, integer_ray, member, union
 from typeflow.ellis import star
 from typeflow.groups import INTEGERS, BackendMismatch, IntegerGroup, ProductGroup, cyclic_group
@@ -173,12 +174,41 @@ def test_limit_points_are_the_plus_circle_then_the_minus_circle(n):
         # then every other backend
         (ProductGroup(cyclic_group(2), INTEGERS), 1, BackendMismatch, "type spaces are provided for integer and finite backends"),
         (ProductGroup(cyclic_group(2), cyclic_group(3)), 3, BackendMismatch, "type spaces are provided for integer and finite backends"),
+        # before the level bound, which limit_points checks next
+        (cyclic_group(3), 10**100, LevelError, "finite backends have only the trivial level 1"),
+        (ProductGroup(cyclic_group(2), INTEGERS), 10**100, BackendMismatch, "type spaces are provided for integer and finite backends"),
     ],
 )
 def test_limit_points_rejects_in_a_fixed_order(ctx, level, error, message):
     with pytest.raises(error) as excinfo:
         limit_points(ctx, level)
     assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+class Built(Exception):
+    """Raised by a patched `Limit`: a point was about to be built."""
+
+
+def test_limit_points_over_the_level_bound_fail_before_any_point_is_built(monkeypatch):
+    def limit(*args):
+        raise Built
+
+    bound = typespace.LEVEL_BOUND
+    assert bound == 1 << 17
+    monkeypatch.setattr(typespace, "Limit", limit)
+    # at the bound the points are built; past it, none is
+    with pytest.raises(Built):
+        limit_points(INTEGERS, bound)
+    for level in (bound + 1, 10**100):
+        with pytest.raises(ValueError) as excinfo:
+            limit_points(INTEGERS, level)
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == f"level {level} is over the bound of {bound}"
+    # g00 needs no points, so it still prints at a level far over the bound
+    tasks = [{"op": "minimal-subflows"}, {"op": "g00", "level": 10**12}]
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 10**6, "tasks": tasks})
+    assert code == 3
+    assert report["results"][0]["error"] == f"ValueError: level 1000000 is over the bound of {bound}"
+    assert report["results"][1]["result"] == {"subgroup": {"kind": "congruence", "modulus": 10**12}}
 
 
 def test_point_json_round_trip():
@@ -219,8 +249,12 @@ def test_points_equal_only_points_of_their_class():
 
 
 @pytest.mark.parametrize("sign, residue, modulus", [(1, 0, 6), (-1, 5, 6), (1, 0, 1), (-1, 7, 120)])
-def test_point_hash_is_the_field_tuple_hash(sign, residue, modulus):
-    assert hash(Limit(sign, residue, modulus)) == hash((sign, residue, modulus))
+def test_equal_fields_give_the_same_point(sign, residue, modulus):
+    p = Limit(sign, residue, modulus)
+    assert p is Limit(sign, residue, modulus)
+    # one object per value, so equality and hashing are object's, by identity
+    assert "__eq__" not in vars(Limit) and "__hash__" not in vars(Limit)
+    assert hash(p) == object.__hash__(p) and p in {Limit(sign, residue, modulus)}
 
 
 @pytest.mark.parametrize("value", [7, -3, (2, 1)])
@@ -254,14 +288,21 @@ def test_equal_int_fields_give_one_shared_point(fields):
     # equal but distinct int objects for the large fields
     q = Limit(int(str(sign)), int(str(residue)), int(str(modulus)))
     assert p is q
-    assert hash(p) == hash((sign, residue, modulus))
+    assert typespace._LIMITS[(sign, residue, modulus)] is p
     assert (p.sign, p.residue, p.modulus) == (sign, residue, modulus)
 
 
-@pytest.mark.parametrize("fields", [(True, 0, 6), (1, False, 6), (1, True, 6), (1.0, 0, 6), (1, 0.0, 6), (1, 0, 6.0)])
+# each case has its own modulus, so that no other test builds its int point
+FRESH = 10**15
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(True, 0, FRESH + 1), (1, False, FRESH + 2), (1, True, FRESH + 3), (1.0, 0, FRESH + 4), (1, 0.0, FRESH + 5), (1, 0, float(FRESH + 6))],
+)
 def test_bool_and_float_fields_never_alias_an_int_point(fields):
     # each field hashes and compares equal to an int: a miss and a hit on the int key both raise
-    typespace._LIMITS.clear()
+    assert tuple(map(int, fields)) not in typespace._LIMITS
     for _ in range(2):
         with pytest.raises(TypeError, match="^limit point fields must be ints, got "):
             Limit(*fields)
@@ -275,28 +316,26 @@ def test_copies_and_pickles_rebuild_through_the_constructor(fields):
         assert clone is p
 
 
-def test_the_intern_table_stays_bounded():
-    cap = typespace._LIMITS_CAP
-    modulus = cap + 7
-    built = [Limit(1, r, modulus) for r in range(cap + 7)]
-    assert len(typespace._LIMITS) <= cap
-    assert all(p == Limit(p.sign, p.residue, p.modulus) for p in built)
-    # a point built before the table was cleared still matches by value
-    assert Limit(1, 0, modulus) in frozenset(built) and built[0] in {Limit(1, 0, modulus)}
+def test_points_past_the_old_table_cap_stay_the_same_objects():
+    # 2 * 40,000 points are more than the 2**16 that a bounded table held,
+    # which cleared itself, so that a second call rebuilt every point
+    first = limit_points(INTEGERS, 40_000)
+    again = limit_points(INTEGERS, 40_000)
+    assert len(first) == 80_000 and all(a is b for a, b in zip(first, again))
 
 
-def test_threads_building_points_keep_the_table_bounded(monkeypatch):
-    # a small cap makes every thread clear the table again and again
-    monkeypatch.setattr(typespace, "_LIMITS_CAP", 16)
-    wrong = []
+def test_threads_building_the_same_points_get_the_same_objects():
+    # each round is a modulus that no test has built, and the threads start
+    # it together and walk it in one order, so they race to publish each point
+    rounds = [[(sign, residue, FRESH + 100 + k) for sign in (1, -1) for residue in range(128)] for k in range(32)]
+    start = threading.Barrier(8, timeout=60)
+    built = {}
 
     def build(seed):
-        rng = random.Random(seed)
-        for _ in range(4000):
-            sign, residue = rng.choice((1, -1)), rng.randrange(97)
-            p = Limit(sign, residue, 97)
-            if (p.sign, p.residue, p.modulus) != (sign, residue, 97) or hash(p) != hash((sign, residue, 97)):
-                wrong.append(p)
+        built[seed] = points = {}
+        for keys in rounds:
+            start.wait()
+            points.update((key, Limit(*key)) for key in keys)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -309,8 +348,11 @@ def test_threads_building_points_keep_the_table_bounded(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert len(typespace._LIMITS) <= 16
+    assert sorted(built) == list(range(8))
+    for key in (key for keys in rounds for key in keys):
+        point = typespace._LIMITS[key]
+        assert (point.sign, point.residue, point.modulus) == key
+        assert all(points[key] is point for points in built.values())
 
 
 # ---------------------------------------------------------------------------
@@ -421,43 +463,35 @@ def test_a_bool_or_float_level_raises_whatever_the_table_holds(level):
         limit_points(INTEGERS, level)
 
 
-@settings(KERNEL_PROPERTIES, max_examples=60)
-@given(st.data(), level_pairs(), st.integers(min_value=-30, max_value=30))
-def test_a_point_built_after_the_table_was_cleared_equals_its_later_twin(data, levels, g):
-    m, n = levels
-    fields = [
-        (data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, m - 1)), m),
-        (data.draw(st.sampled_from((1, -1))), data.draw(st.integers(0, n - 1)), n),
-    ]
-    kernels = [
-        lambda p, q: [star(INTEGERS, p, q)],
-        lambda p, q: [apply_group(INTEGERS, g, p)],
-        lambda p, q: limit_points(INTEGERS, m),
-    ]
-    for kernel in kernels:
-        limit_points(INTEGERS, m), limit_points(INTEGERS, n)
-        p, q = (Limit(*f) for f in fields)
-        before = kernel(p, q)
-        typespace._LIMITS.clear()
-        # arguments built before the clear still carry their old circle
-        again = kernel(p, q)
-        assert again == before and list(map(hash, again)) == list(map(hash, before))
-        # arguments built after it carry none: results are built afresh on a
-        # miss, then interned and shared from then on
-        p, q = (Limit(*f) for f in fields)
-        after = kernel(p, q)
-        assert after == before and list(map(hash, after)) == list(map(hash, before))
-        assert all(a is not b for a, b in zip(after, before))
-        assert all(a is b for a, b in zip(after, kernel(p, q)))
+@pytest.mark.parametrize("m, n", [(1009, 1009), (2026, 1013), (1019, 1021)])
+def test_points_built_before_their_circle_are_the_points_in_it(m, n):
+    # levels that no other test builds a circle at
+    p, q = Limit(1, 1000, m), Limit(-1, 7, n)
+    assert p._circle is None and q._circle is None
+
+    def results():
+        return [star(INTEGERS, p, q), star(INTEGERS, q, p), apply_group(INTEGERS, 25, p), apply_group(INTEGERS, -3, q)]
+
+    before = results()
+    plus, minus = limit_points(INTEGERS, m)[:m], limit_points(INTEGERS, n)[n:]
+    assert plus[1000] is p and minus[7] is q and p._circle == tuple(plus) and q._circle == tuple(minus)
+    # the circles now answer, with the very objects the table gave
+    after = results()
+    assert all(a is b for a, b in zip(after, before))
+    want = [reference_star(INTEGERS, p, q), reference_star(INTEGERS, q, p)]
+    want += [reference_apply_group(INTEGERS, 25, p), reference_apply_group(INTEGERS, -3, q)]
+    assert all(a is w for a, w in zip(after, want))
 
 
 @KERNEL_PROPERTIES
 @given(st.data(), level_pairs(), st.integers(min_value=-30, max_value=30), st.booleans())
 def test_the_kernels_match_the_reference_with_and_without_a_circle(data, levels, g, circles):
     m, n = levels
-    typespace._LIMITS.clear()
     if circles:
         limit_points(INTEGERS, m), limit_points(INTEGERS, n)
+    else:
+        # limit_points builds no level over its bound, so no point there has a circle
+        m, n = m * FRESH, n * FRESH
     p, q = data.draw(point_at(m)), data.draw(point_at(n))
     assert (p._circle is not None, q._circle is not None) == (circles, circles)
     for ctx in CONTEXTS:

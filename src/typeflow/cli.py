@@ -72,6 +72,7 @@ from .typespace import (
     Limit,
     acting_set,
     contains,
+    limit_points,
     point_from_json,
     point_key,
     point_to_json,
@@ -238,11 +239,9 @@ def _task_extend_map(ctx, level, params, opts):
         spec["down"],
         {_window_point(k): v for k, v in window.items()},
     )
+    points = limit_points(ctx, level)
     ext = extend_definable_map(f, level)
-    images = {}
-    for sign, name in ((1, "+"), (-1, "-")):
-        for r in range(level):
-            images[f"{name}{r}"] = ext.apply(Limit(sign, r, level))
+    images = {f"{'+' if p.sign > 0 else '-'}{p.residue}": ext.apply(p) for p in points}
     return {"limit_values": images, "checks": ext.certify()}
 
 
@@ -430,7 +429,8 @@ def _task_check_homomorphism(ctx, level, params, opts):
     if verdict.reason:
         out["reason"] = verdict.reason
     if verdict.valid:
-        out["fiber_modulus"] = verdict.fiber_modulus
+        if isinstance(ctx, IntegerGroup):
+            out["fiber_modulus"] = verdict.fiber_modulus
         out["fibers"] = [set_to_json(f) for f in verdict.fibers]
         out["factor_images"] = list(verdict.factor_images)
     return out

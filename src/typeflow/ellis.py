@@ -15,7 +15,7 @@ from math import gcd
 
 from .defsets import IntegerSet, _Mask, congruence_set, integer_ray
 from .groups import BackendMismatch, Group, IntegerGroup
-from .typespace import Limit, _interned, acting_set, contains, minimal_part
+from .typespace import Limit, acting_set, contains, minimal_part
 
 
 _LIMIT_PRODUCT_BACKENDS = "the semigroup product on limit points is provided for the integer backend"
@@ -51,8 +51,7 @@ def star(ctx: Group, p, q):
 
     Two limit points, the case of every hot caller, are tested first. At
     equal levels no gcd is taken, and the result is read from the right
-    factor's circle, or from the intern table when it has none, as
-    `Limit(...)` would return it.
+    factor's circle when it has one.
     """
     if p.__class__ is Limit is q.__class__:
         if not isinstance(ctx, IntegerGroup):
@@ -62,8 +61,7 @@ def star(ctx: Group, p, q):
             level = gcd(level, q.modulus)
         elif q._circle is not None:
             return q._circle[(p.residue + q.residue) % level]
-        key = (q.sign, (p.residue + q.residue) % level, level)
-        return _interned(key) or Limit(*key)
+        return Limit(q.sign, (p.residue + q.residue) % level, level)
     if not isinstance(p, Limit) and not isinstance(q, Limit):
         return ctx.compose(p, q)
     level = _product_level(ctx, p, q)

@@ -162,17 +162,25 @@ def _idempotent(ctx: Group, points):
     raise ValueError("the set holds no idempotent")
 
 
+# The most `star` products `is_left_ideal` makes: one per member and limit
+# left factor, len(S) * 2 * level. A full circle at level 1,448 comes to
+# 1 << 22 products, about 0.9 s; at LEVEL_BOUND it would be 2**35.
+LEFT_IDEAL_PRODUCT_BOUND = 1 << 22
+
+
 def is_left_ideal(ctx: Group, level: int, points) -> bool:
     """Is the set closed under left star multiplication by the whole space?
 
-    The level is checked first, by `check_level`. Realized left factors act through the group action, so the set must be
-    closed under the generators; only then are the 2 * level limit left
-    factors built and checked exhaustively (a table has none). A finite set
-    holding a realized integer is never closed under 1. Every member is
-    moved, by the identity for the trivial group, and every limit member's
-    level is checked before any verdict, so a limit member over a table is
-    a backend mismatch (as in `contains`) and neither the answer nor the
-    error hangs on iteration order.
+    The level is checked first, by `check_level`. Realized left factors act
+    through the group action, so the set must be closed under the
+    generators; only then are the 2 * level limit left factors built and
+    checked exhaustively (a table has none), unless that is more than
+    LEFT_IDEAL_PRODUCT_BOUND products, which raises `ValueError` first. A
+    finite set holding a realized integer is never closed under 1. Every
+    member is moved, by the identity for the trivial group, and every limit
+    member's level is checked before any verdict, so a limit member over a
+    table is a backend mismatch (as in `contains`) and neither the answer
+    nor the error hangs on iteration order.
     """
     check_level(ctx, level)
     S = frozenset(points)
@@ -184,6 +192,9 @@ def is_left_ideal(ctx: Group, level: int, points) -> bool:
         raise LevelError(f"point at level {min(wrong)} in a level-{level} check")
     if not all(image <= S for image in images):
         return False
+    products = len(S) * 2 * level
+    if products > LEFT_IDEAL_PRODUCT_BOUND:
+        raise ValueError(f"{products} products are over the bound of {LEFT_IDEAL_PRODUCT_BOUND}")
     left_factors = limit_points(ctx, level)
     for l in S:
         for s in left_factors:
@@ -330,13 +341,6 @@ def universal_minimal_flow(ctx: Group, level: int) -> UniversalMinimalFlow:
 # extension of eventually periodic maps to the level space
 
 
-# The finest level `extend_definable_map` extends a map to. The extension has
-# 2 * level limit values, each reported and checked on witness terms, so time
-# and report size grow linearly: an `extend-map` task at the bound takes about
-# 1 s and reports about 1.7 MB.
-EXTENSION_LEVEL_BOUND = 1 << 16
-
-
 class EventuallyPeriodicMap:
     """A map from the integers to a finite value set, periodic toward both
     infinities with finitely many exceptional values."""
@@ -380,8 +384,6 @@ class ExtendedMap:
 
 
 def extend_definable_map(f: EventuallyPeriodicMap, level: int) -> ExtendedMap:
-    if level > EXTENSION_LEVEL_BOUND:
-        raise ValueError(f"level {level} is over the bound of {EXTENSION_LEVEL_BOUND}")
     if level % f.period != 0:
         raise LevelError(f"map period {f.period} does not divide level {level}")
     return ExtendedMap(f, level)

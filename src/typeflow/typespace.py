@@ -25,19 +25,15 @@ class LevelError(ValueError):
 
 
 # The interned limit points, keyed by their (sign, residue, modulus) tuple of
-# exact ints: one object per value for the life of the process. Written only
-# by `Limit.__new__`, which publishes a new point with `setdefault`, a single
-# atomic step for a key of ints, so threads that build one value at once all
-# get the object published first. Nothing removes an entry: a point costs
-# about 210 bytes while the process lives, and `limit_points` bounds the
-# level at which whole circles are built (LEVEL_BOUND). `_interned`, its
-# bound `get`, is read by `Limit.__new__` and the level-point kernels
-# `apply_group`, `limit_points` and `ellis.star`, which look up an exact-int
-# result directly and call `Limit(...)` only on a miss. `apply_group` and
-# same-level `star` read the table only for a point without a circle (see
-# `Limit`).
+# exact ints: one object per value for the life of the process. Only
+# `Limit.__new__` reads or writes it; it publishes a new point with
+# `setdefault`, a single atomic step for a key of ints, so threads that build
+# one value at once all get the object published first. Nothing removes an
+# entry: a point costs about 210 bytes while the process lives, and
+# `limit_points` bounds the level at which whole circles are built
+# (LEVEL_BOUND). The level-point kernels index a point's circle when it has
+# one and call `Limit(...)` otherwise (see `Limit`).
 _LIMITS: dict = {}
-_interned = _LIMITS.get
 
 # The finest level at which `limit_points` builds the limit part. Built
 # points stay in `_LIMITS`, so the 2 * level points at the bound hold about
@@ -60,11 +56,11 @@ class Limit:
     without running Python code.
 
     A point may also know its circle: ``_circle`` is ``None`` from the
-    constructor, and `limit_points` sets it on every point it returns to
-    the tuple of that point's sign circle, residues ascending. `apply_group`
-    and same-level `star` index it instead of the intern table. Two threads
-    that set a circle at once write tuples of the same points, so either
-    write may win.
+    constructor, and `limit_points` sets it, once per level, on every point
+    of a sign circle to the tuple of that circle, residues ascending.
+    `apply_group` and same-level `star` index it instead of calling the
+    constructor. Two threads that build a level's circle at once write
+    tuples of the same points, so either write may win.
     """
 
     __slots__ = ("sign", "residue", "modulus", "_circle")
@@ -73,7 +69,7 @@ class Limit:
         if not (type(sign) is int and type(residue) is int and type(modulus) is int):
             raise TypeError(f"limit point fields must be ints, got {sign!r}, {residue!r} and {modulus!r}")
         key = (sign, residue, modulus)
-        point = _interned(key)
+        point = _LIMITS.get(key)
         if point is not None:
             return point
         if sign not in (1, -1):
@@ -134,23 +130,21 @@ def restrict(p, m: int):
 def apply_group(ctx: Group, g, p):
     """The group action on type points, a level-preserving bijection.
 
-    An exact `Limit` moved by an int over the exact integer backend, the
-    case of every hot caller, is answered first: the result is read from
-    the point's circle, or from the intern table when it has none. Every
-    other input takes the checked path below.
+    An exact int g over the exact integer backend, the case of every hot
+    caller, needs no element check. A limit point's image is read from its
+    circle, or built by `Limit(...)` when it has none.
     """
-    if p.__class__ is Limit and ctx.__class__ is IntegerGroup and g.__class__ is int:
-        circle = p._circle
-        if circle is not None:
-            return circle[(p.residue + g) % p.modulus]
-        key = (p.sign, (p.residue + g) % p.modulus, p.modulus)
-        return _interned(key) or Limit(*key)
-    ctx.check_element(g)
+    if g.__class__ is not int or ctx.__class__ is not IntegerGroup:
+        ctx.check_element(g)
     if not isinstance(p, Limit):
         return ctx.compose(g, p)
     if not isinstance(ctx, IntegerGroup):
         raise BackendMismatch("limit points live over the integers")
-    return Limit(p.sign, (p.residue + g) % p.modulus, p.modulus)
+    residue = (p.residue + g) % p.modulus
+    circle = p._circle
+    if circle is not None:
+        return circle[residue]
+    return Limit(p.sign, residue, p.modulus)
 
 
 def acting_set(ctx: Group, p, Y):
@@ -195,9 +189,9 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
 
     The limit part is {+,-} x Z/n over the integers and empty over finite
     backends (see `check_level`). A level over LEVEL_BOUND raises
-    `ValueError` before any point is built. The points are read from the
-    intern table, and built only when missing. Each point's circle is set
-    to the tuple of its sign circle.
+    `ValueError` before any point is built. Each sign circle is built once
+    per level: its tuple is stored on every point of it, and a later call
+    reads it back from the residue-0 point.
     """
     check_level(ctx, level)
     if level > LEVEL_BOUND:
@@ -206,9 +200,11 @@ def limit_points(ctx: Group, level: int) -> list[Limit]:
         return []
     points = []
     for sign in (1, -1):
-        circle = tuple([_interned((sign, r, level)) or Limit(sign, r, level) for r in range(level)])
-        for p in circle:
-            p._circle = circle
+        circle = Limit(sign, 0, level)._circle
+        if circle is None:
+            circle = tuple([Limit(sign, r, level) for r in range(level)])
+            for p in circle:
+                p._circle = circle
         points += circle
     return points
 

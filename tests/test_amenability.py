@@ -361,6 +361,29 @@ def test_measure_definability_diagnostic():
     assert report.definable
 
 
+class MembershipStarted(Exception):
+    """Raised by a patched `limit_points`: the membership tests were about to start."""
+
+
+def test_a_measure_definability_check_over_its_budget_fails_before_testing(monkeypatch):
+    def no_points(ctx, level):
+        raise MembershipStarted
+
+    monkeypatch.setattr(amenability, "limit_points", no_points)
+    bound = amenability.MEASURE_TEST_BOUND
+    assert bound == 1 << 22
+    # level 60 at modulus 6: 105 family members, 2 * 60 * 60 * 105 tests
+    with pytest.raises(MembershipStarted):
+        measure_definability_check(INTEGERS, 60, invariant_measure(INTEGERS, 60), 6)
+    with pytest.raises(ValueError) as excinfo:
+        measure_definability_check(INTEGERS, 48, invariant_measure(INTEGERS, 48), 12)
+    message = f"19975680 membership tests are over the bound of {bound}"
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+    task = {"op": "measure-definability", "max_modulus": 12}
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 48, "tasks": [task]})
+    assert code == 3 and report["results"][0]["error"] == f"ValueError: {message}"
+
+
 def test_difference_ne_group_matches_no_fixed_points_at_even_levels():
     # the concrete witness pair: evens on one side, empty fixed sets on the other
     cert = pestov_check(INTEGERS, 2)

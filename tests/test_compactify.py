@@ -201,6 +201,37 @@ def test_a_homomorphism_check_over_a_table_rejects_a_level_other_than_1():
     assert report["results"][0]["error"] == "LevelError: finite backends have only the trivial level 1"
 
 
+def test_only_an_integer_homomorphism_check_reports_a_fiber_modulus():
+    # a table's fibers are element sets, and no modulus describes them
+    for group, values, keys in (
+        ({"kind": "integers"}, [0, 1], ["valid", "fiber_modulus", "fibers", "factor_images"]),
+        ({"kind": "cyclic", "order": 4}, [0, 1, 0, 1], ["valid", "fibers", "factor_images"]),
+    ):
+        task = {"op": "check-homomorphism", "values": values, "target": "c2"}
+        report, code = run_scenario({"group": group, "tasks": [task]})
+        assert code == 0 and list(report["results"][0]["result"]) == keys
+    assert report["results"][0]["result"]["fibers"] == [{"elements": [0, 2]}, {"elements": [1, 3]}]
+
+
+C2, C3 = {"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 3}
+
+
+@pytest.mark.parametrize("left, right", [({"kind": "integers"}, C2), (C2, C3)], ids=["integers-c2", "c2-c3"])
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"op": "universal-compactification", "targets": [[[0, 0]]]},
+        {"op": "check-homomorphism", "values": [0, 1], "target": "c2"},
+    ],
+    ids=lambda task: task["op"],
+)
+def test_compactify_tasks_over_a_product_are_unsupported(left, right, task):
+    group = {"kind": "product", "left": left, "right": right}
+    report, code = run_scenario({"group": group, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == "ValueError: unsupported backend"
+
+
 @pytest.mark.parametrize("values", [[9], [0, 9]])
 def test_homomorphism_values_outside_the_target_integers(values):
     with pytest.raises(BackendMismatch):

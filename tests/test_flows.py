@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeflow import flows
+from typeflow import flows, typespace
 from typeflow.amenability import fixed_points, fixed_points_of_flow, invariant_measure, invariant_measure_of_flow
 from typeflow.cli import run_scenario
 from typeflow.compactify import g00_at_level
@@ -272,6 +272,33 @@ def test_left_ideal_counts_circles_before_building_left_factors(monkeypatch):
         is_left_ideal(INTEGERS, n, plus)
 
 
+def test_a_left_ideal_check_over_its_budget_fails_before_building_left_factors(monkeypatch):
+    def no_left_factors(ctx, level):
+        raise AssertionError("left factors built")
+
+    monkeypatch.setattr(flows, "limit_points", no_left_factors)
+    bound = flows.LEFT_IDEAL_PRODUCT_BOUND
+    assert bound == 1 << 22
+    # a full circle at level 1,448 is 1,448 * 2 * 1,448 products, under the bound
+    with pytest.raises(AssertionError, match="left factors built"):
+        is_left_ideal(INTEGERS, 1448, frozenset(Limit(1, r, 1448) for r in range(1448)))
+    plus = frozenset(Limit(1, r, 1449) for r in range(1449))
+    # the closure test answers before the budget
+    assert not is_left_ideal(INTEGERS, 1449, plus - {Limit(1, 0, 1449)})
+    message = f"{1449 * 2 * 1449} products are over the bound of {bound}"
+    with pytest.raises(ValueError) as excinfo:
+        is_left_ideal(INTEGERS, 1449, plus)
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+    # the level checks come first, with their own messages
+    with pytest.raises(LevelError, match="^point at level 5 in a level-1449 check$"):
+        is_left_ideal(INTEGERS, 1449, plus | {Limit(1, 0, 5)})
+    with pytest.raises(ValueError, match="^level modulus must be at least 1$"):
+        is_left_ideal(INTEGERS, 0, plus)
+    circle = [{"kind": "limit", "sign": "+", "res": r, "mod": 1449} for r in range(1449)]
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 1449, "tasks": [{"op": "is-left-ideal", "points": circle}]})
+    assert code == 3 and report["results"][0]["error"] == f"ValueError: {message}"
+
+
 def test_left_ideal_checks_every_level_before_a_realized_verdict():
     # a realized member alone gives False, but a limit member at another
     # level is an error whichever member the set yields first
@@ -388,29 +415,35 @@ def test_extend_definable_map_examples():
         extend_definable_map(parity, 3)
 
 
-class Extended(Exception):
-    """Raised by an `ExtendedMap` patched in to show the extension was built."""
+class Built(Exception):
+    """Raised by a patched `Limit`: a point was about to be built."""
 
 
 def test_an_extension_over_the_level_bound_fails_before_it_is_built(monkeypatch):
-    def extended_map(*args, **kwargs):
-        raise Extended
+    # extend-map reads its points from limit_points, so LEVEL_BOUND is its bound
+    def limit(*args):
+        raise Built
 
-    monkeypatch.setattr(flows, "ExtendedMap", extended_map)
-    bound = flows.EXTENSION_LEVEL_BOUND
-    assert bound == 1 << 16
+    monkeypatch.setattr(typespace, "Limit", limit)
+    bound = typespace.LEVEL_BOUND
     parity = EventuallyPeriodicMap(2, [0, 1], [0, 1])
-    # at the bound the extension is built; past it, it is not
-    with pytest.raises(Extended):
-        extend_definable_map(parity, bound)
+
+    def run(level):
+        task = {"op": "extend-map", "map": {"period": 2, "up": [0, 1], "down": [0, 1]}}
+        return run_scenario({"group": {"kind": "integers"}, "level": level, "tasks": [task]})
+
+    # at the bound the points are built; past it, none is
+    with pytest.raises(Built):
+        run(bound)
+    with pytest.raises(Built):
+        extend_definable_map(parity, bound).certify()
     for level in (bound + 2, 10**6, 10**100):
+        message = f"level {level} is over the bound of {bound}"
+        report, code = run(level)
+        assert code == 3 and report["results"][0]["error"] == f"ValueError: {message}"
         with pytest.raises(ValueError) as excinfo:
-            extend_definable_map(parity, level)
-        assert str(excinfo.value) == f"level {level} is over the bound of {bound}"
-    task = {"op": "extend-map", "map": {"period": 2, "up": [0, 1], "down": [0, 1]}}
-    report, code = run_scenario({"group": {"kind": "integers"}, "level": 10**6, "tasks": [task]})
-    assert code == 3
-    assert report["results"][0]["error"] == f"ValueError: level 1000000 is over the bound of {bound}"
+            extend_definable_map(parity, level).certify()
+        assert str(excinfo.value) == message
 
 
 def test_extended_map_at_a_level_the_period_does_not_divide_is_not_a_singleton_limit():

@@ -108,6 +108,13 @@ def test_product_depth_limited():
         ProductGroup(prod, INTEGERS)
 
 
+def test_an_infinite_product_has_no_element_list():
+    prod = ProductGroup(INTEGERS, cyclic_group(2))
+    with pytest.raises(ValueError) as excinfo:
+        prod.elements()
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == "cannot enumerate an infinite product"
+
+
 def test_group_json_round_trip():
     for ctx in [INTEGERS, cyclic_group(5), ProductGroup(INTEGERS, symmetric_group_3())]:
         assert group_from_json(group_to_json(ctx)) == ctx

@@ -229,7 +229,7 @@ CASES = {
     "compactify-s3": (
         compactify_over_s3,
         False,
-        "e73ea0074b152e564f1481768547017c874d39a69c01ebec330fdc821f91b1a9",
+        "5848e4a1d3d56a8aa1753b74b8543af9a198821e0404ae2431c99d39a86d2aad",
     ),
 }
 

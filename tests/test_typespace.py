@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from typeflow import typespace
 from typeflow.cli import run_scenario
-from typeflow.defsets import IntegerSet, complement, congruence_set, integer_ray, member, union
+from typeflow.defsets import FiniteSubset, IntegerSet, complement, congruence_set, integer_ray, member, union
 from typeflow.ellis import star
 from typeflow.groups import INTEGERS, BackendMismatch, IntegerGroup, ProductGroup, cyclic_group
 from typeflow.typespace import (
@@ -105,8 +105,6 @@ def test_acting_set_sampled_against_definition():
 
 
 def test_acting_set_finite_backend():
-    from typeflow.defsets import FiniteSubset
-
     c3 = cyclic_group(3)
     Y = FiniteSubset(c3, [0, 1])
     result = acting_set(c3, 1, Y)
@@ -114,6 +112,17 @@ def test_acting_set_finite_backend():
     expected = [g for g in range(3) if member(Y, c3.compose(g, 1))]
     assert result == FiniteSubset(c3, expected)
     assert expected == [0, 2]
+
+
+def test_acting_set_rejects_a_foreign_set_and_a_coarse_level():
+    # a limit point tests only integer sets whose period divides its level
+    with pytest.raises(BackendMismatch) as excinfo:
+        acting_set(INTEGERS, Limit(1, 0, 4), FiniteSubset(cyclic_group(2), [0]))
+    assert str(excinfo.value) == "expected an integer set"
+    task = {"op": "acting-set", "p": {"kind": "limit", "sign": "+", "res": 0, "mod": 4}, "set": {"mod": 3, "up": [0], "down": [0]}}
+    report, code = run_scenario({"group": {"kind": "integers"}, "level": 4, "tasks": [task]})
+    assert code == 3
+    assert report["results"][0]["error"] == "LevelError: set period 3 does not divide level 4"
 
 
 def test_witness_examples():
@@ -316,6 +325,49 @@ def test_copies_and_pickles_rebuild_through_the_constructor(fields):
         assert clone is p
 
 
+@pytest.mark.parametrize("level", [1, 7, 1024])
+def test_limit_points_build_each_circle_once(level):
+    first = limit_points(INTEGERS, level)
+    circles = [p._circle for p in first]
+    assert circles == [tuple(first[:level])] * level + [tuple(first[level:])] * level
+    # a later call reads each circle back; it does not build or stamp a new one
+    again = limit_points(INTEGERS, level)
+    assert all(a is b and a._circle is c for a, b, c in zip(first, again, circles))
+
+
+def test_threads_building_one_level_get_its_points_and_a_right_circle():
+    # each round is a level that no other test builds, which the threads
+    # start together, so they race to build and stamp its circles
+    levels = range(3001, 3017)
+    start = threading.Barrier(8, timeout=60)
+    built = {}
+
+    def build(seed):
+        built[seed] = lists = []
+        for level in levels:
+            start.wait()
+            lists.append(limit_points(INTEGERS, level))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(built) == list(range(8))
+    for i, level in enumerate(levels):
+        want = reference_limit_points(level)
+        for lists in built.values():
+            assert len(lists[i]) == 2 * level and all(a is b for a, b in zip(lists[i], want))
+        # whichever thread's tuple a point holds, it is the point's own circle
+        assert all(p._circle == tuple(want[:level] if p.sign > 0 else want[level:]) for p in want)
+
+
 def test_points_past_the_old_table_cap_stay_the_same_objects():
     # 2 * 40,000 points are more than the 2**16 that a bounded table held,
     # which cleared itself, so that a second call rebuilt every point
@@ -358,10 +410,11 @@ def test_threads_building_the_same_points_get_the_same_objects():
 # ---------------------------------------------------------------------------
 # the level-point kernels against a literal reference
 #
-# star, apply_group and limit_points read their result from the intern table
-# and skip the constructor. The references below build every point with
-# Limit(...) and take every level with math.gcd, so the fast paths must agree
-# with them on value, and every result must be the interned point.
+# star and apply_group read their result from a point's circle when it has
+# one and call Limit(...) otherwise, and limit_points reads back the circles
+# it built before. The references below build every point with Limit(...) and
+# take every level with math.gcd, so the fast paths must agree with them on
+# value, and every result must be the interned point.
 
 
 class SubIntegers(IntegerGroup):
